@@ -262,6 +262,10 @@ def main(argv=None):
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except RuntimeError as e:
+        # an internal fault (a failed self-check or eigensolve), not bad input
+        print("error: %s" % e, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ nothing).
 import numpy as np
 
 from .lattice import dilate_lattice, _cell_permutations, _offset_permutations
-from .spectral import FrequencyGrid, SpectralDataset
+from .spectral import FrequencyGrid, SpectralDataset, _abs2
 
 __all__ = [
     "FiberVector",
@@ -98,23 +98,33 @@ def _cell_trace(values):
     out = np.zeros(values.shape[2])
     for i in range(m):
         v = values[i]
-        out += (v.real ** 2 + v.imag ** 2).sum(axis=0)
+        out += _abs2(v).sum(axis=0)
     return out
 
 
 def gramian_field(F):
     """Per-cell Gramian of all channel fibers, summed in ascending offset
-    order (einsum over the offset axis is a fixed-order reduction)."""
+    order (einsum over the offset axis is a fixed-order reduction).
+
+    When the dataset knows its support, only those cells are read; every
+    other cell is zero and so inactive.  Cells never interact, so the result
+    is the same as from the full grid."""
     import os
 
-    trace = _cell_trace(F.values)
-    active = np.flatnonzero(trace > 0.0)
-    va = np.ascontiguousarray(F.values[:, :, active])
+    if F.support is None:
+        values, cells = F.values, None
+    else:
+        # take() keeps the C layout, so the per-cell sums run as on the grid
+        values, cells = F.values.take(F.support, axis=2), F.support
+    trace = _cell_trace(values)
+    keep = np.flatnonzero(trace > 0.0)
+    va = np.ascontiguousarray(values[:, :, keep])
     other = va.conj()
     if _BUG_GRAMIAN_NO_CONJ or os.environ.get("PWSIS_BUG_GRAMIAN_NO_CONJ"):
         other = va
     mats = np.einsum("ikc,jkc->cij", va, other)
-    return GramianField(F.grid, F.m, active, mats, trace[active])
+    active = keep if cells is None else cells[keep]
+    return GramianField(F.grid, F.m, active, mats, trace[keep])
 
 
 def symmetrize(F, group):
@@ -153,10 +163,9 @@ def membership_test(F, i, Psi, j, tol=1e-9):
         raise ValueError("mismatched grid between datasets")
     a = F.values[i]
     b = Psi.values[j]
-    na2 = (a.real ** 2 + a.imag ** 2).sum(axis=0)
-    nb2 = (b.real ** 2 + b.imag ** 2).sum(axis=0)
-    ip = (b.conj() * a).sum(axis=0)
-    ip2 = ip.real ** 2 + ip.imag ** 2
+    na2 = _abs2(a).sum(axis=0)
+    nb2 = _abs2(b).sum(axis=0)
+    ip2 = _abs2((b.conj() * a).sum(axis=0))
     resid = np.where(nb2 > 0.0, na2 - ip2 / np.where(nb2 > 0.0, nb2, 1.0), na2)
     bound = tol * na2
     return bool(np.all(resid <= bound))
@@ -176,7 +185,8 @@ def dilation_transport(F, A):
     lat = dilate_lattice(F.lattice, np.linalg.inv(A))
     grid = FrequencyGrid(lat, F.grid.r, F.grid.offsets)
     scale = abs(np.linalg.det(A)) ** -0.5
-    return SpectralDataset(lat, grid, scale * F.values, check_finite=False)
+    return SpectralDataset(lat, grid, scale * F.values, check_finite=False,
+                           support=F.support)
 
 
 _REGRID_VALUE_CAP = 1 << 24

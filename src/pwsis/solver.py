@@ -11,7 +11,8 @@ import numpy as np
 
 from .lattice import orbit_partition, _cell_permutations, _offset_permutations
 from .fibers import gramian_field, dilation_transport
-from .spectral import FrequencyGrid, SpectralDataset, project_pw, residual_energy
+from .spectral import (FrequencyGrid, SpectralDataset, _abs2, project_pw,
+                       residual_energy)
 
 __all__ = [
     "EigenField",
@@ -151,7 +152,7 @@ def _captured(values, model):
     """Per-channel energy captured by the model's orthonormal fibers."""
     va = values[:, :, model.active_idx]
     amp = np.einsum("cjk,ikc->cij", model.basis.conj(), va)
-    return (amp.real ** 2 + amp.imag ** 2).sum(axis=(0, 2)) * model.grid.cell_weight
+    return _abs2(amp).sum(axis=(0, 2)) * model.grid.cell_weight
 
 
 def _build_basis(values, ef, ell):
@@ -359,7 +360,10 @@ def project_then_solve(F, mask, ell, group=None):
     per_channel = rep.per_channel + outside
     direct = error_against(F, model)
     scale = 1.0 + float(F.energy().sum())
-    assert abs(direct.total_error - total) <= 1e-9 * scale
+    if not abs(direct.total_error - total) <= 1e-9 * scale:
+        raise RuntimeError(
+            "project-then-solve total %r differs from the measured error %r of "
+            "its own model" % (total, direct.total_error))
     report = ApproxReport(total, per_channel, active_idx=rep.active_idx,
                           density=rep.density, projected_error=rep.total_error,
                           band_residual=float(outside.sum()))

@@ -39,6 +39,12 @@ def _sorted_offsets(offsets, d):
     return arr
 
 
+def _grid_product(ranges):
+    """Rows of the cartesian product of integer ranges, in C order."""
+    mesh = np.meshgrid(*ranges, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1).astype(np.int64)
+
+
 class FrequencyGrid:
     """Sampling layout: resolution r per torus unit, offset set K, weights.
 
@@ -68,21 +74,16 @@ class FrequencyGrid:
     def cell_vectors(self):
         """(n_cells, d) integer cell indices j in C order."""
         if self._cells is None:
-            axes = [np.arange(self.r)] * self.d
-            mesh = np.meshgrid(*axes, indexing="ij")
-            cells = np.stack([m.ravel() for m in mesh], axis=1).astype(np.int64)
+            cells = _grid_product([np.arange(self.r)] * self.d)
             cells.setflags(write=False)
             self._cells = cells
         return self._cells
 
-    def torus_points(self):
-        return self.cell_vectors() / float(self.r)
-
-    def frequency_points(self, k_index):
-        """Physical sample points Ahat @ (u + k) for one offset, (n_cells, d)."""
-        k = self.offsets[k_index]
-        x = self.cell_vectors() / float(self.r) + k
-        return x @ self.lattice.dual_basis.T
+    def sample_points(self, cells, k):
+        """Physical sample points Ahat @ (j/r + k) of the cell vectors j (rows
+        of cells) at offset k, (n, d).  Every sample point in the package is
+        computed by this one expression."""
+        return (cells / float(self.r) + k) @ self.lattice.dual_basis.T
 
     def offset_index(self, k):
         t = tuple(int(v) for v in np.atleast_1d(k))
@@ -190,19 +191,38 @@ class Scene:
 
 
 def _offset_hull(primitive, lattice):
-    """Conservative integer offset hull a primitive can touch, per dimension.
+    """Conservative hull of a primitive in lattice coordinates x = A^T xi.
 
-    The physical bounding box is mapped to lattice coordinates x = A^T xi
-    (corner-wise, so rotated lattices get a conservative hull); actual
-    membership at each candidate offset is decided later on the real samples.
+    The physical bounding box is mapped corner-wise, so rotated lattices get
+    a conservative hull; actual membership is decided later on the real
+    samples.  Returns the per-dimension bounds (xlo, xhi) as floats; the
+    integer offsets a primitive can touch are floor(xlo) .. floor(xhi).
     """
     lo, hi = primitive.bbox()
     d = lattice.d
     corners = np.array(np.meshgrid(*[(lo[i], hi[i]) for i in range(d)], indexing="ij"))
     corners = corners.reshape(d, -1).T @ lattice.basis  # rows: A^T @ corner
-    xlo = corners.min(axis=0)
-    xhi = corners.max(axis=0)
-    return np.floor(xlo).astype(np.int64), np.floor(xhi).astype(np.int64)
+    return corners.min(axis=0), corners.max(axis=0)
+
+
+def _candidate_cells(hull, grid, k):
+    """Cells a primitive with lattice-coordinate hull (xlo, xhi) can reach at
+    offset k: every cell j whose corner j/r + k lies in the hull widened by
+    one cell, clipped to [0, r).
+
+    Returns (flat, pts): ascending flat cell indices and their sample points.
+    The widening covers rounding in the sample-point product, so every sample
+    inside the primitive is among the candidates.
+    """
+    r = grid.r
+    xlo, xhi = hull
+    lo = np.maximum(np.floor((xlo - k) * r) - 1.0, 0.0)
+    hi = np.minimum(np.floor((xhi - k) * r) + 1.0, r - 1.0)
+    if not np.all(lo <= hi):
+        return np.zeros(0, dtype=np.int64), np.zeros((0, grid.d))
+    cells = _grid_product([np.arange(int(a), int(b) + 1) for a, b in zip(lo, hi)])
+    flat = np.ravel_multi_index(cells.T, (r,) * grid.d)
+    return flat, grid.sample_points(cells, k)
 
 
 def _validate_band(primitives, lattice, grid):
@@ -212,32 +232,36 @@ def _validate_band(primitives, lattice, grid):
     sample point actually lands inside the primitive count, so half-open
     boundaries aligned with the band edge stay legal.
     """
-    torus = None
     for prim in primitives:
-        los, his = _offset_hull(prim, lattice)
-        ranges = [np.arange(los[i], his[i] + 1) for i in range(lattice.d)]
-        mesh = np.meshgrid(*ranges, indexing="ij")
-        candidates = np.stack([m.ravel() for m in mesh], axis=1)
-        for k in candidates:
+        hull = _offset_hull(prim, lattice)
+        los, his = (np.floor(x).astype(np.int64) for x in hull)
+        for k in _grid_product([np.arange(los[i], his[i] + 1) for i in range(lattice.d)]):
             key = tuple(int(v) for v in k)
             if key in grid._offset_lookup:
                 continue
-            if torus is None:
-                torus = grid.torus_points()
-            pts = (torus + k) @ lattice.dual_basis.T
+            _, pts = _candidate_cells(hull, grid, k)
             if np.any(prim.contains(pts)):
                 raise ValueError(
                     "band too small: %r needs offset %s outside the grid" % (prim, key)
                 )
 
 
+def _abs2(v):
+    """Elementwise |v|^2 of a complex array, the one form every energy,
+    trace and residual in the package is summed from."""
+    return v.real ** 2 + v.imag ** 2
+
+
 class SpectralDataset:
     """m channels of complex frequency samples over (offset, cell) indices.
 
     values has shape (m, n_offsets, n_cells), complex128, read-only.
+    support, when known, is a read-only ascending array of flat cell indices
+    that holds every cell with a nonzero value in any channel and offset;
+    None means unknown.  Per-cell work may then skip the other cells.
     """
 
-    def __init__(self, lattice, grid, values, check_finite=True):
+    def __init__(self, lattice, grid, values, check_finite=True, support=None):
         values = np.ascontiguousarray(values, dtype=np.complex128)
         if values.ndim != 3 or values.shape[1:] != (grid.n_offsets, grid.n_cells):
             raise ValueError(
@@ -249,6 +273,12 @@ class SpectralDataset:
         self.grid = grid
         self.values = values
         self.values.setflags(write=False)
+        if support is not None:
+            support = np.array(support, dtype=np.int64)
+            if support.ndim != 1:
+                raise ValueError("support must be a vector of flat cell indices")
+            support.setflags(write=False)
+        self.support = support
 
     @property
     def m(self):
@@ -258,7 +288,7 @@ class SpectralDataset:
         """Squared norms per channel (Plancherel is exact on the grid)."""
         if i is not None:
             v = self.values[i]
-            return float((v.real ** 2 + v.imag ** 2).sum() * self.grid.cell_weight)
+            return float(_abs2(v).sum() * self.grid.cell_weight)
         out = np.empty(self.m)
         for ch in range(self.m):
             out[ch] = self.energy(ch)
@@ -266,7 +296,8 @@ class SpectralDataset:
 
     def select_channels(self, indices):
         return SpectralDataset(
-            self.lattice, self.grid, self.values[list(indices)], check_finite=False
+            self.lattice, self.grid, self.values[list(indices)], check_finite=False,
+            support=self.support,
         )
 
     def __repr__(self):
@@ -279,7 +310,9 @@ def synthesize(scene, lattice, grid):
     Indicator membership is half-open for boxes and open for balls; the
     modulation term multiplies by exp(-2 pi i <h, xi>) at the physical sample
     point xi.  Every primitive must fit inside the covered band, otherwise a
-    "band too small" error names the offender.
+    "band too small" error names the offender.  Each primitive is tested only
+    on the cells its bounding box can reach, and the dataset's support is the
+    union of the cells some primitive hit.
     """
     if scene.d != grid.d:
         raise ValueError("scene dimension %d does not match grid" % scene.d)
@@ -288,20 +321,24 @@ def synthesize(scene, lattice, grid):
     _validate_band([t[2] for t in scene.terms], lattice, grid)
     m = scene.n_channels
     values = np.zeros((m, grid.n_offsets, grid.n_cells), dtype=np.complex128)
+    hulls = [_offset_hull(t[2], lattice) for t in scene.terms]
+    touched = np.zeros(grid.n_cells, dtype=bool)
     for ki in range(grid.n_offsets):
-        pts = None
-        for channel, coeff, prim, h in scene.terms:
-            if pts is None:
-                pts = grid.frequency_points(ki)
-            hit = np.nonzero(prim.contains(pts))[0]
+        k = grid.offsets[ki]
+        for (channel, coeff, prim, h), hull in zip(scene.terms, hulls):
+            cells, pts = _candidate_cells(hull, grid, k)
+            inside = prim.contains(pts)
+            hit = cells[inside]
             if hit.size == 0:
                 continue
+            touched[hit] = True
             if h is None:
                 values[channel, ki, hit] += coeff
             else:
-                phase = np.exp(-2j * np.pi * (pts[hit] @ h))
+                phase = np.exp(-2j * np.pi * (pts[inside] @ h))
                 values[channel, ki, hit] += coeff * phase
-    return SpectralDataset(lattice, grid, values, check_finite=False)
+    return SpectralDataset(lattice, grid, values, check_finite=False,
+                           support=np.flatnonzero(touched))
 
 
 class PWMask:
@@ -343,10 +380,11 @@ def pw_mask(region, lattice, grid):
         region = [region]
     _validate_band(region, lattice, grid)
     bits = np.zeros((grid.n_offsets, grid.n_cells), dtype=bool)
+    hulls = [_offset_hull(prim, lattice) for prim in region]
     for ki in range(grid.n_offsets):
-        pts = grid.frequency_points(ki)
-        for prim in region:
-            bits[ki] |= prim.contains(pts)
+        for prim, hull in zip(region, hulls):
+            cells, pts = _candidate_cells(hull, grid, grid.offsets[ki])
+            bits[ki, cells[prim.contains(pts)]] = True
     return PWMask(lattice, grid, bits)
 
 
@@ -359,7 +397,8 @@ def project_pw(F, mask):
     """Zero the samples outside the mask; an orthogonal projection."""
     _require_same_grid(F, mask)
     values = np.where(mask.bits[None, :, :], F.values, 0.0)
-    return SpectralDataset(F.lattice, F.grid, values, check_finite=False)
+    return SpectralDataset(F.lattice, F.grid, values, check_finite=False,
+                           support=F.support)
 
 
 def residual_energy(F, mask):
@@ -369,6 +408,5 @@ def residual_energy(F, mask):
     off = ~mask.bits
     out = np.empty(F.m)
     for i in range(F.m):
-        v = F.values[i]
-        out[i] = ((v.real ** 2 + v.imag ** 2) * off).sum() * F.grid.cell_weight
+        out[i] = (_abs2(F.values[i]) * off).sum() * F.grid.cell_weight
     return out

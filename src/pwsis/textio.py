@@ -96,8 +96,8 @@ def _header_grid(lines, kind):
         lat = make_lattice(np.array(_floats(lines, toks, no)).reshape(d, d))
     except ValueError as e:
         lines.fail(no, str(e))
-    (tok,), no = _tagged(lines, "resolution", 1)
-    r = _ints(lines, [tok], no)[0]
+    (tok,), res_no = _tagged(lines, "resolution", 1)
+    r = _ints(lines, [tok], res_no)[0]
     (tok,), no = _tagged(lines, "offsets", 1)
     n_off = _ints(lines, [tok], no)[0]
     if n_off < 1:
@@ -116,7 +116,17 @@ def _header_grid(lines, kind):
     if grid.n_offsets != n_off:
         lines.fail(no, "duplicate offsets in file")
     perm = [grid.offset_index(k) for k in file_offsets]
-    return lat, grid, perm
+    return lat, grid, perm, res_no
+
+
+def _require_lines(lines, count, what, res_no):
+    """Fail before allocating if the header promises more data lines than
+    the file has left (count is a Python int, so it cannot overflow)."""
+    left = len(lines.raw) - lines.pos
+    if count > left:
+        lines.fail(res_no, "header promises %d %s lines at this resolution, "
+                           "but only %d lines are left before end of file"
+                           % (count, what, left))
 
 
 def format_dataset(F):
@@ -139,11 +149,13 @@ def format_dataset(F):
 
 def parse_dataset(text, name="<dataset>"):
     lines = _Lines(text, name, comments=False)
-    lat, grid, perm = _header_grid(lines, "pwsis-dataset v1")
+    lat, grid, perm, res_no = _header_grid(lines, "pwsis-dataset v1")
     (tok,), no = _tagged(lines, "channels", 1)
     m = _ints(lines, [tok], no)[0]
     if m < 0:
         lines.fail(no, "channel count must be nonnegative")
+    _require_lines(lines, m * grid.n_offsets * grid.n_cells, "value", res_no)
+    first = lines.pos
     vals = np.zeros((m, grid.n_offsets, grid.n_cells), dtype=np.complex128)
     for i in range(m):
         for fk in range(grid.n_offsets):
@@ -155,7 +167,23 @@ def parse_dataset(text, name="<dataset>"):
                     lines.fail(no, "value line needs 're im', got %r" % s)
                 vals[i, ki, c] = complex(pair[0], pair[1])
     lines.done()
-    return SpectralDataset(lat, grid, vals)
+    if not np.all(np.isfinite(vals)):
+        _fail_non_finite(lines, first, vals, perm)
+    return SpectralDataset(lat, grid, vals, check_finite=False)
+
+
+def _fail_non_finite(lines, first, vals, perm):
+    """Name the first value line in file order that holds a non-finite
+    number; value lines follow raw line `first`, blank lines skipped."""
+    bad = ~np.isfinite(vals[:, perm, :])
+    target = int(np.flatnonzero(bad)[0])
+    seen = -1
+    for no in range(first + 1, len(lines.raw) + 1):
+        s = lines.raw[no - 1].strip()
+        if s:
+            seen += 1
+            if seen == target:
+                lines.fail(no, "non-finite value in %r" % s)
 
 
 def format_mask(mask):
@@ -176,7 +204,8 @@ def format_mask(mask):
 
 def parse_mask(text, name="<mask>"):
     lines = _Lines(text, name, comments=False)
-    lat, grid, perm = _header_grid(lines, "pwsis-mask v1")
+    lat, grid, perm, res_no = _header_grid(lines, "pwsis-mask v1")
+    _require_lines(lines, grid.n_offsets * grid.n_cells, "mask bit", res_no)
     bits = np.zeros((grid.n_offsets, grid.n_cells), dtype=bool)
     for fk in range(grid.n_offsets):
         ki = perm[fk]

@@ -146,6 +146,38 @@ def test_check_verb_and_mutation_hook(workdir):
     assert "replay:" in res.stdout
 
 
+def test_internal_fault_exits_one_without_traceback(workdir):
+    (workdir / "cplx.txt").write_text(
+        "channel 0 coeff 1.0 0.0 interval -1.0 0.0\n"
+        "channel 0 coeff 0.0 1.0 interval 0.0 1.0\n"
+        "channel 1 coeff 0.0 1.0 interval -1.0 0.0\n"
+        "channel 1 coeff 1.0 0.0 interval 0.0 1.0\n")
+    res = _run(["synth", "--scene", "cplx.txt", "--lattice", "lat.txt",
+                "--resolution", "2", "--offsets", "offs.txt",
+                "--out", "cplx_data.txt"], workdir)
+    assert res.returncode == 0, res.stderr
+    args = ["solve", "--data", "cplx_data.txt", "--ell", "1", "--mask", "mask.txt"]
+    assert _run(args, workdir).returncode == 0
+    res = _run(args, workdir, env={"PWSIS_BUG_GRAMIAN_NO_CONJ": "1"})
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: project-then-solve total")
+    assert "Traceback" not in res.stderr
+
+
+def test_bad_dataset_values_exit_two(workdir):
+    (workdir / "huge.txt").write_text(
+        "pwsis-dataset v1\ndim 2\nlattice 1.0 0.0 0.0 1.0\nresolution 3000000\n"
+        "offsets 1\n0 0\nchannels 1\n")
+    res = _run(["solve", "--data", "huge.txt", "--ell", "1"], workdir)
+    assert res.returncode == 2
+    assert "huge.txt line 4" in res.stderr and "Traceback" not in res.stderr
+    text = (workdir / "data.txt").read_text().replace("\n2.0 0.0\n", "\nnan 0.0\n", 1)
+    (workdir / "nan.txt").write_text(text)
+    res = _run(["solve", "--data", "nan.txt", "--ell", "1"], workdir)
+    assert res.returncode == 2
+    assert "nan.txt line" in res.stderr and "non-finite" in res.stderr
+
+
 def test_stdout_is_byte_identical_across_runs(workdir):
     a = _run(["solve", "--data", "data.txt", "--ell", "1"], workdir)
     b = _run(["solve", "--data", "data.txt", "--ell", "1"], workdir)

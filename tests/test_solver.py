@@ -130,6 +130,21 @@ def test_pipeline_split_hand_values():
     assert abs(free.total_error - 2.0) <= EXACT_TOL
 
 
+def test_pipeline_self_check_raises_on_broken_gramian(monkeypatch):
+    from pwsis import fibers
+
+    grid = make_grid(LAT_Z, 2, K3)
+    scene = Scene(1)
+    scene.add(0, 1.0, interval(-1.0, 0.0)).add(0, 1.0j, interval(0.0, 1.0))
+    scene.add(1, 1.0j, interval(-1.0, 0.0)).add(1, 1.0, interval(0.0, 1.0))
+    F = synthesize(scene, LAT_Z, grid)
+    mask = pw_mask(interval(-1.0, 1.0), LAT_Z, grid)
+    project_then_solve(F, mask, 1)
+    monkeypatch.setattr(fibers, "_BUG_GRAMIAN_NO_CONJ", True)
+    with pytest.raises(RuntimeError, match="differs from the measured error"):
+        project_then_solve(F, mask, 1)
+
+
 def test_pipeline_with_trivial_group_matches():
     F, grid = _two_bumps(2)
     mask = pw_mask(interval(-1.0, 1.0), LAT_Z, grid)

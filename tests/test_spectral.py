@@ -158,3 +158,174 @@ def test_projection_energy_split(vals, bits):
     mask = PWMask(LAT_Z, grid, bits)
     total = project_pw(F, mask).energy() + residual_energy(F, mask)
     assert np.allclose(total, F.energy(), rtol=ENERGY_SPLIT_TOL, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# differential checks: support-restricted synthesis and masks against the
+# full-grid loops they replaced
+
+
+def _full_grid_points(grid, k):
+    return (grid.cell_vectors() / float(grid.r) + k) @ grid.lattice.dual_basis.T
+
+
+def _reference_band_error(primitives, lattice, grid):
+    """Message of the full-grid band check, or None if the band is wide
+    enough: every sample of every hull offset missing from K is tested."""
+    from pwsis.spectral import _offset_hull
+
+    for prim in primitives:
+        xlo, xhi = _offset_hull(prim, lattice)
+        los, his = np.floor(xlo).astype(np.int64), np.floor(xhi).astype(np.int64)
+        ranges = [np.arange(los[i], his[i] + 1) for i in range(lattice.d)]
+        mesh = np.meshgrid(*ranges, indexing="ij")
+        for k in np.stack([m.ravel() for m in mesh], axis=1):
+            key = tuple(int(v) for v in k)
+            if key in grid._offset_lookup:
+                continue
+            if np.any(prim.contains(_full_grid_points(grid, k))):
+                return "band too small: %r needs offset %s outside the grid" % (prim, key)
+    return None
+
+
+def _reference_synthesize(scene, grid):
+    """Every term tested at every sample, offsets outer, terms inner."""
+    values = np.zeros((scene.n_channels, grid.n_offsets, grid.n_cells), dtype=np.complex128)
+    for ki in range(grid.n_offsets):
+        pts = _full_grid_points(grid, grid.offsets[ki])
+        for channel, coeff, prim, h in scene.terms:
+            hit = np.nonzero(prim.contains(pts))[0]
+            if hit.size == 0:
+                continue
+            if h is None:
+                values[channel, ki, hit] += coeff
+            else:
+                values[channel, ki, hit] += coeff * np.exp(-2j * np.pi * (pts[hit] @ h))
+    return values
+
+
+def _reference_mask_bits(region, grid):
+    bits = np.zeros((grid.n_offsets, grid.n_cells), dtype=bool)
+    for ki in range(grid.n_offsets):
+        pts = _full_grid_points(grid, grid.offsets[ki])
+        for prim in region:
+            bits[ki] |= prim.contains(pts)
+    return bits
+
+
+def _random_lattice(rng, d):
+    kind = rng.integers(4)
+    if kind == 0:
+        basis = np.eye(d)
+    elif kind == 1:  # rotated
+        q, rr = np.linalg.qr(rng.standard_normal((d, d)))
+        basis = q * np.sign(np.diag(rr))
+    elif kind == 2:  # scaled
+        basis = np.diag(rng.uniform(0.5, 2.0, d))
+    else:  # general, well conditioned
+        basis = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    return make_lattice(basis)
+
+
+def _random_sample_point(rng, grid):
+    """A sample point, mostly at an offset away from the band's edge."""
+    offsets = grid.offsets
+    inner = offsets[np.abs(offsets).max(axis=1) < offsets.max()]
+    pool = inner if len(inner) and rng.random() < 0.8 else offsets
+    cell = rng.integers(grid.r, size=(1, grid.d))
+    return grid.sample_points(cell, pool[rng.integers(len(pool))])[0]
+
+
+def _random_primitive(rng, grid):
+    """A box with its faces through sample points, or a ball, placed so
+    that it mostly lies inside the covered band."""
+    a = _random_sample_point(rng, grid)
+    if rng.random() < 0.5:
+        b = a + rng.uniform(-0.7, 0.7, grid.d)
+        if rng.random() < 0.5:
+            b = _random_sample_point(rng, grid)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        return Box(lo, np.where(hi > lo, hi, lo + 1.0 / grid.r))
+    if rng.random() < 0.5:  # a sample point lies exactly on the sphere
+        radius = float(np.linalg.norm(_random_sample_point(rng, grid) - a))
+        if 0.0 < radius < 1.0:
+            return Ball(a, radius)
+    return Ball(a + rng.uniform(-0.1, 0.1, grid.d), rng.uniform(0.05, 0.6))
+
+
+def _random_setup(rng, d):
+    r = int(rng.integers(1, {1: 17, 2: 9, 3: 5}[d]))
+    side = np.arange(-1, 2) if d == 3 or rng.random() < 0.5 else np.arange(-2, 3)
+    mesh = np.meshgrid(*([side] * d), indexing="ij")
+    offsets = np.stack([m.ravel() for m in mesh], axis=1)
+    lat = _random_lattice(rng, d)
+    grid = make_grid(lat, r, offsets)
+    scene = Scene(d)
+    for _ in range(int(rng.integers(1, 5))):
+        mod = rng.uniform(-2.0, 2.0, d) if rng.random() < 0.4 else None
+        coeff = complex(rng.standard_normal(), rng.standard_normal())
+        scene.add(int(rng.integers(3)), coeff, _random_primitive(rng, grid), mod=mod)
+    return lat, grid, scene
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_synthesize_and_mask_match_full_grid(d):
+    from pwsis.fibers import gramian_field
+
+    rng = np.random.default_rng(4100 + d)
+    n_ok = n_err = 0
+    for _ in range(60):
+        lat, grid, scene = _random_setup(rng, d)
+        prims = [t[2] for t in scene.terms]
+        expected_error = _reference_band_error(prims, lat, grid)
+        if expected_error is not None:
+            with pytest.raises(ValueError) as exc:
+                synthesize(scene, lat, grid)
+            assert str(exc.value) == expected_error
+            with pytest.raises(ValueError) as exc:
+                pw_mask(prims, lat, grid)
+            assert str(exc.value) == expected_error
+            n_err += 1
+            continue
+        n_ok += 1
+        F = synthesize(scene, lat, grid)
+        assert np.array_equal(F.values, _reference_synthesize(scene, grid))
+        assert np.array_equal(pw_mask(prims, lat, grid).bits, _reference_mask_bits(prims, grid))
+
+        nonzero = np.flatnonzero(np.any(F.values != 0, axis=(0, 1)))
+        assert np.all(np.diff(F.support) > 0)
+        assert np.all(np.isin(nonzero, F.support))
+        G = gramian_field(F)
+        full = gramian_field(SpectralDataset(lat, grid, F.values))
+        assert np.array_equal(G.active_idx, full.active_idx)
+        assert np.array_equal(G.mats, full.mats)
+        assert np.array_equal(G.trace, full.trace)
+    assert n_ok >= 30 and n_err >= 1
+
+
+def test_band_too_small_names_rotated_offender():
+    lat = make_lattice([[0.6, -0.8], [0.8, 0.6]])
+    grid = make_grid(lat, 6, [[0, 0], [0, 1], [1, 0], [1, 1]])
+    ok = Ball(lat.dual_basis @ [1.0, 1.0], 0.3)
+    bad = Ball(lat.dual_basis @ [2.2, 0.5], 0.3)
+    expected = _reference_band_error([ok, bad], lat, grid)
+    assert expected is not None and expected.startswith("band too small: ball")
+    scene = Scene(2).add(0, 1.0, ok).add(1, 1.0, bad)
+    with pytest.raises(ValueError) as exc:
+        synthesize(scene, lat, grid)
+    assert str(exc.value) == expected
+
+
+def test_support_follows_cell_preserving_operations():
+    from pwsis.fibers import dilation_transport
+
+    F, grid = _two_bumps(4)
+    assert F.support.tolist() == [0, 1, 2, 3]
+    narrow = synthesize(Scene(1).add(0, 1.0, interval(0.25, 0.5)), LAT_Z, grid)
+    assert narrow.support.tolist() == [1]
+    assert not narrow.support.flags.writeable
+    mask = pw_mask(interval(-1.0, 1.0), LAT_Z, grid)
+    for G in (F.select_channels([1]), project_pw(F, mask),
+              dilation_transport(F, [[2.0]])):
+        assert np.array_equal(G.support, F.support)
+    assert SpectralDataset(LAT_Z, grid, F.values).support is None

@@ -54,6 +54,26 @@ def test_dataset_errors_carry_line_numbers():
         parse_dataset(short, name="bad.txt")
 
 
+def test_huge_header_fails_before_allocating():
+    header = ("pwsis-dataset v1\ndim 2\nlattice 1.0 0.0 0.0 1.0\n"
+              "resolution 3000000\noffsets 1\n0 0\n")
+    with pytest.raises(ValueError, match=r"huge.txt line 4: header promises "
+                                         r"9000000000000 value lines"):
+        parse_dataset(header + "channels 1\n", name="huge.txt")
+    mask = header.replace("pwsis-dataset", "pwsis-mask") + "1\n"
+    with pytest.raises(ValueError, match=r"huge.txt line 4: .*9000000000000 mask bit"):
+        parse_mask(mask, name="huge.txt")
+
+
+def test_non_finite_value_names_its_line():
+    text = ("pwsis-dataset v1\ndim 1\nlattice 1.0\nresolution 2\noffsets 2\n"
+            "1\n0\nchannels 1\n1.0 0.0\n2.0 0.0\n\n3.0 0.0\n4.0 inf\n")
+    with pytest.raises(ValueError, match=r"bad.txt line 13: non-finite value in '4.0 inf'"):
+        parse_dataset(text, name="bad.txt")
+    with pytest.raises(ValueError, match=r"bad.txt line 9: non-finite"):
+        parse_dataset(text.replace("1.0 0.0", "nan 0.0"), name="bad.txt")
+
+
 def test_dataset_rejects_duplicate_offsets():
     text = ("pwsis-dataset v1\ndim 1\nlattice 1.0\nresolution 1\noffsets 2\n"
             "0\n0\nchannels 1\n1.0 0.0\n2.0 0.0\n")
