@@ -12,7 +12,7 @@ nothing).
 import numpy as np
 
 from .lattice import dilate_lattice, _cell_permutations, _offset_permutations
-from .spectral import FrequencyGrid, SpectralDataset, _abs2
+from .spectral import FrequencyGrid, SpectralDataset, _VALUE_CAP, _abs2
 
 __all__ = [
     "FiberVector",
@@ -93,13 +93,39 @@ class GramianField:
 
 
 def _cell_trace(values):
-    """Sum of |value|^2 per cell, one channel at a time to bound temporaries."""
-    m = values.shape[0]
+    """Sum of |value|^2 per cell: each channel's offsets in ascending order,
+    then the channels in order, one row at a time to bound temporaries.  The
+    explicit row loop keeps that order for any number of cells (numpy sums a
+    single column pairwise), so a subset of cells gets the grid's sums."""
     out = np.zeros(values.shape[2])
-    for i in range(m):
-        v = values[i]
-        out += _abs2(v).sum(axis=0)
+    for i in range(values.shape[0]):
+        s = _abs2(values[i, 0])
+        for k in range(1, values.shape[1]):
+            s += _abs2(values[i, k])
+        out += s
     return out
+
+
+def _gramian_on(grid, values, cells=None):
+    """Gramian field of the fibers in values[:, :, c], which sit at cells[c]
+    (at cell c when cells is None).  values must be C-contiguous: the
+    per-cell sums then run in the same order whichever cells are given, so
+    any subset of cells gives the same field there as the full grid.
+    Returns the field and the columns of values it kept."""
+    import os
+
+    trace = _cell_trace(values)
+    keep = np.flatnonzero(trace > 0.0)
+    if keep.shape[0] == values.shape[2]:
+        va = values  # every cell is active: no gathered copy
+    else:
+        va = np.ascontiguousarray(values[:, :, keep])
+    other = va.conj()
+    if _BUG_GRAMIAN_NO_CONJ or os.environ.get("PWSIS_BUG_GRAMIAN_NO_CONJ"):
+        other = va
+    mats = np.einsum("ikc,jkc->cij", va, other)
+    active = keep if cells is None else cells[keep]
+    return GramianField(grid, values.shape[0], active, mats, trace[keep]), keep
 
 
 def gramian_field(F):
@@ -109,22 +135,10 @@ def gramian_field(F):
     When the dataset knows its support, only those cells are read; every
     other cell is zero and so inactive.  Cells never interact, so the result
     is the same as from the full grid."""
-    import os
-
     if F.support is None:
-        values, cells = F.values, None
-    else:
-        # take() keeps the C layout, so the per-cell sums run as on the grid
-        values, cells = F.values.take(F.support, axis=2), F.support
-    trace = _cell_trace(values)
-    keep = np.flatnonzero(trace > 0.0)
-    va = np.ascontiguousarray(values[:, :, keep])
-    other = va.conj()
-    if _BUG_GRAMIAN_NO_CONJ or os.environ.get("PWSIS_BUG_GRAMIAN_NO_CONJ"):
-        other = va
-    mats = np.einsum("ikc,jkc->cij", va, other)
-    active = keep if cells is None else cells[keep]
-    return GramianField(F.grid, F.m, active, mats, trace[keep])
+        return _gramian_on(F.grid, F.values)[0]
+    # take() keeps the C layout, so the per-cell sums run as on the grid
+    return _gramian_on(F.grid, F.values.take(F.support, axis=2), F.support)[0]
 
 
 def symmetrize(F, group):
@@ -189,9 +203,6 @@ def dilation_transport(F, A):
                            support=F.support)
 
 
-_REGRID_VALUE_CAP = 1 << 24
-
-
 def regrid_to_lattice(F, lat):
     """Re-index the dataset's samples as a grid over another commensurable
     lattice, so per-lattice optima are computed from the same frequency set.
@@ -233,12 +244,13 @@ def regrid_to_lattice(F, lat):
     j2 = full2 - r2 * k2
     K2, inverse = np.unique(np.vstack([k2, np.zeros((1, d), dtype=np.int64)]),
                             axis=0, return_inverse=True)
-    if F.m * K2.shape[0] * r2 ** d > _REGRID_VALUE_CAP:
+    if F.m * K2.shape[0] * r2 ** d > _VALUE_CAP:
         raise ValueError(
             "regridded dataset too large: %d values exceeds the supported bound"
             % (F.m * K2.shape[0] * r2 ** d))
     grid2 = FrequencyGrid(lat, r2, K2)
-    assert np.array_equal(grid2.offsets, K2)
+    if not np.array_equal(grid2.offsets, K2):
+        raise RuntimeError("regridded offsets lost their sorted order")
     ki = np.asarray(inverse).ravel()[: k2.shape[0]]
     ci = np.ravel_multi_index(j2.T, (r2,) * d)
     vals = np.zeros((F.m, grid2.n_offsets, grid2.n_cells), dtype=np.complex128)
@@ -259,11 +271,11 @@ def gramian_covariance_check(F, A):
     GF = gramian_field(F)
     GD = gramian_field(D)
     scale = abs(np.linalg.det(A))
-    pos_f = {int(c): k for k, c in enumerate(GF.active_idx)}
-    pos_d = {int(c): k for k, c in enumerate(GD.active_idx)}
-    dev = 0.0
-    for c in sorted(set(pos_f) | set(pos_d)):
-        gf = GF.mats[pos_f[c]] if c in pos_f else 0.0
-        gd = GD.mats[pos_d[c]] if c in pos_d else 0.0
-        dev = max(dev, float(np.max(np.abs(gf - scale * gd))))
-    return dev
+    cells = np.union1d(GF.active_idx, GD.active_idx)
+    if cells.shape[0] == 0:
+        return 0.0
+    gf = np.zeros((cells.shape[0], F.m, F.m), dtype=np.complex128)
+    gd = np.zeros_like(gf)
+    gf[np.searchsorted(cells, GF.active_idx)] = GF.mats
+    gd[np.searchsorted(cells, GD.active_idx)] = GD.mats
+    return float(np.max(np.abs(gf - scale * gd)))

@@ -68,7 +68,7 @@ def dilate_lattice(lat, A):
     """Lattice A @ (lat), i.e. basis A @ lat.basis.
 
     The dual basis of the result equals Ahat @ lat.dual_basis; this identity
-    is asserted because downstream transports rely on it.
+    is checked because downstream transports rely on it.
     """
     A = np.asarray(A, dtype=float)
     if A.shape != (lat.d, lat.d):
@@ -78,7 +78,7 @@ def dilate_lattice(lat, A):
     out = Lattice(A @ lat.basis)
     ahat = np.linalg.inv(A.T)
     if not np.allclose(out.dual_basis, ahat @ lat.dual_basis, atol=1e-10):
-        raise AssertionError("dual basis identity violated in dilate_lattice")
+        raise RuntimeError("dual basis identity violated in dilate_lattice")
     return out
 
 
@@ -107,17 +107,23 @@ class PointGroup:
 
     elements[0] is the identity; the rest are sorted by their flattened
     entries so group construction is deterministic.  duals[i] is
-    (elements[i]^T)^-1, also integer.
+    (elements[i]^T)^-1, also integer.  inverses[i] is the index of the
+    inverse of element i, found once from the integer products.
     """
 
     def __init__(self, elements, duals):
         self.elements = elements
         self.duals = duals
-        self.elements.setflags(write=False)
-        self.duals.setflags(write=False)
         self.d = elements.shape[1]
         self.order = elements.shape[0]
         self.identity_index = 0
+        prods = np.einsum("aij,bjk->abik", elements, elements)
+        is_ident = np.all(prods == np.eye(self.d, dtype=elements.dtype), axis=(2, 3))
+        if not np.all(is_ident.any(axis=1)):
+            raise RuntimeError("group closure lost an inverse")
+        self.inverses = np.argmax(is_ident, axis=1)
+        for a in (self.elements, self.duals, self.inverses):
+            a.setflags(write=False)
 
     def __len__(self):
         return self.order
@@ -127,11 +133,7 @@ class PointGroup:
 
     def inverse_index(self, i):
         """Index of the inverse of element i."""
-        inv = np.rint(np.linalg.inv(self.elements[i])).astype(np.int64)
-        for j in range(self.order):
-            if np.array_equal(self.elements[j], inv):
-                return j
-        raise AssertionError("group closure lost an inverse")
+        return int(self.inverses[i])
 
 
 def _check_unimodular(mat):
@@ -155,7 +157,7 @@ def _integer_dual(mat):
     inv = np.linalg.inv(mat.T.astype(float))
     dual = np.rint(inv).astype(np.int64)
     if not np.array_equal(mat.T @ dual, np.eye(mat.shape[0], dtype=np.int64)):
-        raise AssertionError("dual of unimodular matrix failed integrality check")
+        raise RuntimeError("dual of unimodular matrix failed integrality check")
     return dual
 
 
@@ -270,7 +272,7 @@ def _orbits_from_perms(perms, total):
         # group closure makes the element-wise image of one index the whole
         # orbit; verify the partition property cheaply
         if np.any(orbit_index[members] >= 0):
-            raise AssertionError("orbit enumeration produced overlapping orbits")
+            raise RuntimeError("orbit enumeration produced overlapping orbits")
         orbit_index[members] = oid
         orbits.append(members)
     return orbits, orbit_index

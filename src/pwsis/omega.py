@@ -80,37 +80,48 @@ def best_omega(density, measure):
 def _exact_fill_knapsack(values, weights, capacity):
     """Maximize sum(values[S]) over S with sum(weights[S]) == capacity.
 
-    Items are grouped by weight; inside one group an optimal exact fill
-    always takes a top-value prefix, so the state space is one best value
-    per used-capacity level, scanned group by group.  Returns (value,
-    selected indices) or None when the capacity is not reachable.
+    Items are grouped by (positive integer) weight; inside one group an
+    optimal exact fill always takes a top-value prefix, ordered by
+    (-value, index).  The state is one best value per used-capacity level
+    0..capacity, updated group by group in ascending weight; each group
+    keeps one backpointer array holding the prefix length taken at every
+    level, and the selection is read back by walking the groups in reverse.
+    Among equal values the smallest capacity used before the group (the
+    longest prefix) wins.  Returns (value, sorted selected indices) or
+    (None, None) when the capacity is not reachable.
     """
-    groups = {}
-    for idx, (v, s) in enumerate(zip(values, weights)):
-        groups.setdefault(int(s), []).append((-(v), idx))
-    states = {0: (0.0, ())}
-    for size in sorted(groups):
-        items = sorted(groups[size])
-        vals = [-nv for nv, _ in items]
-        ids = [idx for _, idx in items]
-        prefix = [0.0]
-        for v in vals:
-            prefix.append(prefix[-1] + v)
-        new = {}
-        for used in sorted(states):
-            base_val, base_sel = states[used]
-            for j in range(len(vals) + 1):
-                u2 = used + j * size
-                if u2 > capacity:
-                    break
-                cand = base_val + prefix[j]
-                if u2 not in new or cand > new[u2][0]:
-                    new[u2] = (cand, base_sel + tuple(ids[:j]))
-        states = new
-    if capacity not in states:
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=np.int64)
+    best = np.full(capacity + 1, -np.inf)
+    best[0] = 0.0
+    reach = np.zeros(capacity + 1, dtype=bool)
+    reach[0] = True
+    steps = []
+    for size in np.unique(weights):
+        size = int(size)
+        ids = np.flatnonzero(weights == size)
+        ids = ids[np.lexsort((ids, -values[ids]))]
+        prefix = np.cumsum(values[ids])
+        new, new_reach = best.copy(), reach.copy()
+        took = np.zeros(capacity + 1, dtype=np.int64)
+        for j in range(1, min(len(ids), capacity // size) + 1):
+            shift = j * size
+            cand = best[: capacity + 1 - shift] + prefix[j - 1]
+            win = reach[: capacity + 1 - shift] & (cand >= new[shift:])
+            new[shift:][win] = cand[win]
+            took[shift:][win] = j
+            new_reach[shift:] |= win
+        best, reach = new, new_reach
+        steps.append((size, ids, took))
+    if not reach[capacity]:
         return None, None
-    val, sel = states[capacity]
-    return val, sorted(sel)
+    sel = []
+    used = capacity
+    for size, ids, took in reversed(steps):
+        j = int(took[used])
+        sel.extend(ids[:j].tolist())
+        used -= j * size
+    return best[capacity], sorted(sel)
 
 
 def _reachable_units(sizes, total):
@@ -193,6 +204,8 @@ def omega_duality_check(F, group, measure):
     # so its captured energy is the multiplicity-weighted density times that
     values = phi_orbit * sizes * (grid.cell_weight / n_group)
     best, _ = _exact_fill_knapsack(values, sizes, n)
-    assert best is not None
+    if best is None:
+        raise RuntimeError("the orbit-representative knapsack found no exact fill "
+                           "of %d boxes that the direct route reached" % n)
     right = float(best)
     return left, right

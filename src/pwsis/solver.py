@@ -10,7 +10,7 @@ transport the basis along the group action.
 import numpy as np
 
 from .lattice import orbit_partition, _cell_permutations, _offset_permutations
-from .fibers import gramian_field, dilation_transport
+from .fibers import _gramian_on, gramian_field, dilation_transport
 from .spectral import (FrequencyGrid, SpectralDataset, _abs2, project_pw,
                        residual_energy)
 
@@ -32,6 +32,8 @@ __all__ = [
 
 # relative gaps below this count as ties for deterministic eigenvector order
 _TIE_GAP = 1e-12
+# cells per block when eigenvectors are reordered in place
+_BLOCK = 256
 # eigenvalues below this fraction of the cell trace are treated as zero when
 # building generator bases
 _RANK_CUT = 1e-12
@@ -86,8 +88,11 @@ def eigen_field(G):
         raise RuntimeError("eigensolver failed to converge: %s" % e)
     w = w[:, ::-1].copy()
     np.maximum(w, 0.0, out=w)
-    # eigh returns eigenvectors as columns; store them as rows, descending
-    Y = np.ascontiguousarray(v.transpose(0, 2, 1)[:, ::-1, :])
+    # eigh returns eigenvectors as columns; store them as rows, descending,
+    # in v's own memory a block of cells at a time
+    for s in range(0, v.shape[0], _BLOCK):
+        v[s:s + _BLOCK] = v[s:s + _BLOCK].transpose(0, 2, 1)[:, ::-1, :].copy()
+    Y = v
 
     if w.shape[1] > 1 and w.shape[0]:
         gaps = -np.diff(w, axis=1)
@@ -155,9 +160,10 @@ def _captured(values, model):
     return _abs2(amp).sum(axis=(0, 2)) * model.grid.cell_weight
 
 
-def _build_basis(values, ef, ell):
+def _build_basis(values, cols, ef, ell):
     """Generator fibers b_j = lambda_j^(-1/2) sum_i conj(y_j)_i fiber_i for
-    the top-ell eigenpairs, zero rows where the eigenvalue is negligible."""
+    the top-ell eigenpairs, zero rows where the eigenvalue is negligible.
+    values[:, :, cols] holds the fibers at ef's active cells, in order."""
     rows = min(ell, ef.m)
     na = ef.n_active
     nK = values.shape[1]
@@ -169,7 +175,7 @@ def _build_basis(values, ef, ell):
     dims = keep.sum(axis=1).astype(np.int64)
     inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, lam, 1.0)), 0.0)
     scaled = ef.vectors[:, :rows, :].conj() * inv_sqrt[:, :, None]
-    va = values[:, :, ef.active_idx]
+    va = values[:, :, cols]
     basis = np.einsum("cji,ikc->cjk", scaled, va)
     basis[~keep] = 0.0
     return basis, dims
@@ -190,7 +196,7 @@ def best_sis(F, ell):
         raise ValueError("subspace length must be a nonnegative integer")
     ell = int(ell)
     ef = eigen_field(gramian_field(F))
-    basis, dims = _build_basis(F.values, ef, ell)
+    basis, dims = _build_basis(F.values, ef.active_idx, ef, ell)
     model = SubspaceModel(F.lattice, F.grid, ell, ef.active_idx, basis, dims)
     density = _density(ef, ell)
     total = float(density.sum() * F.grid.cell_weight)
@@ -234,94 +240,63 @@ def generators(model, F=None):
     return SpectralDataset(model.lattice, grid, vals, check_finite=False)
 
 
-def _transversal(cell_perms, orbits):
-    """For each orbit: list of (member_cell, first group element mapping the
-    representative to it).  The representative maps to itself under g=0."""
-    out = []
-    for members in orbits:
-        rep = int(members[0])
-        images = cell_perms[:, rep]
-        pick = {}
-        for gi, img in enumerate(images):
-            pick.setdefault(int(img), gi)
-        assert len(pick) == len(members)
-        out.append(sorted(pick.items()))
-    return out
-
-
-class GramianFieldView:
-    """Row-subset view of a Gramian field (for solving at orbit reps only)."""
-
-    def __init__(self, G, pos):
-        self.grid = G.grid
-        self.m = G.m
-        self.active_idx = G.active_idx[pos]
-        self.mats = G.mats[pos]
-        self.trace = G.trace[pos]
-
-    @property
-    def n_active(self):
-        return self.active_idx.shape[0]
-
-
 def best_gamma(F, group, ell):
     """Optimal group-invariant subspace of length at most ell.
 
-    Symmetrizes the channels over the group, solves the per-cell problem at
-    one representative cell per orbit, and extends the basis to the orbit by
-    the pure offset permutation carried by the group action on fibers.
-    Returns (model, report); the report carries the measured error of the
-    returned model, while report.density times cell_weight (already divided
-    by the group order) is the per-orbit lower bound, attained except when
-    the rank cut splits a tied eigenvalue at a cell with a nontrivial
+    Solves the per-cell problem for the symmetrized channels (channel (g, i)
+    is R_g f_i) at one representative cell per orbit, gathering their fibers
+    there only, and extends the basis to the orbit by the pure offset
+    permutation carried by the group action on fibers.  A representative is
+    active when its symmetrized trace is positive; that trace sums the same
+    squared samples at every cell of the orbit, so activity is an orbit
+    property.  Returns (model, report); the report carries the measured error
+    of the returned model, while report.density times cell_weight (already
+    divided by the group order) is the per-orbit lower bound, attained except
+    when the rank cut splits a tied eigenvalue at a cell with a nontrivial
     stabilizer (there no extension of one eigenbasis choice need be exactly
     invariant, and the bound itself need not be attainable).
     """
     if ell < 0 or int(ell) != ell:
         raise ValueError("subspace length must be a nonnegative integer")
     ell = int(ell)
-    from .fibers import symmetrize
-
-    sym = symmetrize(F, group)
-    G = gramian_field(sym)
-    n_group = len(group)
-
-    cell_perms = _cell_permutations(F.grid, group)
+    n_group, m = len(group), F.m
     part = orbit_partition(F.grid, group, cells_only=True)
-    active_mask = np.zeros(F.grid.n_cells, dtype=bool)
-    active_mask[G.active_idx] = True
-    act_orbits = []
-    for members in part.orbits:
-        hit = active_mask[members]
-        # exact zeros are preserved by the index action, so activity is an
-        # orbit property
-        assert hit.all() or not hit.any()
-        if hit.any():
-            act_orbits.append(members)
-
-    reps = np.array([o[0] for o in act_orbits], dtype=np.int64)
-    pos = np.searchsorted(G.active_idx, reps)
-    ef = eigen_field(GramianFieldView(G, pos))
-    rep_basis, rep_dims = _build_basis(sym.values, ef, ell)
-
-    all_active = G.active_idx
-    na = all_active.shape[0]
-    rows = rep_basis.shape[1]
-    basis = np.zeros((na, rows, F.grid.n_offsets), dtype=np.complex128)
-    dims = np.zeros(na, dtype=np.int64)
-    density_rep = _density(ef, ell)
-    density = np.zeros(na)
-
+    reps = part.representatives
+    cell_perms = _cell_permutations(F.grid, group)
     off_perms = _offset_permutations(F.grid, group)
-    pos_of = {int(c): k for k, c in enumerate(all_active)}
-    trans = _transversal(cell_perms, act_orbits)
-    for oi, pairs in enumerate(trans):
-        for member, gi in pairs:
-            k = pos_of[member]
-            inv = group.inverse_index(gi)
-            basis[k] = rep_basis[oi][:, off_perms[inv]]
-            dims[k] = rep_dims[oi]
-            density[k] = density_rep[oi] / n_group
+    # symmetrized fibers at the representatives only, as symmetrize lays
+    # them out: channel (g, i) at (k, c) reads f_i at the inverse image
+    sym = np.empty((m * n_group, F.grid.n_offsets, len(reps)), dtype=np.complex128)
+    for gi in range(n_group):
+        inv = group.inverse_index(gi)
+        sym[gi * m:(gi + 1) * m] = F.values[:, off_perms[inv][:, None],
+                                            cell_perms[inv, reps][None, :]]
+    G, keep = _gramian_on(F.grid, sym, reps)
+    ef = eigen_field(G)
+    rep_basis, rep_dims = _build_basis(sym, keep, ef, ell)
+    density_rep = _density(ef, ell)
+
+    # active cells: every member of an orbit whose representative is active
+    rep_pos = np.full(len(reps), -1, dtype=np.int64)
+    rep_pos[keep] = np.arange(len(keep))
+    cell_rep = rep_pos[part.orbit_index]
+    all_active = np.flatnonzero(cell_rep >= 0)
+    src = cell_rep[all_active]
+    # the first group element mapping the representative to a cell carries
+    # the representative's basis there: write in descending order so the
+    # smallest element index is the one that stays
+    first_g = np.empty(F.grid.n_cells, dtype=np.int64)
+    for gi in range(n_group - 1, -1, -1):
+        first_g[cell_perms[gi, G.active_idx]] = gi
+    via = first_g[all_active]
+
+    rows = rep_basis.shape[1]
+    basis = np.empty((len(all_active), rows, F.grid.n_offsets), dtype=np.complex128)
+    for gi in np.unique(via):
+        at = np.flatnonzero(via == gi)
+        basis[at] = rep_basis[src[at]][:, :, off_perms[group.inverse_index(gi)]]
+    dims = rep_dims[src]
+    density = density_rep[src] / n_group
 
     model = SubspaceModel(F.lattice, F.grid, ell, all_active, basis, dims, group=group)
     measured = error_against(F, model)

@@ -29,6 +29,12 @@ __all__ = [
 ]
 
 
+# Size cap checked before allocating: a parsed dataset or mask header may
+# promise at most this many samples per channel (|K| * r^d), and a regridded
+# dataset may hold at most this many values (m * |K| * r^d).
+_VALUE_CAP = 1 << 24
+
+
 def _sorted_offsets(offsets, d):
     arr = np.array(offsets, dtype=np.int64)
     if arr.ndim == 1:

@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from .lattice import make_lattice, make_group
-from .spectral import Ball, Box, FrequencyGrid, PWMask, Scene, SpectralDataset
+from .spectral import (Ball, Box, FrequencyGrid, PWMask, Scene, SpectralDataset,
+                       _VALUE_CAP)
 
 __all__ = [
     "format_dataset", "parse_dataset", "read_dataset", "write_dataset",
@@ -83,7 +84,10 @@ def _floats(lines, toks, no):
         lines.fail(no, "expected numbers, got %r" % " ".join(toks))
 
 
-def _header_grid(lines, kind):
+def _header_grid(lines, kind, unit):
+    """Read the grid header up to the offsets.  |K| * r^d (the unit lines
+    per channel the header promises) is checked against _VALUE_CAP, naming
+    the resolution line, before any grid is built."""
     s, no = lines.next("header")
     if s != kind:
         lines.fail(no, "unrecognized header %r (expected %r)" % (s, kind))
@@ -109,6 +113,10 @@ def _header_grid(lines, kind):
         if len(row) != d:
             lines.fail(no, "offset needs %d integers, got %d" % (d, len(row)))
         file_offsets.append(row)
+    if r >= 1 and (r > _VALUE_CAP or n_off * r ** d > _VALUE_CAP):
+        count = "%d" % (n_off * r ** d) if r <= _VALUE_CAP else "more than %d" % _VALUE_CAP
+        lines.fail(res_no, "header promises %s %s at this resolution; at most %d "
+                           "are supported" % (count, unit, _VALUE_CAP))
     try:
         grid = FrequencyGrid(lat, r, np.array(file_offsets, dtype=np.int64))
     except ValueError as e:
@@ -149,7 +157,8 @@ def format_dataset(F):
 
 def parse_dataset(text, name="<dataset>"):
     lines = _Lines(text, name, comments=False)
-    lat, grid, perm, res_no = _header_grid(lines, "pwsis-dataset v1")
+    lat, grid, perm, res_no = _header_grid(lines, "pwsis-dataset v1",
+                                           "value lines per channel")
     (tok,), no = _tagged(lines, "channels", 1)
     m = _ints(lines, [tok], no)[0]
     if m < 0:
@@ -204,7 +213,7 @@ def format_mask(mask):
 
 def parse_mask(text, name="<mask>"):
     lines = _Lines(text, name, comments=False)
-    lat, grid, perm, res_no = _header_grid(lines, "pwsis-mask v1")
+    lat, grid, perm, res_no = _header_grid(lines, "pwsis-mask v1", "mask bit lines")
     _require_lines(lines, grid.n_offsets * grid.n_cells, "mask bit", res_no)
     bits = np.zeros((grid.n_offsets, grid.n_cells), dtype=bool)
     for fk in range(grid.n_offsets):

@@ -178,6 +178,20 @@ def test_bad_dataset_values_exit_two(workdir):
     assert "nan.txt line" in res.stderr and "non-finite" in res.stderr
 
 
+def test_headers_over_the_size_cap_exit_two(workdir):
+    for res in ("3000000", "1" + "0" * 400):
+        header = ("dim 2\nlattice 1.0 0.0 0.0 1.0\nresolution %s\noffsets 1\n0 0\n" % res)
+        (workdir / "empty.txt").write_text("pwsis-dataset v1\n" + header + "channels 0\n")
+        (workdir / "huge.mask").write_text("pwsis-mask v1\n" + header)
+        for args, name in ((["solve", "--data", "empty.txt", "--ell", "1"], "empty.txt"),
+                           (["solve", "--data", "data.txt", "--ell", "1",
+                             "--mask", "huge.mask"], "huge.mask")):
+            res = _run(args, workdir)
+            assert res.returncode == 2, res.stderr
+            assert "%s line 4: header promises" % name in res.stderr
+            assert "Traceback" not in res.stderr
+
+
 def test_stdout_is_byte_identical_across_runs(workdir):
     a = _run(["solve", "--data", "data.txt", "--ell", "1"], workdir)
     b = _run(["solve", "--data", "data.txt", "--ell", "1"], workdir)

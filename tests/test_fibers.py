@@ -77,6 +77,23 @@ def test_gramian_is_hermitian_psd():
             assert np.linalg.eigvalsh(mat).min() >= -HERMITIAN_TOL * G.trace.max()
 
 
+def test_gramian_on_one_support_cell_matches_full_grid():
+    # nine offsets: enough for numpy to sum a lone column pairwise
+    rng = np.random.default_rng(11)
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 4, [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    for _ in range(40):
+        vals = np.zeros((2, grid.n_offsets, grid.n_cells), dtype=complex)
+        c = int(rng.integers(grid.n_cells))
+        vals[:, :, c] = (rng.standard_normal((2, grid.n_offsets))
+                         * 10.0 ** rng.integers(-3, 3, size=(2, grid.n_offsets)) + 1j)
+        one = gramian_field(SpectralDataset(lat, grid, vals, support=np.array([c])))
+        full = gramian_field(SpectralDataset(lat, grid, vals))
+        assert np.array_equal(one.active_idx, full.active_idx)
+        assert np.array_equal(one.trace, full.trace)
+        assert np.array_equal(one.mats, full.mats)
+
+
 def test_gramian_debug_hook(monkeypatch):
     rng = np.random.default_rng(6)
     F = _random_dataset(rng)
@@ -154,6 +171,39 @@ def test_gramian_covariance_small():
             continue
         scale = float(gramian_field(F).trace.max())
         assert gramian_covariance_check(F, A) <= COVARIANCE_TOL * scale
+
+
+def _reference_covariance_check(F, A):
+    """gramian_covariance_check as a per-cell loop over the union of the
+    two fields' active cells."""
+    D = dilation_transport(F, A)
+    GF, GD = gramian_field(F), gramian_field(D)
+    scale = abs(np.linalg.det(A))
+    pos_f = {int(c): k for k, c in enumerate(GF.active_idx)}
+    pos_d = {int(c): k for k, c in enumerate(GD.active_idx)}
+    dev = 0.0
+    for c in sorted(set(pos_f) | set(pos_d)):
+        gf = GF.mats[pos_f[c]] if c in pos_f else 0.0
+        gd = GD.mats[pos_d[c]] if c in pos_d else 0.0
+        dev = max(dev, float(np.max(np.abs(gf - scale * gd))))
+    return dev
+
+
+def test_gramian_covariance_matches_cell_loop(monkeypatch):
+    rng = np.random.default_rng(10)
+    A = np.array([[2.0, 1.0], [0.0, 1.5]])
+    for trial in range(12):
+        F = _random_dataset(rng, d=2, r=3)
+        if trial % 3 == 0:  # dead cells
+            vals = F.values.copy()
+            vals[:, :, rng.random(F.grid.n_cells) < 0.5] = 0.0
+            F = SpectralDataset(F.lattice, F.grid, vals)
+        if trial % 3 == 1:  # the planted fault makes the deviation nonzero
+            monkeypatch.setenv("PWSIS_BUG_GRAMIAN_NO_CONJ", "1")
+        assert gramian_covariance_check(F, A) == _reference_covariance_check(F, A)
+        monkeypatch.delenv("PWSIS_BUG_GRAMIAN_NO_CONJ", raising=False)
+    zero = SpectralDataset(F.lattice, F.grid, np.zeros_like(F.values))
+    assert gramian_covariance_check(zero, A) == 0.0
 
 
 def test_regrid_same_lattice_is_identity():

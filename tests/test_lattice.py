@@ -66,6 +66,18 @@ def test_make_group_identity_first_and_inverses():
                               np.eye(2, dtype=int))
 
 
+def test_inverse_table_matches_matrix_inverse():
+    cube = [np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+            np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]), -np.eye(3, dtype=int)]
+    for gens in ([C4, MIRROR], [np.array([[0, -1], [1, 1]])], cube):
+        group = make_group(gens)
+        assert not group.inverses.flags.writeable
+        for gi in range(len(group)):
+            inv = np.rint(np.linalg.inv(group.elements[gi])).astype(np.int64)
+            want = [j for j in range(len(group)) if np.array_equal(group.elements[j], inv)]
+            assert [group.inverse_index(gi)] == want
+
+
 def test_make_group_rejects_non_unimodular():
     with pytest.raises(ValueError):
         make_group([np.array([[2, 0], [0, 1]])])

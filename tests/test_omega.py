@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pwsis.lattice import make_group, make_lattice, orbit_partition
-from pwsis.omega import (best_omega, best_omega_invariant, energy_density,
-                         omega_duality_check)
+from pwsis.omega import (_exact_fill_knapsack, best_omega, best_omega_invariant,
+                         energy_density, omega_duality_check)
 from pwsis.spectral import SpectralDataset, make_grid
 
 DUALITY_TOL = 1e-10
@@ -131,3 +131,74 @@ def test_best_omega_dominates_any_equal_measure_mask(phi, n, pick):
     rival_energy = float(density.phi.ravel()[rival].sum() * grid.cell_weight)
     if len(rival) == n:
         assert attained >= rival_energy - BRUTE_TOL * (1.0 + rival_energy)
+
+
+def _reference_knapsack(values, weights, capacity):
+    """The tuple-carrying dict DP that the array knapsack replaced; kept as
+    the reference for value and selection, ties included."""
+    groups = {}
+    for idx, (v, s) in enumerate(zip(values, weights)):
+        groups.setdefault(int(s), []).append((-(v), idx))
+    states = {0: (0.0, ())}
+    for size in sorted(groups):
+        items = sorted(groups[size])
+        vals = [-nv for nv, _ in items]
+        ids = [idx for _, idx in items]
+        prefix = [0.0]
+        for v in vals:
+            prefix.append(prefix[-1] + v)
+        new = {}
+        for used in sorted(states):
+            base_val, base_sel = states[used]
+            for j in range(len(vals) + 1):
+                u2 = used + j * size
+                if u2 > capacity:
+                    break
+                cand = base_val + prefix[j]
+                if u2 not in new or cand > new[u2][0]:
+                    new[u2] = (cand, base_sel + tuple(ids[:j]))
+        states = new
+    if capacity not in states:
+        return None, None
+    val, sel = states[capacity]
+    return val, sorted(sel)
+
+
+def _knapsack_instance(rng):
+    n = int(rng.integers(0, 25))
+    pool = rng.choice([1, 2, 3, 4, 6, 8], size=int(rng.integers(1, 7)), replace=False)
+    sizes = rng.choice(pool, size=n)
+    kind = rng.integers(3)
+    if kind == 0:  # integer values: many exact ties
+        values = rng.integers(0, 4, size=n).astype(float)
+    elif kind == 1:  # zeros mixed with reals
+        values = np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
+    else:
+        values = rng.standard_normal(n) ** 2
+    capacity = int(rng.integers(0, int(sizes.sum()) + 4))
+    return values, sizes.astype(np.int64), capacity
+
+
+def test_exact_fill_knapsack_matches_reference():
+    rng = np.random.default_rng(52)
+    unreachable = 0
+    for _ in range(600):
+        values, sizes, capacity = _knapsack_instance(rng)
+        got = _exact_fill_knapsack(values, sizes, capacity)
+        want = _reference_knapsack(values, sizes, capacity)
+        assert got == want
+        unreachable += want[0] is None
+    assert unreachable > 20
+
+
+def test_omega_duality_with_tied_orbits():
+    # integer magnitudes on a C4-symmetric torus: many orbits tie exactly
+    rng = np.random.default_rng(53)
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 6, [[0, 0]])
+    vals = rng.integers(0, 3, size=(1, 1, grid.n_cells)).astype(complex)
+    F = SpectralDataset(lat, grid, vals)
+    total = energy_density(F).total()
+    for n in (0, 1, 4, 5, 8, 12, 17, 36):
+        left, right = omega_duality_check(F, C4, n * grid.cell_weight)
+        assert abs(left - right) <= DUALITY_TOL * (1.0 + total)

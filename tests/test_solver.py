@@ -4,12 +4,15 @@ from hypothesis import given, seed
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pwsis.fibers import gramian_field, symmetrize
-from pwsis.lattice import make_group, make_lattice
-from pwsis.solver import (best_gamma, best_sis, dilation_equivalence,
-                          eigen_field, error_against, generators,
-                          project_then_solve, refinement_inequality_check,
-                          solve_then_project, subspace_length)
+from pwsis.fibers import GramianField, gramian_field, symmetrize
+from pwsis.lattice import (_cell_permutations, _offset_permutations, make_group,
+                           make_lattice, orbit_partition)
+from pwsis.solver import (_TIE_GAP, ApproxReport, SubspaceModel, _build_basis,
+                          _density, _order_ties, best_gamma, best_sis,
+                          dilation_equivalence, eigen_field, error_against,
+                          generators, project_then_solve,
+                          refinement_inequality_check, solve_then_project,
+                          subspace_length)
 from pwsis.spectral import (Scene, SpectralDataset, interval, make_grid,
                             pw_mask, synthesize)
 
@@ -230,3 +233,174 @@ def test_best_sis_error_is_monotone_in_length(vals):
         assert lo <= hi + MONOTONE_TOL * scale
     assert abs(errs[0] - float(F.energy().sum())) <= MONOTONE_TOL * scale
     assert errs[3] <= MONOTONE_TOL * scale
+
+
+def _reference_eigen_field(G):
+    """eigen_field as it was before the in-place row reorder: a separate
+    contiguous copy of the transposed, reversed eigenvectors."""
+    w, v = np.linalg.eigh(G.mats)
+    w = w[:, ::-1].copy()
+    np.maximum(w, 0.0, out=w)
+    Y = np.ascontiguousarray(v.transpose(0, 2, 1)[:, ::-1, :])
+    if w.shape[1] > 1 and w.shape[0]:
+        gaps = -np.diff(w, axis=1)
+        has_tie = np.any(gaps < _TIE_GAP * G.trace[:, None], axis=1)
+        for c in np.flatnonzero(has_tie):
+            _order_ties(w[c], Y[c], G.trace[c])
+    if G.m and Y.size:
+        flat = Y.reshape(-1, G.m)
+        big = np.abs(flat) > 1e-12
+        piv_idx = np.argmax(big, axis=1)
+        piv = flat[np.arange(flat.shape[0]), piv_idx]
+        mag = np.abs(piv)
+        safe = np.where(mag > 0.0, mag, 1.0)
+        flat *= (piv.conj() / safe)[:, None]
+    return w, Y
+
+
+def _reference_best_gamma(F, group, ell):
+    """best_gamma as it was built on the full symmetrized dataset: the
+    Gramian on every cell, the representatives picked out of it, and the
+    basis carried to each member by the first group element reaching it."""
+    sym = symmetrize(F, group)
+    G = gramian_field(sym)
+    part = orbit_partition(F.grid, group, cells_only=True)
+    active = np.zeros(F.grid.n_cells, dtype=bool)
+    active[G.active_idx] = True
+    act_orbits = [o for o in part.orbits if active[o].any()]
+    for o in act_orbits:
+        assert active[o].all()
+    reps = np.array([o[0] for o in act_orbits], dtype=np.int64)
+    pos = np.searchsorted(G.active_idx, reps)
+    ef = eigen_field(GramianField(G.grid, G.m, G.active_idx[pos], G.mats[pos],
+                                  G.trace[pos]))
+    rep_basis, rep_dims = _build_basis(sym.values, ef.active_idx, ef, ell)
+    density_rep = _density(ef, ell)
+    cell_perms = _cell_permutations(F.grid, group)
+    off_perms = _offset_permutations(F.grid, group)
+    na = G.n_active
+    basis = np.zeros((na, rep_basis.shape[1], F.grid.n_offsets), dtype=np.complex128)
+    dims = np.zeros(na, dtype=np.int64)
+    density = np.zeros(na)
+    pos_of = {int(c): k for k, c in enumerate(G.active_idx)}
+    for oi, members in enumerate(act_orbits):
+        pick = {}
+        for gi, img in enumerate(cell_perms[:, members[0]]):
+            pick.setdefault(int(img), gi)
+        assert sorted(pick) == members.tolist()
+        for member, gi in pick.items():
+            k = pos_of[member]
+            basis[k] = rep_basis[oi][:, off_perms[group.inverse_index(gi)]]
+            dims[k] = rep_dims[oi]
+            density[k] = density_rep[oi] / len(group)
+    model = SubspaceModel(F.lattice, F.grid, ell, G.active_idx, basis, dims, group=group)
+    measured = error_against(F, model)
+    return model, ApproxReport(measured.total_error, measured.per_channel,
+                               active_idx=G.active_idx, density=density)
+
+
+def _closed_offsets(group, seeds):
+    """The smallest offset set holding the seeds and closed under the dual
+    action k -> Ghat k."""
+    found = {tuple(s) for s in seeds}
+    frontier = list(found)
+    while frontier:
+        k = np.array(frontier.pop())
+        for dual in group.duals:
+            img = tuple(int(v) for v in dual @ k)
+            if img not in found:
+                found.add(img)
+                frontier.append(img)
+    return sorted(found)
+
+
+_ROT4 = np.array([[0, -1], [1, 0]])
+_FLIP = np.array([[1, 0], [0, -1]])
+_HEX6 = np.array([[0, -1], [1, 1]])  # rotation by 60 degrees on the hexagonal basis
+_HEX_LATTICE = [[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]]
+_CASES = [
+    ("C2", np.eye(2), [-np.eye(2, dtype=int)], [[1, 0], [0, 1]], 2),
+    ("C4", np.eye(2), [_ROT4], [[1, 0], [1, 1]], 2),
+    ("D4", np.eye(2), [_ROT4, _FLIP], [[1, 0], [1, 1]], 2),
+    ("C6 hexagonal", _HEX_LATTICE, [_HEX6], [[1, 0]], 2),
+    ("D6 hexagonal", _HEX_LATTICE, [_HEX6, np.array([[0, 1], [1, 0]])], [[1, 0]], 2),
+    ("3-D order 8", np.eye(3), [np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+                                -np.eye(3, dtype=int)], [[1, 0, 0], [0, 0, 1]], 3),
+]
+
+
+def _assert_same_gamma(F, group, ell):
+    model, rep = best_gamma(F, group, ell)
+    ref_model, ref = _reference_best_gamma(F, group, ell)
+    assert np.array_equal(model.active_idx, ref_model.active_idx)
+    assert np.array_equal(model.basis, ref_model.basis)
+    assert np.array_equal(model.dims, ref_model.dims)
+    assert rep.total_error == ref.total_error
+    assert np.array_equal(rep.per_channel, ref.per_channel)
+    assert np.array_equal(rep.density, ref.density)
+    assert np.array_equal(rep.active_idx, ref.active_idx)
+
+
+@pytest.mark.parametrize("name,basis,gens,seeds,d", _CASES, ids=[c[0] for c in _CASES])
+def test_best_gamma_matches_symmetrized_reference(name, basis, gens, seeds, d):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    group = make_group(gens)
+    lat = make_lattice(basis)
+    offsets = _closed_offsets(group, [[0] * d] + seeds)
+    for r in ((1, 2, 3, 4, 6) if d == 2 else (1, 2, 3)):
+        grid = make_grid(lat, r, offsets)
+        cell_part = orbit_partition(grid, group, cells_only=True)
+        box_part = orbit_partition(grid, group)
+        for trial in range(3):
+            m = int(rng.integers(1, 4))
+            shape = (m, grid.n_offsets, grid.n_cells)
+            vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            if trial == 1:  # whole cell orbits dead: their orbits are inactive
+                for o in cell_part.orbits:
+                    if rng.random() < 0.5:
+                        vals[:, :, o] = 0.0
+            elif trial == 2:  # a band of whole box orbits, as --mask gives
+                flat = vals.reshape(m, -1)
+                for o in box_part.orbits:
+                    if rng.random() < 0.5:
+                        flat[:, o] = 0.0
+            F = SpectralDataset(lat, grid, vals)
+            for ell in (0, 1, 2, 3 * m * len(group)):
+                _assert_same_gamma(F, group, ell)
+
+
+def test_best_gamma_matches_reference_with_ties_and_one_active_orbit():
+    # real integer data symmetrized over D4: the Gramians at cells with
+    # nontrivial stabilizers carry exactly tied eigenvalues
+    group = make_group([_ROT4, _FLIP])
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 4, _closed_offsets(group, [[0, 0], [1, 0]]))
+    rng = np.random.default_rng(54)
+    base = SpectralDataset(lat, grid, rng.integers(-2, 3, size=(1,) + (grid.n_offsets,
+                                                                   grid.n_cells)) + 0j)
+    F = symmetrize(base, group)
+    for ell in (1, 2, 3, 5):
+        _assert_same_gamma(F, group, ell)
+    # one active orbit of several cells: a single representative is solved
+    part = orbit_partition(grid, group, cells_only=True)
+    big = max(part.orbits, key=len)
+    vals = np.zeros_like(base.values)
+    vals[:, :, big] = base.values[:, :, big] + 1.0
+    for ell in (1, 2):
+        _assert_same_gamma(SpectralDataset(lat, grid, vals), group, ell)
+
+
+def test_eigen_field_matches_copying_reorder():
+    # more cells than one reorder block, with exact ties at half of them
+    rng = np.random.default_rng(55)
+    n, m = 700, 4
+    A = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+    mats = A @ A.conj().transpose(0, 2, 1)
+    mats[::2] = np.eye(m) * rng.integers(1, 3, size=(n + 1) // 2)[:, None, None]
+    trace = np.trace(mats, axis1=1, axis2=2).real.copy()
+    G = GramianField(None, m, np.arange(n), mats, trace)
+    ef = eigen_field(G)
+    w, Y = _reference_eigen_field(G)
+    assert np.array_equal(ef.eigenvalues, w)
+    assert np.array_equal(ef.vectors, Y)
+    assert ef.vectors.flags.c_contiguous

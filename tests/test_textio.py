@@ -65,6 +65,27 @@ def test_huge_header_fails_before_allocating():
         parse_mask(mask, name="huge.txt")
 
 
+def test_header_grid_over_the_cap_fails_on_the_resolution_line():
+    # no value lines are promised, so only the size cap stands between the
+    # header and a grid of 9e12 (or 1e800) samples
+    for res, count in (("3000000", "9000000000000"), ("1" + "0" * 400, "more than 16777216")):
+        header = ("pwsis-dataset v1\ndim 2\nlattice 1.0 0.0 0.0 1.0\n"
+                  "resolution %s\noffsets 1\n0 0\n" % res)
+        with pytest.raises(ValueError, match=r"huge.txt line 4: header promises %s value "
+                                             r"lines per channel .* at most 16777216" % count):
+            parse_dataset(header + "channels 0\n", name="huge.txt")
+        mask = header.replace("pwsis-dataset", "pwsis-mask")
+        with pytest.raises(ValueError, match=r"huge.txt line 4: header promises %s mask "
+                                             r"bit lines" % count):
+            parse_mask(mask, name="huge.txt")
+    # the cap itself is still allowed: 4096^2 = 2^24 samples
+    at_cap = ("pwsis-mask v1\ndim 2\nlattice 1.0 0.0 0.0 1.0\n"
+              "resolution 4096\noffsets 1\n0 0\n")
+    with pytest.raises(ValueError, match=r"16777216 mask bit lines at this resolution, "
+                                         r"but only 0"):
+        parse_mask(at_cap, name="cap.txt")
+
+
 def test_non_finite_value_names_its_line():
     text = ("pwsis-dataset v1\ndim 1\nlattice 1.0\nresolution 2\noffsets 2\n"
             "1\n0\nchannels 1\n1.0 0.0\n2.0 0.0\n\n3.0 0.0\n4.0 inf\n")
