@@ -25,6 +25,13 @@ __all__ = [
 ]
 
 
+# Characters of dataset or mask text handled in one array pass.  A written
+# 're im' pair is at most _PAIR_CHARS characters (a float64 repr is at most
+# 24), so a written chunk stays within _CHUNK too.
+_CHUNK = 1 << 20
+_PAIR_CHARS = 50
+
+
 def _fmt(x):
     return repr(float(x))
 
@@ -58,6 +65,56 @@ class _Lines:
             s = self.raw[self.pos - 1].strip()
             if s and not (self.comments and s.startswith("#")):
                 self.fail(self.pos, "unexpected trailing content")
+
+
+class _Walk(Exception):
+    """The text is not in the layout the writers produce: read it with the
+    line walk, which accepts every valid layout and reports every error."""
+
+
+class _Head(_Lines):
+    """_Lines over the header of a dataset or mask only, cut at '\\n' as it
+    is read, so the value lines are never split into a list of strings.
+    It takes only ASCII text whose header lines are printable, where that
+    cut agrees with str.splitlines() and so with the walk's line numbers;
+    anything else, and end of file inside the header, raises _Walk."""
+
+    def __init__(self, text, name):
+        if not text.isascii():
+            raise _Walk
+        super().__init__("", name, comments=False)
+        self.text = text
+        self.end = 0  # offset of the first character not read yet
+
+    def next(self, what):
+        while True:
+            cut = self.text.find("\n", self.end)
+            if cut < 0:
+                raise _Walk
+            s = self.text[self.end:cut]
+            if not s.isprintable():
+                raise _Walk
+            self.end = cut + 1
+            self.pos += 1
+            s = s.strip()
+            if s:
+                return s, self.pos
+
+    def left(self):
+        return len(self.text) - self.end
+
+    def pieces(self):
+        """The rest of the text in pieces of about _CHUNK characters, each
+        ending at a '\\n', with their bytes; raises _Walk if the text does not
+        end at a '\\n'."""
+        text, at = self.text, self.end
+        while at < len(text):
+            stop = text.find("\n", min(at + _CHUNK, len(text)) - 1) + 1
+            if not stop:
+                raise _Walk
+            piece = text[at:stop]
+            yield piece, np.frombuffer(piece.encode("ascii"), np.uint8)
+            at = stop
 
 
 def _tagged(lines, tag, count=None):
@@ -137,35 +194,96 @@ def _require_lines(lines, count, what, res_no):
                            % (count, what, left))
 
 
+def _grid_header(kind, lattice, g):
+    rows = [kind, "dim %d" % g.d,
+            "lattice " + " ".join(_fmt(v) for v in lattice.basis.ravel()),
+            "resolution %d" % g.r, "offsets %d" % g.n_offsets]
+    rows += [" ".join(str(int(v)) for v in k) for k in g.offsets]
+    return "\n".join(rows) + "\n"
+
+
+def _pairs(z):
+    """Text of the complex 2-D array z, one row per line as 're im' pairs
+    separated by spaces.  Floats are written by repr, so parsing the text
+    gives z back bit for bit."""
+    rows, per = z.shape
+    line = " ".join(["%r %r"] * per) + "\n"
+    return line * rows % tuple(np.ascontiguousarray(z).view(np.float64).ravel().tolist())
+
+
+def _dataset_chunks(F):
+    yield _grid_header("pwsis-dataset v1", F.lattice, F.grid) + "channels %d\n" % F.m
+    z = F.values.reshape(-1, 1)
+    step = _CHUNK // _PAIR_CHARS
+    for a in range(0, len(z), step):
+        yield _pairs(z[a:a + step])
+
+
 def format_dataset(F):
-    g = F.grid
-    out = [
-        "pwsis-dataset v1",
-        "dim %d" % g.d,
-        "lattice " + " ".join(_fmt(v) for v in F.lattice.basis.ravel()),
-        "resolution %d" % g.r,
-        "offsets %d" % g.n_offsets,
-    ]
-    for k in g.offsets:
-        out.append(" ".join(str(int(v)) for v in k))
-    out.append("channels %d" % F.m)
-    flat = F.values.reshape(-1)
-    for z in flat:
-        out.append("%s %s" % (_fmt(z.real), _fmt(z.imag)))
-    return "\n".join(out) + "\n"
+    return "".join(_dataset_chunks(F))
 
 
-def parse_dataset(text, name="<dataset>"):
-    lines = _Lines(text, name, comments=False)
+def _dataset_header(lines):
     lat, grid, perm, res_no = _header_grid(lines, "pwsis-dataset v1",
                                            "value lines per channel")
     (tok,), no = _tagged(lines, "channels", 1)
     m = _ints(lines, [tok], no)[0]
     if m < 0:
         lines.fail(no, "channel count must be nonnegative")
+    return lat, grid, perm, res_no, m
+
+
+def parse_dataset(text, name="<dataset>"):
+    try:
+        lines = _Head(text, name)
+        lat, grid, perm, _, m = _dataset_header(lines)
+        vals = _array_values(lines, m, grid, perm)
+    except _Walk:
+        lines = _Lines(text, name, comments=False)
+        lat, grid, perm, res_no, m = _dataset_header(lines)
+        vals = _walk_values(lines, m, grid, perm, res_no)
+    return SpectralDataset(lat, grid, vals, check_finite=False)
+
+
+def _array_values(lines, m, grid, perm):
+    """The value block as the writers lay it out, in array passes: exactly
+    m*|K|*r^d lines 'RE IM\\n', one space apart, nothing else, every number
+    finite.  Raises _Walk on any departure."""
+    n = m * grid.n_offsets * grid.n_cells
+    if lines.left() < 4 * n:  # a value line takes at least 4 characters
+        raise _Walk
+    out = np.empty(2 * n)
+    done = 0
+    for piece, b in lines.pieces():
+        nl = np.flatnonzero(b == 10)
+        sp = np.flatnonzero(b == 32)
+        k = len(nl)
+        # one space per line, with a token on each side of it: the space
+        # of line i lies strictly inside it, and spaces and lines are as many
+        if (len(sp) != k or done + k > n or np.count_nonzero(b < 32) != k
+                or sp[0] == 0 or np.any(sp[1:] <= nl[:-1] + 1) or np.any(sp >= nl - 1)):
+            raise _Walk
+        try:
+            out[2 * done:2 * (done + k)] = np.array(piece.split(), dtype=float)
+        except ValueError:
+            raise _Walk
+        done += k
+    if done != n or not np.all(np.isfinite(out)):
+        raise _Walk
+    vals = out.view(np.complex128).reshape(m, grid.n_offsets, grid.n_cells)
+    if perm != list(range(grid.n_offsets)):  # the writers list offsets in order
+        vals[:, perm, :] = vals.copy()
+    return vals
+
+
+def _walk_values(lines, m, grid, perm, res_no):
+    """The value lines one at a time, in any layout the format allows
+    (blank lines, tabs, CRLF, extra spaces); the one reporter of bad values.
+    A non-finite value is reported after the whole file is read, so a
+    malformed line anywhere is reported first."""
     _require_lines(lines, m * grid.n_offsets * grid.n_cells, "value", res_no)
-    first = lines.pos
     vals = np.zeros((m, grid.n_offsets, grid.n_cells), dtype=np.complex128)
+    bad = None
     for i in range(m):
         for fk in range(grid.n_offsets):
             ki = perm[fk]
@@ -174,46 +292,65 @@ def parse_dataset(text, name="<dataset>"):
                 pair = _floats(lines, s.split(), no)
                 if len(pair) != 2:
                     lines.fail(no, "value line needs 're im', got %r" % s)
+                if bad is None and not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+                    bad = no, s
                 vals[i, ki, c] = complex(pair[0], pair[1])
     lines.done()
-    if not np.all(np.isfinite(vals)):
-        _fail_non_finite(lines, first, vals, perm)
-    return SpectralDataset(lat, grid, vals, check_finite=False)
+    if bad is not None:
+        lines.fail(bad[0], "non-finite value in %r" % bad[1])
+    return vals
 
 
-def _fail_non_finite(lines, first, vals, perm):
-    """Name the first value line in file order that holds a non-finite
-    number; value lines follow raw line `first`, blank lines skipped."""
-    bad = ~np.isfinite(vals[:, perm, :])
-    target = int(np.flatnonzero(bad)[0])
-    seen = -1
-    for no in range(first + 1, len(lines.raw) + 1):
-        s = lines.raw[no - 1].strip()
-        if s:
-            seen += 1
-            if seen == target:
-                lines.fail(no, "non-finite value in %r" % s)
+def _mask_chunks(mask):
+    yield _grid_header("pwsis-mask v1", mask.lattice, mask.grid)
+    bits = mask.bits.reshape(-1)
+    step = _CHUNK // 2
+    for a in range(0, len(bits), step):
+        yield np.where(bits[a:a + step], b"1\n", b"0\n").tobytes().decode("ascii")
 
 
 def format_mask(mask):
-    g = mask.grid
-    out = [
-        "pwsis-mask v1",
-        "dim %d" % g.d,
-        "lattice " + " ".join(_fmt(v) for v in mask.lattice.basis.ravel()),
-        "resolution %d" % g.r,
-        "offsets %d" % g.n_offsets,
-    ]
-    for k in g.offsets:
-        out.append(" ".join(str(int(v)) for v in k))
-    for b in mask.bits.reshape(-1):
-        out.append("1" if b else "0")
-    return "\n".join(out) + "\n"
+    return "".join(_mask_chunks(mask))
 
 
 def parse_mask(text, name="<mask>"):
-    lines = _Lines(text, name, comments=False)
-    lat, grid, perm, res_no = _header_grid(lines, "pwsis-mask v1", "mask bit lines")
+    try:
+        lines = _Head(text, name)
+        lat, grid, perm, _ = _header_grid(lines, "pwsis-mask v1", "mask bit lines")
+        bits = _array_bits(lines, grid, perm)
+    except _Walk:
+        lines = _Lines(text, name, comments=False)
+        lat, grid, perm, res_no = _header_grid(lines, "pwsis-mask v1", "mask bit lines")
+        bits = _walk_bits(lines, grid, perm, res_no)
+    return PWMask(lat, grid, bits)
+
+
+def _array_bits(lines, grid, perm):
+    """The bit block as the writers lay it out: exactly |K|*r^d lines, each
+    '0\\n' or '1\\n'.  Raises _Walk on any departure."""
+    n = grid.n_offsets * grid.n_cells
+    if lines.left() < 2 * n:
+        raise _Walk
+    out = np.empty(n, dtype=bool)
+    done = 0
+    for _, b in lines.pieces():
+        digits = b[0::2]
+        k = len(digits)
+        if (len(b) % 2 or done + k > n or np.any(b[1::2] != 10)
+                or np.any((digits != 48) & (digits != 49))):
+            raise _Walk
+        out[done:done + k] = digits == 49
+        done += k
+    if done != n:
+        raise _Walk
+    bits = np.empty((grid.n_offsets, grid.n_cells), dtype=bool)
+    bits[perm] = out.reshape(bits.shape)
+    return bits
+
+
+def _walk_bits(lines, grid, perm, res_no):
+    """The mask bit lines one at a time, in any layout the format allows;
+    the one reporter of bad bits."""
     _require_lines(lines, grid.n_offsets * grid.n_cells, "mask bit", res_no)
     bits = np.zeros((grid.n_offsets, grid.n_cells), dtype=bool)
     for fk in range(grid.n_offsets):
@@ -224,7 +361,7 @@ def parse_mask(text, name="<mask>"):
                 lines.fail(no, "mask bit must be 0 or 1, got %r" % s)
             bits[ki, c] = s == "1"
     lines.done()
-    return PWMask(lat, grid, bits)
+    return bits
 
 
 def _scene_numbers(toks):
@@ -378,7 +515,7 @@ def read_dataset(path):
 
 def write_dataset(F, path):
     with open(path, "w") as fh:
-        fh.write(format_dataset(F))
+        fh.writelines(_dataset_chunks(F))
 
 
 def read_mask(path):
@@ -387,7 +524,7 @@ def read_mask(path):
 
 def write_mask(mask, path):
     with open(path, "w") as fh:
-        fh.write(format_mask(mask))
+        fh.writelines(_mask_chunks(mask))
 
 
 def read_scene(path):
@@ -417,7 +554,7 @@ def write_model(model, report, path):
 
     gen = generators(model)
     with open(path, "w") as fh:
-        fh.write(format_dataset(gen))
+        fh.writelines(_dataset_chunks(gen))
         fh.write("error %s\n" % _fmt(report.total_error))
 
 
@@ -425,19 +562,17 @@ def write_gramian(G, path):
     """Debug dump: one line per cell (ascending), m*m complex entries as
     're im' pairs, row-major; inactive cells are all zero."""
     grid = G.grid
-    zero_row = " ".join(["0.0 0.0"] * (G.m * G.m))
+    per = G.m * G.m
+    step = max(1, _CHUNK // (_PAIR_CHARS * max(per, 1)))
     with open(path, "w") as fh:
         fh.write("pwsis-gramian v1\n")
         fh.write("dim %d\n" % grid.d)
         fh.write("lattice %s\n" % " ".join(_fmt(v) for v in grid.lattice.basis.ravel()))
         fh.write("resolution %d\n" % grid.r)
         fh.write("channels %d\n" % G.m)
-        k = 0
-        for c in range(grid.n_cells):
-            if k < G.n_active and G.active_idx[k] == c:
-                mat = G.mats[k]
-                fh.write(" ".join("%s %s" % (_fmt(z.real), _fmt(z.imag)) for z in mat.ravel()))
-                fh.write("\n")
-                k += 1
-            else:
-                fh.write(zero_row + "\n")
+        for a in range(0, grid.n_cells, step):
+            b = min(a + step, grid.n_cells)
+            rows = np.zeros((b - a, per), dtype=np.complex128)
+            lo, hi = np.searchsorted(G.active_idx, [a, b])
+            rows[G.active_idx[lo:hi] - a] = G.mats[lo:hi].reshape(hi - lo, per)
+            fh.write(_pairs(rows))
