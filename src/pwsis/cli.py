@@ -130,15 +130,13 @@ def _cmd_pipeline(args):
 
 def _cmd_compare_lattices(args):
     from . import solver, textio
-    from .fibers import regrid_to_lattice
+    from .fibers import gramian_field, regrid_to_lattice
 
     F = textio.read_dataset(args.data)
     lattices = textio.read_lattice_list(args.lattices)
     for i, lat in enumerate(lattices):
-        G = regrid_to_lattice(F, lat)
-        _, rep = solver.best_sis(G, args.ell)
-        print("lattice %d error %s length %d"
-              % (i, _g(rep.total_error), solver.subspace_length(G)))
+        ef = solver.eigen_field(gramian_field(regrid_to_lattice(F, lat)), args.ell)
+        print("lattice %d error %s length %d" % (i, _g(ef.error), ef.length))
     return 0
 
 

@@ -58,19 +58,6 @@ class ExampleReport:
         return all(row.ok for row in self.rows)
 
 
-def _solve_once(F, ell):
-    """Optimal error at length ell and the exact subspace length, off one
-    Gramian pass."""
-    G = gramian_field(F)
-    ef = eigen_field(G)
-    if ef.n_active == 0:
-        return 0.0, 0
-    density = ef.eigenvalues[:, ell:].sum(axis=1) if ell < ef.m else np.zeros(ef.n_active)
-    total = float(density.sum() * F.grid.cell_weight)
-    ranks = (ef.eigenvalues > 1e-9 * ef.trace[:, None]).sum(axis=1)
-    return total, int(ranks.max())
-
-
 def _ex_one_generator_two_bumps(r):
     """Two channels split between a low band and a doubled high band; one
     generator must drop one of them, and band-limiting the generator first
@@ -150,12 +137,12 @@ def _ex_incommensurate_shift(r, h=377.0 / 610.0):
     lat1 = make_lattice([[1.0]])
     grid1 = make_grid(lat1, r, [[-1], [0]])
     F1 = synthesize(sc, lat1, grid1)
-    e1, _ = _solve_once(F1, 1)
+    e1 = eigen_field(gramian_field(F1), 1).error
 
     lat2 = make_lattice([[h]])
     grid2 = make_grid(lat2, r, [[-1], [0]])
     F2 = synthesize(sc, lat2, grid2)
-    e2, _ = _solve_once(F2, 1)
+    e2 = eigen_field(gramian_field(F2), 1).error
 
     closed = 2.0 - 2.0 * abs(math.cos(math.pi * h))
     rows = [
@@ -192,14 +179,16 @@ def _ex_rotated_balls(r):
 
     lat1 = make_lattice(np.eye(2))
     F1 = synthesize(sc, lat1, make_grid(lat1, r, K))
-    e1, len1 = _solve_once(F1, 1)
-    del F1
+    ef = eigen_field(gramian_field(F1), 1)
+    e1, len1 = ef.error, ef.length
+    del F1, ef
     gc.collect()
 
     lat2 = make_lattice(R)
     F2 = synthesize(sc, lat2, make_grid(lat2, r, K))
-    e2, len2 = _solve_once(F2, 1)
-    del F2
+    ef = eigen_field(gramian_field(F2), 1)
+    e2, len2 = ef.error, ef.length
+    del F2, ef
     gc.collect()
 
     disc = math.pi / 625.0
@@ -241,14 +230,16 @@ def _ex_rotated_beats_square(r, eps):
 
     lat1 = make_lattice(np.eye(2))
     F1 = synthesize(sc, lat1, make_grid(lat1, r, K))
-    e1, len1 = _solve_once(F1, 1)
-    del F1
+    ef = eigen_field(gramian_field(F1), 1)
+    e1, len1 = ef.error, ef.length
+    del F1, ef
     gc.collect()
 
     lat2 = make_lattice(R)
     F2 = synthesize(sc, lat2, make_grid(lat2, r, K))
-    e2, len2 = _solve_once(F2, 1)
-    del F2
+    ef = eigen_field(gramian_field(F2), 1)
+    e2, len2 = ef.error, ef.length
+    del F2, ef
     gc.collect()
 
     c = 3.0 + eps * eps

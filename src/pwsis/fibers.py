@@ -254,7 +254,7 @@ def regrid_to_lattice(F, lat):
     ki = np.asarray(inverse).ravel()[: k2.shape[0]]
     ci = np.ravel_multi_index(j2.T, (r2,) * d)
     vals = np.zeros((F.m, grid2.n_offsets, grid2.n_cells), dtype=np.complex128)
-    vals[:, ki, ci] = F.values.reshape(F.m, -1)
+    vals[:, ki, ci] = F.values.reshape(F.m, len(ki))
     return SpectralDataset(lat, grid2, vals, check_finite=False)
 
 

@@ -9,10 +9,10 @@ transport the basis along the group action.
 
 import numpy as np
 
-from .lattice import orbit_partition, _cell_permutations, _offset_permutations
-from .fibers import _gramian_on, gramian_field, dilation_transport
-from .spectral import (FrequencyGrid, SpectralDataset, _abs2, project_pw,
-                       residual_energy)
+from .lattice import (Lattice, orbit_partition, _cell_permutations,
+                      _offset_permutations)
+from .fibers import _gramian_on, gramian_field, dilation_transport, regrid_to_lattice
+from .spectral import SpectralDataset, _abs2, project_pw, residual_energy
 
 __all__ = [
     "EigenField",
@@ -32,33 +32,56 @@ __all__ = [
 
 # relative gaps below this count as ties for deterministic eigenvector order
 _TIE_GAP = 1e-12
-# cells per block when eigenvectors are reordered in place
+# cells per eigh call: a block's full eigenvectors are held only until its
+# top rows are kept
 _BLOCK = 256
 # eigenvalues below this fraction of the cell trace are treated as zero when
 # building generator bases
 _RANK_CUT = 1e-12
+# eigenvalues above this fraction of the cell trace count toward the data's
+# subspace length
+_LENGTH_CUT = 1e-9
 
 
 class EigenField:
-    """Descending eigenpairs of a Gramian field on its active cells.
+    """The rank-ell cut of a Gramian field on its active cells.
 
-    vectors[c, j] is the j-th eigenvector (a row), phase-normalized so its
-    first component above 1e-12 in modulus is real positive; within groups of
-    tied eigenvalues the pairs are ordered by the lexicographic order of the
-    component magnitudes, so the decomposition is reproducible across runs.
+    eigenvalues[c] holds all m eigenvalues of cell c, descending, clamped at
+    zero.  vectors[c, j] is the j-th eigenvector (a row) for j < min(ell, m)
+    only, phase-normalized so its first component above 1e-12 in modulus is
+    real positive; within groups of tied eigenvalues the pairs are ordered by
+    the lexicographic order of the component magnitudes before the cut, so
+    the kept rows are reproducible across runs.  density[c] is the
+    eigenvalue mass the cut discards at cell c, error its total times the
+    cell weight (the optimal error at length ell), and length the largest
+    rank over cells at the relative threshold 1e-9 (the smallest length
+    that holds the data, 0 with no active cell).
     """
 
-    def __init__(self, grid, m, active_idx, eigenvalues, vectors, trace):
+    def __init__(self, grid, m, active_idx, eigenvalues, vectors, trace,
+                 density, length):
         self.grid = grid
         self.m = m
         self.active_idx = active_idx
         self.eigenvalues = eigenvalues
         self.vectors = vectors
         self.trace = trace
+        self.density = density
+        self.length = length
 
     @property
     def n_active(self):
         return self.active_idx.shape[0]
+
+    @property
+    def error(self):
+        return float(self.density.sum() * self.grid.cell_weight)
+
+
+def _check_length(ell):
+    if ell < 0 or int(ell) != ell:
+        raise ValueError("subspace length must be a nonnegative integer")
+    return int(ell)
 
 
 def _order_ties(w, Y, trace):
@@ -79,36 +102,45 @@ def _order_ties(w, Y, trace):
         start = stop
 
 
-def eigen_field(G):
-    """Batched Hermitian eigendecomposition of a Gramian field, descending,
-    with negative round-off eigenvalues clamped to zero."""
-    try:
-        w, v = np.linalg.eigh(G.mats)
-    except np.linalg.LinAlgError as e:
-        raise RuntimeError("eigensolver failed to converge: %s" % e)
-    w = w[:, ::-1].copy()
-    np.maximum(w, 0.0, out=w)
-    # eigh returns eigenvectors as columns; store them as rows, descending,
-    # in v's own memory a block of cells at a time
-    for s in range(0, v.shape[0], _BLOCK):
-        v[s:s + _BLOCK] = v[s:s + _BLOCK].transpose(0, 2, 1)[:, ::-1, :].copy()
-    Y = v
+def eigen_field(G, ell):
+    """Hermitian eigendecomposition of a Gramian field cut at rank ell: all
+    eigenvalues, the top min(ell, m) eigenvectors, the discarded mass per
+    cell and the data's subspace length (see EigenField)."""
+    ell = _check_length(ell)
+    m, n = G.m, G.n_active
+    rows = min(ell, m)
+    w = np.empty((n, m))
+    Y = np.empty((n, rows, m), dtype=np.complex128)
+    for s in range(0, n, _BLOCK):
+        try:
+            wb, vb = np.linalg.eigh(G.mats[s:s + _BLOCK])
+        except np.linalg.LinAlgError as e:
+            raise RuntimeError("eigensolver failed to converge: %s" % e)
+        wb = wb[:, ::-1].copy()
+        np.maximum(wb, 0.0, out=wb)
+        # eigh returns eigenvectors as columns; view them as rows, descending
+        Yb = vb.transpose(0, 2, 1)[:, ::-1, :]
+        # ties are ordered whole before the cut, so the kept rows do not
+        # depend on where the cut falls
+        trace = G.trace[s:s + _BLOCK]
+        if m > 1:
+            gaps = -np.diff(wb, axis=1)
+            for c in np.flatnonzero(np.any(gaps < _TIE_GAP * trace[:, None], axis=1)):
+                _order_ties(wb[c], Yb[c], trace[c])
+        w[s:s + _BLOCK] = wb
+        Y[s:s + _BLOCK] = Yb[:, :rows]
 
-    if w.shape[1] > 1 and w.shape[0]:
-        gaps = -np.diff(w, axis=1)
-        has_tie = np.any(gaps < _TIE_GAP * G.trace[:, None], axis=1)
-        for c in np.flatnonzero(has_tie):
-            _order_ties(w[c], Y[c], G.trace[c])
-
-    if G.m and Y.size:
-        flat = Y.reshape(-1, G.m)
+    if Y.size:
+        flat = Y.reshape(-1, m)
         big = np.abs(flat) > 1e-12
         piv_idx = np.argmax(big, axis=1)
         piv = flat[np.arange(flat.shape[0]), piv_idx]
         mag = np.abs(piv)
         safe = np.where(mag > 0.0, mag, 1.0)
         flat *= (piv.conj() / safe)[:, None]
-    return EigenField(G.grid, G.m, G.active_idx, w, Y, G.trace)
+    density = w[:, ell:].sum(axis=1) if ell < m else np.zeros(n)
+    length = int((w > _LENGTH_CUT * G.trace[:, None]).sum(axis=1).max()) if n else 0
+    return EigenField(G.grid, m, G.active_idx, w, Y, G.trace, density, length)
 
 
 class SubspaceModel:
@@ -181,43 +213,26 @@ def _build_basis(values, cols, ef, ell):
     return basis, dims
 
 
-def _density(ef, ell):
-    """Unexplained eigenvalue mass per active cell for a rank-ell cut."""
-    return ef.eigenvalues[:, ell:].sum(axis=1) if ell < ef.m else np.zeros(ef.n_active)
-
-
 def best_sis(F, ell):
     """Optimal lattice-invariant subspace of length at most ell.
 
     Returns (model, report); the report's total is the infimum of the
     aggregate squared approximation error over all such subspaces.
     """
-    if ell < 0 or int(ell) != ell:
-        raise ValueError("subspace length must be a nonnegative integer")
-    ell = int(ell)
-    ef = eigen_field(gramian_field(F))
+    ell = _check_length(ell)
+    ef = eigen_field(gramian_field(F), ell)
     basis, dims = _build_basis(F.values, ef.active_idx, ef, ell)
     model = SubspaceModel(F.lattice, F.grid, ell, ef.active_idx, basis, dims)
-    density = _density(ef, ell)
-    total = float(density.sum() * F.grid.cell_weight)
-    captured = _captured(F.values, model)
-    per_channel = F.energy() - captured
-    report = ApproxReport(total, per_channel, active_idx=ef.active_idx, density=density)
+    per_channel = F.energy() - _captured(F.values, model)
+    report = ApproxReport(ef.error, per_channel, active_idx=ef.active_idx,
+                          density=ef.density)
     return model, report
 
 
-def subspace_length(F, tol=1e-9):
+def subspace_length(F):
     """Smallest length of an invariant subspace containing all channels:
-    the max over cells of the fiber Gramian rank at relative threshold tol."""
-    G = gramian_field(F)
-    if G.n_active == 0:
-        return 0
-    try:
-        w = np.linalg.eigvalsh(G.mats)
-    except np.linalg.LinAlgError as e:
-        raise RuntimeError("eigensolver failed to converge: %s" % e)
-    ranks = (w > tol * G.trace[:, None]).sum(axis=1)
-    return int(ranks.max())
+    the max over cells of the fiber Gramian rank at relative threshold 1e-9."""
+    return eigen_field(gramian_field(F), 0).length
 
 
 def error_against(F, model):
@@ -256,9 +271,7 @@ def best_gamma(F, group, ell):
     stabilizer (there no extension of one eigenbasis choice need be exactly
     invariant, and the bound itself need not be attainable).
     """
-    if ell < 0 or int(ell) != ell:
-        raise ValueError("subspace length must be a nonnegative integer")
-    ell = int(ell)
+    ell = _check_length(ell)
     n_group, m = len(group), F.m
     part = orbit_partition(F.grid, group, cells_only=True)
     reps = part.representatives
@@ -272,9 +285,8 @@ def best_gamma(F, group, ell):
         sym[gi * m:(gi + 1) * m] = F.values[:, off_perms[inv][:, None],
                                             cell_perms[inv, reps][None, :]]
     G, keep = _gramian_on(F.grid, sym, reps)
-    ef = eigen_field(G)
+    ef = eigen_field(G, ell)
     rep_basis, rep_dims = _build_basis(sym, keep, ef, ell)
-    density_rep = _density(ef, ell)
 
     # active cells: every member of an orbit whose representative is active
     rep_pos = np.full(len(reps), -1, dtype=np.int64)
@@ -296,7 +308,7 @@ def best_gamma(F, group, ell):
         at = np.flatnonzero(via == gi)
         basis[at] = rep_basis[src[at]][:, :, off_perms[group.inverse_index(gi)]]
     dims = rep_dims[src]
-    density = density_rep[src] / n_group
+    density = ef.density[src] / n_group
 
     model = SubspaceModel(F.lattice, F.grid, ell, all_active, basis, dims, group=group)
     measured = error_against(F, model)
@@ -390,29 +402,6 @@ def dilation_equivalence(F, A, ell):
     return rep1.total_error, rep2.total_error
 
 
-def _refine_dataset(F, N):
-    """The same samples re-indexed on the refined lattice (basis / N) with
-    resolution N * r; no values move or change."""
-    grid = F.grid
-    d, r = grid.d, grid.r
-    r2 = N * r
-    from .lattice import Lattice
-
-    lat2 = Lattice(F.lattice.basis / N)
-    K = grid.offsets
-    K2_all = K // N
-    t_all = K - N * K2_all
-    K2 = np.unique(K2_all, axis=0)
-    grid2 = FrequencyGrid(lat2, r2, K2)
-    cells = grid.cell_vectors()
-    vals = np.zeros((F.m, grid2.n_offsets, grid2.n_cells), dtype=np.complex128)
-    for ki in range(grid.n_offsets):
-        k2i = grid2.offset_index(K2_all[ki])
-        j2 = np.ravel_multi_index((cells + r * t_all[ki]).T, (r2,) * d)
-        vals[:, k2i, j2] = F.values[:, ki, :]
-    return SpectralDataset(lat2, grid2, vals, check_finite=False)
-
-
 def refinement_inequality_check(F, N, ell):
     """Optimal errors on the N-refined lattice and on the original one, as
     (fine, coarse); fine <= coarse always, with equality at N = 1."""
@@ -425,6 +414,6 @@ def refinement_inequality_check(F, N, ell):
     if F.grid.r % N:
         raise ValueError("indivisible resolution: r=%d is not a multiple of N=%d"
                          % (F.grid.r, N))
-    fine = _refine_dataset(F, N)
+    fine = regrid_to_lattice(F, Lattice(F.lattice.basis / N))
     _, rep_fine = best_sis(fine, ell)
     return rep_fine.total_error, rep.total_error

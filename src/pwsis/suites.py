@@ -288,7 +288,7 @@ def _suite_covariance(rng, k, res):
         diag = np.einsum("cii->c", G.mats).real
         _check(np.max(np.abs(diag - G.trace)) <= 1e-12 * tr, "trace mismatch", F)
 
-        ef = eigen_field(G)
+        ef = eigen_field(G, G.m)
         recon = np.einsum("cj,cji,cjl->cil", ef.eigenvalues, ef.vectors, ef.vectors.conj())
         _check(np.max(np.abs(recon - G.mats)) <= 1e-9 * tr, "eigen reconstruction off", F)
         _check(np.all(np.diff(ef.eigenvalues, axis=1) <= 1e-12 * tr), "eigenvalues not descending", F)
@@ -446,7 +446,7 @@ def _suite_equivariance(rng, k, res):
         _check(np.array_equal(model.active_idx, G.active_idx),
                "group model active set differs from the Gramian's", F)
         pos_of = {int(c): i for i, c in enumerate(model.active_idx)}
-        ef = eigen_field(G)
+        ef = eigen_field(G, 0)
         lam = ef.eigenvalues
         # a cell is comparable only when its rank cut does not split a tied
         # eigenvalue group: a split tie leaves the optimal projector itself

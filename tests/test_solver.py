@@ -1,19 +1,21 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, seed
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pwsis.fibers import GramianField, gramian_field, symmetrize
-from pwsis.lattice import (_cell_permutations, _offset_permutations, make_group,
+from pwsis.fibers import GramianField, gramian_field, regrid_to_lattice, symmetrize
+from pwsis.lattice import (Lattice, _cell_permutations, _offset_permutations, make_group,
                            make_lattice, orbit_partition)
-from pwsis.solver import (_TIE_GAP, ApproxReport, SubspaceModel, _build_basis,
-                          _density, _order_ties, best_gamma, best_sis,
+from pwsis.solver import (_BLOCK, _TIE_GAP, ApproxReport, SubspaceModel, _build_basis,
+                          _order_ties, best_gamma, best_sis,
                           dilation_equivalence, eigen_field, error_against,
                           generators, project_then_solve,
                           refinement_inequality_check, solve_then_project,
                           subspace_length)
-from pwsis.spectral import (Scene, SpectralDataset, interval, make_grid,
+from pwsis.spectral import (FrequencyGrid, Scene, SpectralDataset, interval, make_grid,
                             pw_mask, synthesize)
 
 EXACT_TOL = 1e-10
@@ -43,7 +45,7 @@ def _random_1d(rng, m=2, r=3):
 
 def test_eigen_field_hand_values():
     F, _ = _two_bumps(1)
-    ef = eigen_field(gramian_field(F))
+    ef = eigen_field(gramian_field(F), 2)
     assert np.allclose(ef.eigenvalues, [[8.0, 2.0]], atol=EXACT_TOL)
     assert np.all(ef.eigenvalues[:, 0] >= ef.eigenvalues[:, 1])
     V = ef.vectors[0]
@@ -55,8 +57,8 @@ def test_eigen_field_hand_values():
 def test_eigen_field_is_deterministic():
     rng = np.random.default_rng(11)
     F = _random_1d(rng, m=3)
-    a = eigen_field(gramian_field(F))
-    b = eigen_field(gramian_field(F))
+    a = eigen_field(gramian_field(F), 3)
+    b = eigen_field(gramian_field(F), 3)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.vectors, b.vectors)
 
@@ -272,10 +274,12 @@ def _reference_best_gamma(F, group, ell):
         assert active[o].all()
     reps = np.array([o[0] for o in act_orbits], dtype=np.int64)
     pos = np.searchsorted(G.active_idx, reps)
-    ef = eigen_field(GramianField(G.grid, G.m, G.active_idx[pos], G.mats[pos],
-                                  G.trace[pos]))
-    rep_basis, rep_dims = _build_basis(sym.values, ef.active_idx, ef, ell)
-    density_rep = _density(ef, ell)
+    w, Y = _reference_eigen_field(GramianField(G.grid, G.m, G.active_idx[pos],
+                                               G.mats[pos], G.trace[pos]))
+    ef = SimpleNamespace(m=G.m, n_active=len(pos), eigenvalues=w, vectors=Y,
+                         trace=G.trace[pos])
+    rep_basis, rep_dims = _build_basis(sym.values, G.active_idx[pos], ef, ell)
+    density_rep = w[:, ell:].sum(axis=1) if ell < G.m else np.zeros(len(pos))
     cell_perms = _cell_permutations(F.grid, group)
     off_perms = _offset_permutations(F.grid, group)
     na = G.n_active
@@ -399,8 +403,140 @@ def test_eigen_field_matches_copying_reorder():
     mats[::2] = np.eye(m) * rng.integers(1, 3, size=(n + 1) // 2)[:, None, None]
     trace = np.trace(mats, axis1=1, axis2=2).real.copy()
     G = GramianField(None, m, np.arange(n), mats, trace)
-    ef = eigen_field(G)
+    ef = eigen_field(G, m)
     w, Y = _reference_eigen_field(G)
     assert np.array_equal(ef.eigenvalues, w)
     assert np.array_equal(ef.vectors, Y)
     assert ef.vectors.flags.c_contiguous
+
+
+def _tied_field(rng, n, m):
+    """n Hermitian m x m Gramians in four kinds: scaled identities (one tie
+    over every cut), diagonals with small integer spectra, D (k I + J) D^H
+    with J all ones and D a diagonal of units (a tie of size m - 1 at k), and
+    small integer spectra rotated by a random unitary (ties to round-off);
+    the last two make eigh return tied vectors out of lex order."""
+    mats = np.empty((n, m, m), dtype=complex)
+    for c in range(n):
+        lam = rng.integers(0, 3, size=m).astype(float)
+        lam[rng.integers(m)] = 3.0
+        kind = c % 4
+        if kind == 0:
+            mats[c] = np.eye(m) * lam[0]
+        elif kind == 1:
+            mats[c] = np.diag(lam)
+        elif kind == 2:
+            D = np.diag(np.array([1, -1, 1j, -1j])[rng.integers(4, size=m)])
+            mats[c] = D @ (lam[0] * np.eye(m) + np.ones((m, m))) @ D.conj().T
+        else:
+            Q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            mats[c] = (Q * lam) @ Q.conj().T
+    trace = np.trace(mats, axis1=1, axis2=2).real.copy()
+    return GramianField(None, m, np.arange(n), mats, trace)
+
+
+def test_eigen_field_rank_cut_matches_reference():
+    rng = np.random.default_rng(57)
+    m = 5
+    fields = [_tied_field(rng, 2 * _BLOCK + 37, m),
+              GramianField(None, m, np.arange(0), np.zeros((0, m, m), dtype=complex),
+                           np.zeros(0))]
+    for G in fields:
+        w, Y = _reference_eigen_field(G)
+        rank = (w > 1e-9 * G.trace[:, None]).sum(axis=1)
+        for ell in (0, 1, m - 1, m, m + 2):
+            ef = eigen_field(G, ell)
+            rows = min(ell, m)
+            assert ef.vectors.shape[1] == rows
+            assert np.array_equal(ef.eigenvalues, w)
+            assert np.array_equal(ef.vectors, Y[:, :rows])
+            density = w[:, ell:].sum(axis=1) if ell < m else np.zeros(G.n_active)
+            assert np.array_equal(ef.density, density)
+            assert ef.length == (int(rank.max()) if G.n_active else 0)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        eigen_field(fields[0], -1)
+
+
+def _eigvalsh_length(G):
+    """subspace_length's rank path before it moved onto eigen_field."""
+    if G.n_active == 0:
+        return 0
+    w = np.linalg.eigvalsh(G.mats)
+    return int((w > 1e-9 * G.trace[:, None]).sum(axis=1).max())
+
+
+def test_length_from_eigh_matches_eigvalsh_rank(monkeypatch):
+    from pwsis import examples, fibers, solver, suites
+
+    # suite-style datasets: random lattices, offsets, dead cells
+    for k in range(400):
+        rng = np.random.default_rng([7, k])
+        G = gramian_field(suites._random_dataset(rng, m_max=4, r_max=6))
+        assert eigen_field(G, 0).length == _eigvalsh_length(G)
+    # every Gramian the worked examples build, at their own resolutions
+    seen = []
+    real = fibers._gramian_on
+
+    def spy(*args):
+        G, keep = real(*args)
+        seen.append(G)
+        return G, keep
+
+    monkeypatch.setattr(fibers, "_gramian_on", spy)
+    monkeypatch.setattr(solver, "_gramian_on", spy)
+    for example_id in examples.EXAMPLE_IDS:
+        assert examples.reproduce_example(example_id).passed
+    assert len(seen) >= 2 * len(examples.EXAMPLE_IDS)
+    for G in seen:
+        assert eigen_field(G, 0).length == _eigvalsh_length(G)
+
+
+def _reference_refine_dataset(F, N):
+    """refinement_inequality_check's own re-indexing before it moved onto
+    regrid_to_lattice: the same samples on the lattice basis / N with
+    resolution N * r."""
+    grid = F.grid
+    d, r = grid.d, grid.r
+    r2 = N * r
+    lat2 = Lattice(F.lattice.basis / N)
+    K = grid.offsets
+    K2_all = K // N
+    t_all = K - N * K2_all
+    K2 = np.unique(K2_all, axis=0)
+    grid2 = FrequencyGrid(lat2, r2, K2)
+    cells = grid.cell_vectors()
+    vals = np.zeros((F.m, grid2.n_offsets, grid2.n_cells), dtype=np.complex128)
+    for ki in range(grid.n_offsets):
+        k2i = grid2.offset_index(K2_all[ki])
+        j2 = np.ravel_multi_index((cells + r * t_all[ki]).T, (r2,) * d)
+        vals[:, k2i, j2] = F.values[:, ki, :]
+    return SpectralDataset(lat2, grid2, vals, check_finite=False)
+
+
+def test_refinement_regrid_matches_old_refine():
+    bases = {1: [[[1.0]], [[0.37]], [[-2.5]]],
+             2: [np.eye(2), [[1.0, 0.6], [0.0, 1.3]], [[0.9, -0.4], [0.25, 1.1]]]}
+    for trial in range(300):
+        rng = np.random.default_rng([58, trial])
+        d = 1 + trial % 2
+        N = 2 + (trial // 2) % 2
+        lat = make_lattice(bases[d][int(rng.integers(len(bases[d])))])
+        box = np.stack(np.meshgrid(*[np.arange(-2, 3)] * d, indexing="ij"),
+                       axis=-1).reshape(-1, d)
+        pick = rng.random(len(box)) < 0.4
+        pick[len(box) // 2] = True  # the zero offset
+        grid = make_grid(lat, N * int(rng.integers(1, 4)), box[pick])
+        m = int(rng.integers(0, 4))  # m = 0: a dataset with no channels
+        shape = (m, grid.n_offsets, grid.n_cells)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vals[:, :, rng.random(grid.n_cells) < 0.3] = 0.0
+        F = SpectralDataset(lat, grid, vals)
+        old = _reference_refine_dataset(F, N)
+        new = regrid_to_lattice(F, Lattice(F.lattice.basis / N))
+        assert np.array_equal(new.lattice.basis, old.lattice.basis)
+        assert new.grid.r == old.grid.r
+        assert np.array_equal(new.grid.offsets, old.grid.offsets)
+        assert np.array_equal(new.values, old.values)
+        ell = int(rng.integers(0, m + 1))
+        fine, _ = refinement_inequality_check(F, N, ell)
+        assert fine == best_sis(old, ell)[1].total_error
