@@ -11,7 +11,7 @@ for _mod, _names in {
     "lattice": (
         "Lattice", "PointGroup", "OrbitPartition", "make_lattice",
         "dilate_lattice", "reduce_to_fundamental", "make_group",
-        "orbit_partition",
+        "orbit_partition", "offset_permutations", "pair_permutations",
     ),
     "spectral": (
         "FrequencyGrid", "make_grid", "Box", "Ball", "interval", "Scene",

@@ -124,6 +124,17 @@ def _ex_refine_gain(r):
     return rows, []
 
 
+def _one_generator(scene, lat, r, offsets):
+    """(error, length) of the one-generator optimum for the scene sampled on
+    the lattice; the dataset and its eigen field are freed before return,
+    so the next lattice's synthesis does not run next to them."""
+    ef = eigen_field(gramian_field(synthesize(scene, lat, make_grid(lat, r, offsets))), 1)
+    out = ef.error, ef.length
+    del ef
+    gc.collect()
+    return out
+
+
 def _ex_incommensurate_shift(r, h=377.0 / 610.0):
     """A full-band signal and its translate by a step h incommensurate with
     the base lattice: the h-step lattice holds both in one generator, the
@@ -134,15 +145,8 @@ def _ex_incommensurate_shift(r, h=377.0 / 610.0):
     sc.add(0, 1, interval(-1.0, 1.0))
     sc.add(1, 1, interval(-1.0, 1.0), mod=[h])
 
-    lat1 = make_lattice([[1.0]])
-    grid1 = make_grid(lat1, r, [[-1], [0]])
-    F1 = synthesize(sc, lat1, grid1)
-    e1 = eigen_field(gramian_field(F1), 1).error
-
-    lat2 = make_lattice([[h]])
-    grid2 = make_grid(lat2, r, [[-1], [0]])
-    F2 = synthesize(sc, lat2, grid2)
-    e2 = eigen_field(gramian_field(F2), 1).error
+    e1, _ = _one_generator(sc, make_lattice([[1.0]]), r, [[-1], [0]])
+    e2, _ = _one_generator(sc, make_lattice([[h]]), r, [[-1], [0]])
 
     closed = 2.0 - 2.0 * abs(math.cos(math.pi * h))
     rows = [
@@ -177,19 +181,8 @@ def _ex_rotated_balls(r):
     sc.add(1, 1, Ball(c1 + gamma, 1.0 / 25.0))
     K = _square_offsets(2)
 
-    lat1 = make_lattice(np.eye(2))
-    F1 = synthesize(sc, lat1, make_grid(lat1, r, K))
-    ef = eigen_field(gramian_field(F1), 1)
-    e1, len1 = ef.error, ef.length
-    del F1, ef
-    gc.collect()
-
-    lat2 = make_lattice(R)
-    F2 = synthesize(sc, lat2, make_grid(lat2, r, K))
-    ef = eigen_field(gramian_field(F2), 1)
-    e2, len2 = ef.error, ef.length
-    del F2, ef
-    gc.collect()
+    e1, len1 = _one_generator(sc, make_lattice(np.eye(2)), r, K)
+    e2, len2 = _one_generator(sc, make_lattice(R), r, K)
 
     disc = math.pi / 625.0
     rows = [
@@ -228,19 +221,8 @@ def _ex_rotated_beats_square(r, eps):
     sc.add(4, 1, Box(q_lo + [1, 0], q_hi + [1, 0]))
     K = _square_offsets(2)
 
-    lat1 = make_lattice(np.eye(2))
-    F1 = synthesize(sc, lat1, make_grid(lat1, r, K))
-    ef = eigen_field(gramian_field(F1), 1)
-    e1, len1 = ef.error, ef.length
-    del F1, ef
-    gc.collect()
-
-    lat2 = make_lattice(R)
-    F2 = synthesize(sc, lat2, make_grid(lat2, r, K))
-    ef = eigen_field(gramian_field(F2), 1)
-    e2, len2 = ef.error, ef.length
-    del F2, ef
-    gc.collect()
+    e1, len1 = _one_generator(sc, make_lattice(np.eye(2)), r, K)
+    e2, len2 = _one_generator(sc, make_lattice(R), r, K)
 
     c = 3.0 + eps * eps
     mu_minus = (c - math.sqrt(c * c - 4.0 * eps * eps)) / 2.0

@@ -11,7 +11,7 @@ nothing).
 
 import numpy as np
 
-from .lattice import dilate_lattice, _cell_permutations, _offset_permutations
+from .lattice import dilate_lattice, _cell_permutations, offset_permutations
 from .spectral import FrequencyGrid, SpectralDataset, _VALUE_CAP, _abs2
 
 __all__ = [
@@ -152,7 +152,7 @@ def symmetrize(F, group):
     if group.d != F.grid.d:
         raise ValueError("group dimension %d does not match grid" % group.d)
     cell_perms = _cell_permutations(F.grid, group)
-    off_perms = _offset_permutations(F.grid, group)
+    off_perms = offset_permutations(F.grid, group)
     m, n = F.m, len(group)
     out = np.empty((m * n, F.grid.n_offsets, F.grid.n_cells), dtype=np.complex128)
     for gi in range(n):

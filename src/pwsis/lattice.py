@@ -26,6 +26,8 @@ __all__ = [
     "reduce_to_fundamental",
     "make_group",
     "orbit_partition",
+    "offset_permutations",
+    "pair_permutations",
 ]
 
 _SINGULAR_TOL = 1e-12
@@ -211,21 +213,35 @@ def make_group(mats, max_order=48):
 class OrbitPartition:
     """Partition of flat grid indices into orbits of the dual group action.
 
-    orbits: list of sorted int arrays; representatives[i] = orbits[i][0],
-    which is the lexicographic minimum because flat indices enumerate
-    (offset, cell) pairs in lexicographic order.  orbit_index maps every flat
-    index to its orbit id.
+    perms[g][i] is the image of index i under group element g, the table
+    the partition is labelled from.  Orbit ids number the orbits by their
+    minimum member, which is the lexicographic minimum because flat indices
+    enumerate (offset, cell) pairs in lexicographic order: orbit_index maps
+    every index to its id, representatives[i] is the minimum of orbit i and
+    sizes[i] its member count.  orbits lists each orbit's members, sorted.
     """
 
-    def __init__(self, orbits, orbit_index, kind):
-        self.orbits = orbits
-        self.orbit_index = orbit_index
-        self.kind = kind  # "pairs" over (offset, cell), "cells" over cells only
-        self.representatives = np.array([o[0] for o in orbits], dtype=np.int64)
-        self.sizes = np.array([len(o) for o in orbits], dtype=np.int64)
+    def __init__(self, perms):
+        self.perms = perms
+        # a group's table holds the identity and its images of i are i's
+        # whole orbit, so every member's column minimum is the orbit minimum
+        self.representatives, self.orbit_index, self.sizes = np.unique(
+            perms.min(axis=0), return_inverse=True, return_counts=True)
+        if np.any(self.orbit_index[perms] != self.orbit_index):
+            raise RuntimeError("orbit enumeration produced overlapping orbits")
 
     def __len__(self):
-        return len(self.orbits)
+        return len(self.sizes)
+
+    @property
+    def orbits(self):
+        members = np.argsort(self.orbit_index, kind="stable")
+        return np.split(members, np.cumsum(self.sizes)[:-1])
+
+
+def _check_dimension(grid, group):
+    if group.d != grid.d:
+        raise ValueError("group dimension %d does not match grid dimension %d" % (group.d, grid.d))
 
 
 def _cell_permutations(grid, group):
@@ -243,8 +259,9 @@ def _cell_permutations(grid, group):
     return perms
 
 
-def _offset_permutations(grid, group):
+def offset_permutations(grid, group):
     """Offset index maps k -> Ghat k, or an error if K is not closed."""
+    _check_dimension(grid, group)
     lookup = {tuple(k): i for i, k in enumerate(grid.offsets)}
     perms = np.empty((len(group), grid.offsets.shape[0]), dtype=np.int64)
     for gi in range(len(group)):
@@ -260,22 +277,14 @@ def _offset_permutations(grid, group):
     return perms
 
 
-def _orbits_from_perms(perms, total):
-    """Orbits of {0..total-1} under the given family of permutations."""
-    orbit_index = np.full(total, -1, dtype=np.int64)
-    orbits = []
-    for start in range(total):
-        if orbit_index[start] >= 0:
-            continue
-        members = np.unique(perms[:, start])
-        oid = len(orbits)
-        # group closure makes the element-wise image of one index the whole
-        # orbit; verify the partition property cheaply
-        if np.any(orbit_index[members] >= 0):
-            raise RuntimeError("orbit enumeration produced overlapping orbits")
-        orbit_index[members] = oid
-        orbits.append(members)
-    return orbits, orbit_index
+def pair_permutations(grid, group):
+    """Flat (offset, cell) index maps for every dual matrix, offset-major as
+    the dataset samples are laid out: perms[g][k * n_cells + c] is the flat
+    index of (Ghat k, Ghat c mod r)."""
+    off_perms = offset_permutations(grid, group)
+    cell_perms = _cell_permutations(grid, group)
+    pair_perms = off_perms[:, :, None] * grid.n_cells + cell_perms[:, None, :]
+    return pair_perms.reshape(len(group), -1)
 
 
 def orbit_partition(grid, group, cells_only=False):
@@ -285,15 +294,7 @@ def orbit_partition(grid, group, cells_only=False):
     matching the dataset sample layout.  cells_only=True partitions just the
     torus cells, which is what per-fiber solvers need.
     """
-    if group.d != grid.d:
-        raise ValueError("group dimension %d does not match grid dimension %d" % (group.d, grid.d))
-    cell_perms = _cell_permutations(grid, group)
     if cells_only:
-        orbits, orbit_index = _orbits_from_perms(cell_perms, grid.n_cells)
-        return OrbitPartition(orbits, orbit_index, "cells")
-    off_perms = _offset_permutations(grid, group)
-    nc = grid.n_cells
-    pair_perms = off_perms[:, :, None] * nc + cell_perms[:, None, :]
-    pair_perms = pair_perms.reshape(len(group), -1)
-    orbits, orbit_index = _orbits_from_perms(pair_perms, grid.offsets.shape[0] * nc)
-    return OrbitPartition(orbits, orbit_index, "pairs")
+        _check_dimension(grid, group)
+        return OrbitPartition(_cell_permutations(grid, group))
+    return OrbitPartition(pair_permutations(grid, group))

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .lattice import orbit_partition
-from .spectral import PWMask
+from .spectral import PWMask, _abs2
 
 __all__ = [
     "DensityField",
@@ -39,8 +39,7 @@ class DensityField:
 def energy_density(F):
     phi = np.zeros((F.grid.n_offsets, F.grid.n_cells))
     for i in range(F.m):
-        v = F.values[i]
-        phi += v.real ** 2 + v.imag ** 2
+        phi += _abs2(F.values[i])
     return DensityField(F.lattice, F.grid, phi)
 
 
@@ -157,21 +156,19 @@ def best_omega_invariant(F, group, measure):
     n = _box_count(grid, measure)
     part = orbit_partition(grid, group)
     phi = energy_density(F).phi.ravel()
-    orb_val = np.bincount(part.orbit_index, weights=phi, minlength=len(part.orbits))
-    sizes = np.array([len(o) for o in part.orbits], dtype=np.int64)
-    best, sel = _exact_fill_knapsack(orb_val, sizes, n)
+    orb_val = np.bincount(part.orbit_index, weights=phi, minlength=len(part))
+    best, sel = _exact_fill_knapsack(orb_val, part.sizes, n)
     if best is None:
-        total = int(sizes.sum())
-        reach = np.flatnonzero(_reachable_units(sizes, total))
+        reach = np.flatnonzero(_reachable_units(part.sizes, phi.shape[0]))
         w = grid.cell_weight
         below = reach[reach < n].max()
         above = reach[reach > n].min()
         raise ValueError(
             "measure %.12g is not reachable as a union of whole orbits; nearest "
             "reachable measures are %.12g and %.12g" % (measure, below * w, above * w))
-    bits = np.zeros(phi.shape[0], dtype=bool)
-    for oi in sel:
-        bits[part.orbits[oi]] = True
+    chosen = np.zeros(len(part), dtype=bool)
+    chosen[sel] = True
+    bits = chosen[part.orbit_index]
     idx = np.flatnonzero(bits)
     attained = float(phi[idx].sum() * grid.cell_weight)
     return PWMask(F.lattice, grid, bits.reshape((grid.n_offsets, grid.n_cells))), attained
@@ -190,16 +187,10 @@ def omega_duality_check(F, group, measure):
     n = _box_count(grid, measure)
     part = orbit_partition(grid, group)
     n_group = len(group)
-    reps = part.representatives
     sizes = part.sizes
     # orbit-summed density at the representative, counted with stabilizer
     # multiplicity: sum of phi over all group images of the rep box
-    from .lattice import _cell_permutations, _offset_permutations
-
-    cell_perms = _cell_permutations(grid, group)
-    off_perms = _offset_permutations(grid, group)
-    pair_perms = (off_perms[:, :, None] * grid.n_cells + cell_perms[:, None, :]).reshape(n_group, -1)
-    phi_orbit = phi[pair_perms[:, reps]].sum(axis=0)
+    phi_orbit = phi[part.perms[:, part.representatives]].sum(axis=0)
     # a representative box occupies measure size * w / |G| of the quotient,
     # so its captured energy is the multiplicity-weighted density times that
     values = phi_orbit * sizes * (grid.cell_weight / n_group)

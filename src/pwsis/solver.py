@@ -9,8 +9,7 @@ transport the basis along the group action.
 
 import numpy as np
 
-from .lattice import (Lattice, orbit_partition, _cell_permutations,
-                      _offset_permutations)
+from .lattice import Lattice, offset_permutations, orbit_partition, pair_permutations
 from .fibers import _gramian_on, gramian_field, dilation_transport, regrid_to_lattice
 from .spectral import SpectralDataset, _abs2, project_pw, residual_energy
 
@@ -275,8 +274,8 @@ def best_gamma(F, group, ell):
     n_group, m = len(group), F.m
     part = orbit_partition(F.grid, group, cells_only=True)
     reps = part.representatives
-    cell_perms = _cell_permutations(F.grid, group)
-    off_perms = _offset_permutations(F.grid, group)
+    cell_perms = part.perms
+    off_perms = offset_permutations(F.grid, group)
     # symmetrized fibers at the representatives only, as symmetrize lays
     # them out: channel (g, i) at (k, c) reads f_i at the inverse image
     sym = np.empty((m * n_group, F.grid.n_offsets, len(reps)), dtype=np.complex128)
@@ -318,12 +317,9 @@ def best_gamma(F, group, ell):
 
 
 def _check_mask_invariant(mask, group):
-    cell_perms = _cell_permutations(mask.grid, group)
-    off_perms = _offset_permutations(mask.grid, group)
-    for gi in range(len(group)):
-        moved = mask.bits[np.ix_(off_perms[gi], cell_perms[gi])]
-        if not np.array_equal(moved, mask.bits):
-            raise ValueError("mask is not invariant under the group")
+    flat = mask.bits.ravel()
+    if np.any(flat[pair_permutations(mask.grid, group)] != flat):
+        raise ValueError("mask is not invariant under the group")
 
 
 def project_then_solve(F, mask, ell, group=None):

@@ -11,9 +11,8 @@ import math
 
 import numpy as np
 
-from .lattice import (Lattice, make_group, make_lattice, orbit_partition,
-                      reduce_to_fundamental, _cell_permutations,
-                      _offset_permutations)
+from .lattice import (Lattice, _cell_permutations, make_group, make_lattice,
+                      offset_permutations, orbit_partition, reduce_to_fundamental)
 from .spectral import PWMask, SpectralDataset, make_grid, project_pw, residual_energy
 from . import fibers
 from .fibers import (dilation_transport, gramian_covariance_check,
@@ -415,7 +414,7 @@ def _suite_equivariance(rng, k, res):
                            "double symmetrization is not the product relabeling", F)
 
     cell_perms = _cell_permutations(grid, group)
-    off_perms = _offset_permutations(grid, group)
+    off_perms = offset_permutations(grid, group)
     G = gramian_field(sym)
     if G.n_active == grid.n_cells and F.m:
         tr = 1.0 + float(G.trace.max())
@@ -535,7 +534,7 @@ def _suite_omega(rng, k, res):
     wg = FG.grid.cell_weight
     gmask, gattained = best_omega_invariant(FG, group, n_inv * wg)
     cell_perms = _cell_permutations(FG.grid, group)
-    off_perms = _offset_permutations(FG.grid, group)
+    off_perms = offset_permutations(FG.grid, group)
     for gi in range(len(group)):
         _check(np.array_equal(gmask.bits[np.ix_(off_perms[gi], cell_perms[gi])], gmask.bits),
                "invariant mask is not group-fixed", FG)

@@ -489,7 +489,10 @@ def parse_group_file(text, d, name="<group>"):
         raise ValueError("%s: group needs a multiple of %d integers, got %d"
                          % (name, per, len(vals)))
     mats = [np.array(vals[i:i + per]).reshape(d, d) for i in range(0, len(vals), per)]
-    return make_group(mats)
+    try:
+        return make_group(mats)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (name, exc))
 
 
 def parse_offsets(text, d, name="<offsets>"):

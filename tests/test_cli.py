@@ -1,8 +1,12 @@
+import itertools
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from pwsis.textio import read_mask
 
 # The checkout's package directory, absolute so that it still resolves from
 # the temporary working directory each CLI run uses.
@@ -15,6 +19,16 @@ channel 1 coeff 2.0 0.0 interval 1.0 2.0
 """
 MASK_REGION = """channel 0 coeff 1.0 0.0 interval -1.0 1.0
 """
+# three 2-D channels on the star of offsets K = {0, +-e1, +-e2}, which the
+# dual action of D4 maps onto itself
+SCENE_2D = """channel 0 coeff 1.0 0.0 box 0.0 0.0 0.5 0.75
+channel 0 coeff 2.0 0.0 box 1.0 0.25 1.75 1.0
+channel 1 coeff -1.0 0.5 box -1.0 0.0 -0.25 0.5
+channel 1 coeff 0.5 0.0 box 0.25 1.0 1.0 1.5
+channel 2 coeff 1.5 0.0 box 0.0 -1.0 0.75 -0.25
+"""
+# generators of D4: the quarter turn and a mirror
+D4_GENS = [np.array([[0, -1], [1, 0]]), np.array([[1, 0], [0, -1]])]
 
 
 def _run(args, cwd, env=None):
@@ -53,6 +67,104 @@ def workdir(tmp_path):
                 "--out", "mask.txt"], tmp_path)
     assert res.returncode == 0, res.stderr
     return tmp_path
+
+
+def _group_inputs(workdir):
+    """Writes a 4x4-cell 2-D dataset, the D4 generators and a D4-invariant
+    band of measure 1 into the workdir; returns the data arguments."""
+    (workdir / "scene2.txt").write_text(SCENE_2D)
+    (workdir / "lat2.txt").write_text("1 0\n0 1\n")
+    (workdir / "offs2.txt").write_text("0 0\n1 0\n-1 0\n0 1\n0 -1\n")
+    (workdir / "d4.txt").write_text("".join("%d %d %d %d\n" % tuple(g.ravel())
+                                            for g in D4_GENS))
+    res = _run(["synth", "--scene", "scene2.txt", "--lattice", "lat2.txt",
+                "--resolution", "4", "--offsets", "offs2.txt",
+                "--out", "data2.txt"], workdir)
+    assert res.returncode == 0, res.stderr
+    data = ["--data", "data2.txt", "--group", "d4.txt"]
+    res = _run(["omega-opt"] + data + ["--measure", "1.0", "--out", "gband.txt"], workdir)
+    assert res.returncode == 0, res.stderr
+    return data
+
+
+def _fields(stdout):
+    return {head: float(tail) for head, _, tail in
+            (line.rpartition(" ") for line in stdout.splitlines())}
+
+
+def _d4_fixes(mask):
+    """Whether every D4 element's dual action (k, j) -> (Ghat k, Ghat j mod r)
+    maps the mask's boxes onto its boxes, with the index map built here."""
+    grid = mask.grid
+    offsets = [tuple(k) for k in grid.offsets]
+    cells = list(itertools.product(range(grid.r), repeat=2))
+    bits = mask.bits
+    elements = {(1, 0, 0, 1): np.eye(2, dtype=int)}
+    frontier = list(elements.values())
+    while frontier:  # close the generators into the 8 elements
+        a = frontier.pop()
+        for g in D4_GENS:
+            b = a @ g
+            if tuple(b.ravel()) not in elements:
+                elements[tuple(b.ravel())] = b
+                frontier.append(b)
+    assert len(elements) == 8
+    for g in elements.values():
+        dual = np.rint(np.linalg.inv(g.T)).astype(int)
+        for ki, k in enumerate(offsets):
+            kk = offsets.index(tuple(dual @ k))
+            for ci, j in enumerate(cells):
+                cj = cells.index(tuple((dual @ j) % grid.r))
+                if bits[kk, cj] != bits[ki, ci]:
+                    return False
+    return True
+
+
+def test_group_band_is_d4_fixed(workdir):
+    _group_inputs(workdir)
+    mask = read_mask(str(workdir / "gband.txt"))
+    assert 0 < mask.bits.sum() < mask.bits.size
+    assert abs(mask.measure - 1.0) <= 1e-12
+    assert _d4_fixes(mask)
+    # the unconstrained band of the same measure is not fixed, so the
+    # index map does tell the two apart
+    res = _run(["omega-opt", "--data", "data2.txt", "--measure", "1.0",
+                "--out", "free.txt"], workdir)
+    assert res.returncode == 0, res.stderr
+    assert not _d4_fixes(read_mask(str(workdir / "free.txt")))
+
+
+def test_group_solves(workdir):
+    data = _group_inputs(workdir)
+    res = _run(["solve"] + data + ["--ell", "1", "--mask", "gband.txt"], workdir)
+    assert res.returncode == 0, res.stderr
+    f = _fields(res.stdout)
+    total = f["total error"]
+    split = f["inside-band error"] + f["outside-band energy"]
+    assert abs(total - split) <= 1e-10 * (1.0 + total)
+    res = _run(["solve"] + data + ["--ell", "1"], workdir)
+    assert res.returncode == 0, res.stderr
+    grouped = _fields(res.stdout)["total error"]
+    res = _run(["solve", "--data", "data2.txt", "--ell", "1"], workdir)
+    assert res.returncode == 0, res.stderr
+    free = _fields(res.stdout)["total error"]
+    assert grouped >= free - 1e-10 * (1.0 + free)
+
+
+def test_group_file_of_wrong_dimension_exits_two(workdir):
+    data = _group_inputs(workdir)
+    (workdir / "g3.txt").write_text("-1 0 0\n0 -1 0\n0 0 -1\n")
+    # four 3x3 matrices are 36 integers, which also read as nine 2x2 ones
+    (workdir / "g3x4.txt").write_text("1 0 0 0 1 0 0 0 1\n0 -1 0 1 0 0 0 0 1\n"
+                                      "-1 0 0 0 -1 0 0 0 1\n-1 0 0 0 -1 0 0 0 -1\n")
+    res = _run(["solve", "--data", "data2.txt", "--group", "g3x4.txt", "--ell", "1"], workdir)
+    assert res.returncode == 2 and res.stderr.startswith("error: g3x4.txt: "), res.stderr
+    for verb in (["omega-opt", "--measure", "1.0", "--out", "g3band.txt"],
+                 ["solve", "--ell", "1"], ["solve", "--ell", "1", "--mask", "gband.txt"]):
+        res = _run(verb + ["--data", "data2.txt", "--group", "g3.txt"], workdir)
+        assert res.returncode == 2, res.stderr
+        assert "g3.txt" in res.stderr and "Traceback" not in res.stderr
+    assert not (workdir / "g3band.txt").exists()
 
 
 def test_solve_reports_optimum(workdir):
@@ -193,9 +305,14 @@ def test_headers_over_the_size_cap_exit_two(workdir):
 
 
 def test_stdout_is_byte_identical_across_runs(workdir):
-    a = _run(["solve", "--data", "data.txt", "--ell", "1"], workdir)
-    b = _run(["solve", "--data", "data.txt", "--ell", "1"], workdir)
-    assert a.stdout == b.stdout and a.returncode == b.returncode == 0
+    data = _group_inputs(workdir)
+    for args in (["solve", "--data", "data.txt", "--ell", "1"],
+                 ["omega-opt"] + data + ["--measure", "1.0", "--out", "gband2.txt"],
+                 ["solve"] + data + ["--ell", "1", "--mask", "gband.txt"],
+                 ["solve"] + data + ["--ell", "1"]):
+        a = _run(args, workdir)
+        b = _run(args, workdir)
+        assert a.stdout == b.stdout and a.returncode == b.returncode == 0, a.stderr
 
 
 def test_thread_cap_env(workdir):

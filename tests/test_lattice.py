@@ -4,8 +4,9 @@ from hypothesis import assume, given, seed
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pwsis.lattice import (Lattice, dilate_lattice, make_group, make_lattice,
-                           orbit_partition, reduce_to_fundamental)
+from pwsis.lattice import (Lattice, OrbitPartition, _cell_permutations, dilate_lattice,
+                           make_group, make_lattice, offset_permutations, orbit_partition,
+                           pair_permutations, reduce_to_fundamental)
 from pwsis.spectral import make_grid
 
 RECOMPOSE_TOL = 1e-9
@@ -121,3 +122,92 @@ def test_reduce_to_fundamental_round_trip(entries, point):
     assert np.all(u >= 0.0) and np.all(u < 1.0)
     back = lat.dual_basis @ (u + k)
     assert np.max(np.abs(back - point)) <= RECOMPOSE_TOL * (1.0 + np.max(np.abs(point)))
+
+
+def _loop_orbits(perms, total):
+    """The per-index labelling loop orbit_partition used before it labelled
+    in array passes; kept as the reference for ids, order and members."""
+    orbit_index = np.full(total, -1, dtype=np.int64)
+    orbits = []
+    for start in range(total):
+        if orbit_index[start] >= 0:
+            continue
+        members = np.unique(perms[:, start])
+        if np.any(orbit_index[members] >= 0):
+            raise RuntimeError("orbit enumeration produced overlapping orbits")
+        orbit_index[members] = len(orbits)
+        orbits.append(members)
+    return orbits, orbit_index
+
+
+def _closed_offsets(group, seeds):
+    found = {tuple(s) for s in seeds}
+    frontier = list(found)
+    while frontier:
+        k = np.array(frontier.pop())
+        for dual in group.duals:
+            img = tuple(int(v) for v in dual @ k)
+            if img not in found:
+                found.add(img)
+                frontier.append(img)
+    return sorted(found)
+
+
+_HEX6 = np.array([[0, -1], [1, 1]])
+_HEX_LATTICE = [[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]]
+_ORBIT_CASES = [
+    ("C2", np.eye(2), [-np.eye(2, dtype=int)], [[1, 0], [0, 1]]),
+    ("C4", np.eye(2), [C4], [[1, 0], [1, 1]]),
+    ("D4", np.eye(2), [C4, MIRROR], [[1, 0], [2, 1]]),
+    ("C6 hexagonal", _HEX_LATTICE, [_HEX6], [[1, 0]]),
+    ("D6 hexagonal", _HEX_LATTICE, [_HEX6, np.array([[0, 1], [1, 0]])], [[1, 0], [2, 1]]),
+    ("3-D order 8", np.eye(3), [np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+                                -np.eye(3, dtype=int)], [[1, 0, 0], [0, 1, 1]]),
+]
+
+
+@pytest.mark.parametrize("name,basis,gens,seeds", _ORBIT_CASES,
+                         ids=[c[0] for c in _ORBIT_CASES])
+def test_orbit_partition_matches_loop_labelling(name, basis, gens, seeds):
+    group = make_group(gens)
+    lat = make_lattice(basis)
+    d = lat.d
+    offsets = _closed_offsets(group, [[0] * d] + seeds)
+    for r in (1, 2, 3, 5):
+        grid = make_grid(lat, r, offsets)
+        cells = _cell_permutations(grid, group)
+        off = offset_permutations(grid, group)
+        pairs = np.stack([(off[g][:, None] * grid.n_cells + cells[g][None, :]).ravel()
+                          for g in range(len(group))])
+        assert np.array_equal(pair_permutations(grid, group), pairs)
+        for part, perms in ((orbit_partition(grid, group, cells_only=True), cells),
+                            (orbit_partition(grid, group), pairs)):
+            orbits, orbit_index = _loop_orbits(perms, perms.shape[1])
+            assert np.array_equal(part.perms, perms)
+            assert np.array_equal(part.orbit_index, orbit_index)
+            assert np.array_equal(part.representatives, [o[0] for o in orbits])
+            assert np.array_equal(part.sizes, [len(o) for o in orbits])
+            assert len(part) == len(orbits)
+            got = part.orbits
+            assert len(got) == len(orbits)
+            for a, b in zip(got, orbits):
+                assert np.array_equal(a, b) and a.dtype == b.dtype
+
+
+def test_orbit_partition_rejects_a_table_that_is_not_a_group():
+    # an order-3 cycle without its square: images of 2 reach 0's orbit
+    perms = np.array([[0, 1, 2], [1, 2, 0]], dtype=np.int64)
+    with pytest.raises(RuntimeError, match="overlapping orbits"):
+        _loop_orbits(perms, 3)
+    with pytest.raises(RuntimeError, match="overlapping orbits"):
+        OrbitPartition(perms)
+    OrbitPartition(np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int64))
+
+
+def test_group_action_rejects_wrong_dimension():
+    grid = make_grid(make_lattice(np.eye(2)), 2, [[0, 0]])
+    group = make_group([-np.eye(3, dtype=int)])
+    for build in (offset_permutations, pair_permutations, orbit_partition,
+                  lambda g, G: orbit_partition(g, G, cells_only=True)):
+        with pytest.raises(ValueError, match="group dimension 3 does not match grid dimension 2"):
+            build(grid, group)

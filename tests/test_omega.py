@@ -202,3 +202,54 @@ def test_omega_duality_with_tied_orbits():
     for n in (0, 1, 4, 5, 8, 12, 17, 36):
         left, right = omega_duality_check(F, C4, n * grid.cell_weight)
         assert abs(left - right) <= DUALITY_TOL * (1.0 + total)
+
+
+def _loop_invariant_mask(F, group, measure):
+    """best_omega_invariant as it marked the chosen orbits before the
+    gather: one orbit array at a time."""
+    grid = F.grid
+    part = orbit_partition(grid, group)
+    phi = energy_density(F).phi.ravel()
+    orb_val = np.bincount(part.orbit_index, weights=phi, minlength=len(part.orbits))
+    sizes = np.array([len(o) for o in part.orbits], dtype=np.int64)
+    best, sel = _exact_fill_knapsack(orb_val, sizes, int(round(measure / grid.cell_weight)))
+    if best is None:
+        return None, None
+    bits = np.zeros(phi.shape[0], dtype=bool)
+    for oi in sel:
+        bits[part.orbits[oi]] = True
+    attained = float(phi[np.flatnonzero(bits)].sum() * grid.cell_weight)
+    return bits.reshape((grid.n_offsets, grid.n_cells)), attained
+
+
+def test_invariant_mask_matches_per_orbit_loop():
+    rng = np.random.default_rng(56)
+    lat = make_lattice(np.eye(2))
+    D4 = make_group([np.array([[0, -1], [1, 0]]), np.array([[1, 0], [0, -1]])])
+    offsets = [[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1]]
+    built = unreachable = 0
+    for trial in range(40):
+        group = (C4, D4)[trial % 2]
+        grid = make_grid(lat, int(rng.integers(1, 6)), offsets)
+        shape = (int(rng.integers(1, 3)), grid.n_offsets, grid.n_cells)
+        if trial % 4 < 2:  # integer magnitudes: orbit values tie exactly
+            vals = rng.integers(0, 3, size=shape).astype(complex)
+        else:
+            vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        F = SpectralDataset(lat, grid, vals)
+        total = grid.n_offsets * grid.n_cells
+        for n in sorted({0, 1, 4, 5, 8, total // 2, total}):
+            if n > total:
+                continue
+            measure = n * grid.cell_weight
+            want_bits, want = _loop_invariant_mask(F, group, measure)
+            if want_bits is None:
+                with pytest.raises(ValueError, match="union of whole orbits"):
+                    best_omega_invariant(F, group, measure)
+                unreachable += 1
+                continue
+            mask, attained = best_omega_invariant(F, group, measure)
+            assert np.array_equal(mask.bits, want_bits)
+            assert attained == want
+            built += 1
+    assert built > 100 and unreachable > 5

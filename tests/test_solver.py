@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pwsis.fibers import GramianField, gramian_field, regrid_to_lattice, symmetrize
-from pwsis.lattice import (Lattice, _cell_permutations, _offset_permutations, make_group,
-                           make_lattice, orbit_partition)
+from pwsis.lattice import (Lattice, _cell_permutations, make_group, make_lattice,
+                           offset_permutations, orbit_partition)
 from pwsis.solver import (_BLOCK, _TIE_GAP, ApproxReport, SubspaceModel, _build_basis,
                           _order_ties, best_gamma, best_sis,
                           dilation_equivalence, eigen_field, error_against,
@@ -172,6 +172,20 @@ def test_pipeline_rejects_non_invariant_mask():
         project_then_solve(F, mask, 1, group=group)
 
 
+def test_pipeline_rejects_group_of_wrong_dimension():
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 2, [[0, 0]])
+    F = SpectralDataset(lat, grid, np.ones((1, 1, 4), dtype=complex))
+    from pwsis.spectral import PWMask
+    mask = PWMask(lat, grid, np.ones((1, 4), dtype=bool))
+    G3 = make_group([-np.eye(3, dtype=int)])
+    msg = "group dimension 3 does not match grid dimension 2"
+    with pytest.raises(ValueError, match=msg):
+        project_then_solve(F, mask, 1, group=G3)
+    with pytest.raises(ValueError, match=msg):
+        best_gamma(F, G3, 1)
+
+
 def test_best_gamma_trivial_group_matches_plain():
     rng = np.random.default_rng(14)
     trivial = make_group([np.eye(1, dtype=int)])
@@ -281,7 +295,7 @@ def _reference_best_gamma(F, group, ell):
     rep_basis, rep_dims = _build_basis(sym.values, G.active_idx[pos], ef, ell)
     density_rep = w[:, ell:].sum(axis=1) if ell < G.m else np.zeros(len(pos))
     cell_perms = _cell_permutations(F.grid, group)
-    off_perms = _offset_permutations(F.grid, group)
+    off_perms = offset_permutations(F.grid, group)
     na = G.n_active
     basis = np.zeros((na, rep_basis.shape[1], F.grid.n_offsets), dtype=np.complex128)
     dims = np.zeros(na, dtype=np.int64)
