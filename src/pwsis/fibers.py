@@ -9,6 +9,8 @@ are skipped everywhere (synthesized zeros are exact zeros, so this loses
 nothing).
 """
 
+import os
+
 import numpy as np
 
 from .lattice import dilate_lattice, _cell_permutations, offset_permutations
@@ -26,10 +28,11 @@ __all__ = [
     "gramian_covariance_check",
 ]
 
-# debug hook: when set, gramian_field drops the conjugation on the second
+# debug hook: when set, every Gramian drops the conjugation on the second
 # factor, which silently breaks Hermiticity; the covariance suite must catch
-# it.  Enable via the PWSIS_BUG_GRAMIAN_NO_CONJ environment variable.
-_BUG_GRAMIAN_NO_CONJ = False
+# it.  Enabled by the PWSIS_BUG_GRAMIAN_NO_CONJ environment variable, read
+# once at import.
+_BUG_GRAMIAN_NO_CONJ = bool(os.environ.get("PWSIS_BUG_GRAMIAN_NO_CONJ"))
 
 
 class FiberVector:
@@ -106,26 +109,33 @@ def _cell_trace(values):
     return out
 
 
-def _gramian_on(grid, values, cells=None):
-    """Gramian field of the fibers in values[:, :, c], which sit at cells[c]
-    (at cell c when cells is None).  values must be C-contiguous: the
-    per-cell sums then run in the same order whichever cells are given, so
-    any subset of cells gives the same field there as the full grid.
-    Returns the field and the columns of values it kept."""
-    import os
-
+def _active_cells(values):
+    """Columns of values with a positive trace (see _cell_trace), and those
+    traces."""
     trace = _cell_trace(values)
     keep = np.flatnonzero(trace > 0.0)
+    return keep, trace[keep]
+
+
+def _gramian_mats(va):
+    """The Gramians G[c]_ij = sum_k va[i, k, c] conj(va[j, k, c]) of the
+    C-contiguous fibers va: each entry sums over k in order, whatever the
+    number of cells, so any slice of cells gets the bits of the whole."""
+    other = va if _BUG_GRAMIAN_NO_CONJ else va.conj()
+    return np.einsum("ikc,jkc->cij", va, other)
+
+
+def _gramian_on(grid, values, cells=None):
+    """Gramian field of the fibers in values[:, :, c], which sit at cells[c]
+    (at cell c when cells is None).  values must be C-contiguous, so any
+    subset of cells gives the same field there as the full grid."""
+    keep, trace = _active_cells(values)
     if keep.shape[0] == values.shape[2]:
         va = values  # every cell is active: no gathered copy
     else:
         va = np.ascontiguousarray(values[:, :, keep])
-    other = va.conj()
-    if _BUG_GRAMIAN_NO_CONJ or os.environ.get("PWSIS_BUG_GRAMIAN_NO_CONJ"):
-        other = va
-    mats = np.einsum("ikc,jkc->cij", va, other)
     active = keep if cells is None else cells[keep]
-    return GramianField(grid, values.shape[0], active, mats, trace[keep]), keep
+    return GramianField(grid, values.shape[0], active, _gramian_mats(va), trace)
 
 
 def gramian_field(F):
@@ -136,9 +146,9 @@ def gramian_field(F):
     other cell is zero and so inactive.  Cells never interact, so the result
     is the same as from the full grid."""
     if F.support is None:
-        return _gramian_on(F.grid, F.values)[0]
+        return _gramian_on(F.grid, F.values)
     # take() keeps the C layout, so the per-cell sums run as on the grid
-    return _gramian_on(F.grid, F.values.take(F.support, axis=2), F.support)[0]
+    return _gramian_on(F.grid, F.values.take(F.support, axis=2), F.support)
 
 
 def symmetrize(F, group):

@@ -152,10 +152,15 @@ def best_omega_invariant(F, group, measure):
     """Best group-invariant mask of the given measure: selects whole orbits
     of (offset, cell) boxes maximizing captured energy with the measure met
     exactly; unreachable measures raise with the nearest reachable ones."""
+    return _invariant_mask(F, orbit_partition(F.grid, group),
+                           energy_density(F).phi.ravel(), measure)
+
+
+def _invariant_mask(F, part, phi, measure):
+    """best_omega_invariant on the box orbit partition part of F's grid and
+    the flat energy density phi."""
     grid = F.grid
     n = _box_count(grid, measure)
-    part = orbit_partition(grid, group)
-    phi = energy_density(F).phi.ravel()
     orb_val = np.bincount(part.orbit_index, weights=phi, minlength=len(part))
     best, sel = _exact_fill_knapsack(orb_val, part.sizes, n)
     if best is None:
@@ -180,12 +185,12 @@ def omega_duality_check(F, group, measure):
     per orbit using the orbit-summed density and a 1/|G| measure budget.
     Returns (direct, sectioned); the two agree to rounding."""
     grid = F.grid
-    mask, _ = best_omega_invariant(F, group, measure)
+    part = orbit_partition(grid, group)
     phi = energy_density(F).phi.ravel()
+    mask, _ = _invariant_mask(F, part, phi, measure)
     left = float(phi[np.flatnonzero(mask.bits.ravel())].sum() * grid.cell_weight)
 
     n = _box_count(grid, measure)
-    part = orbit_partition(grid, group)
     n_group = len(group)
     sizes = part.sizes
     # orbit-summed density at the representative, counted with stabilizer

@@ -10,7 +10,8 @@ transport the basis along the group action.
 import numpy as np
 
 from .lattice import Lattice, offset_permutations, orbit_partition, pair_permutations
-from .fibers import _gramian_on, gramian_field, dilation_transport, regrid_to_lattice
+from .fibers import (_active_cells, _gramian_mats, dilation_transport, gramian_field,
+                     regrid_to_lattice)
 from .spectral import SpectralDataset, _abs2, project_pw, residual_energy
 
 __all__ = [
@@ -31,9 +32,9 @@ __all__ = [
 
 # relative gaps below this count as ties for deterministic eigenvector order
 _TIE_GAP = 1e-12
-# cells per eigh call: a block's full eigenvectors are held only until its
-# top rows are kept
-_BLOCK = 256
+# bytes of m x m Gramians per eigh call: a block's Gramians and full
+# eigenvectors are held only until its top rows are kept
+_BLOCK_BYTES = 1 << 20
 # eigenvalues below this fraction of the cell trace are treated as zero when
 # building generator bases
 _RANK_CUT = 1e-12
@@ -101,18 +102,25 @@ def _order_ties(w, Y, trace):
         start = stop
 
 
-def eigen_field(G, ell):
-    """Hermitian eigendecomposition of a Gramian field cut at rank ell: all
-    eigenvalues, the top min(ell, m) eigenvectors, the discarded mass per
-    cell and the data's subspace length (see EigenField)."""
-    ell = _check_length(ell)
-    m, n = G.m, G.n_active
+def _block_cells(m):
+    """Cells per eigh call: about _BLOCK_BYTES of m x m complex matrices,
+    at least one (also for m = 0)."""
+    return max(1, _BLOCK_BYTES // max(1, 16 * m * m))
+
+
+def _eigen_cut(grid, m, active_idx, trace, block, ell):
+    """The rank-ell cut of the Gramians that block(s, e) returns for the
+    active cells s..e-1, taken a block of _block_cells(m) cells at a time
+    (see EigenField).  eigh treats each matrix on its own, so the result
+    does not depend on how the cells are split."""
+    n = active_idx.shape[0]
     rows = min(ell, m)
+    step = _block_cells(m)
     w = np.empty((n, m))
     Y = np.empty((n, rows, m), dtype=np.complex128)
-    for s in range(0, n, _BLOCK):
+    for s in range(0, n, step):
         try:
-            wb, vb = np.linalg.eigh(G.mats[s:s + _BLOCK])
+            wb, vb = np.linalg.eigh(block(s, s + step))
         except np.linalg.LinAlgError as e:
             raise RuntimeError("eigensolver failed to converge: %s" % e)
         wb = wb[:, ::-1].copy()
@@ -121,13 +129,13 @@ def eigen_field(G, ell):
         Yb = vb.transpose(0, 2, 1)[:, ::-1, :]
         # ties are ordered whole before the cut, so the kept rows do not
         # depend on where the cut falls
-        trace = G.trace[s:s + _BLOCK]
+        tb = trace[s:s + step]
         if m > 1:
             gaps = -np.diff(wb, axis=1)
-            for c in np.flatnonzero(np.any(gaps < _TIE_GAP * trace[:, None], axis=1)):
-                _order_ties(wb[c], Yb[c], trace[c])
-        w[s:s + _BLOCK] = wb
-        Y[s:s + _BLOCK] = Yb[:, :rows]
+            for c in np.flatnonzero(np.any(gaps < _TIE_GAP * tb[:, None], axis=1)):
+                _order_ties(wb[c], Yb[c], tb[c])
+        w[s:s + step] = wb
+        Y[s:s + step] = Yb[:, :rows]
 
     if Y.size:
         flat = Y.reshape(-1, m)
@@ -138,8 +146,16 @@ def eigen_field(G, ell):
         safe = np.where(mag > 0.0, mag, 1.0)
         flat *= (piv.conj() / safe)[:, None]
     density = w[:, ell:].sum(axis=1) if ell < m else np.zeros(n)
-    length = int((w > _LENGTH_CUT * G.trace[:, None]).sum(axis=1).max()) if n else 0
-    return EigenField(G.grid, m, G.active_idx, w, Y, G.trace, density, length)
+    length = int((w > _LENGTH_CUT * trace[:, None]).sum(axis=1).max()) if n else 0
+    return EigenField(grid, m, active_idx, w, Y, trace, density, length)
+
+
+def eigen_field(G, ell):
+    """Hermitian eigendecomposition of a Gramian field cut at rank ell: all
+    eigenvalues, the top min(ell, m) eigenvectors, the discarded mass per
+    cell and the data's subspace length (see EigenField)."""
+    return _eigen_cut(G.grid, G.m, G.active_idx, G.trace,
+                      lambda s, e: G.mats[s:e], _check_length(ell))
 
 
 class SubspaceModel:
@@ -260,9 +276,11 @@ def best_gamma(F, group, ell):
     Solves the per-cell problem for the symmetrized channels (channel (g, i)
     is R_g f_i) at one representative cell per orbit, gathering their fibers
     there only, and extends the basis to the orbit by the pure offset
-    permutation carried by the group action on fibers.  A representative is
-    active when its symmetrized trace is positive; that trace sums the same
-    squared samples at every cell of the orbit, so activity is an orbit
+    permutation carried by the group action on fibers.  The representatives'
+    m|G| x m|G| Gramians are built per block, each block just before its
+    eigendecomposition, so the whole field is never held.  A representative
+    is active when its symmetrized trace is positive; that trace sums the
+    same squared samples at every cell of the orbit, so activity is an orbit
     property.  Returns (model, report); the report carries the measured error
     of the returned model, while report.density times cell_weight (already
     divided by the group order) is the per-orbit lower bound, attained except
@@ -283,8 +301,9 @@ def best_gamma(F, group, ell):
         inv = group.inverse_index(gi)
         sym[gi * m:(gi + 1) * m] = F.values[:, off_perms[inv][:, None],
                                             cell_perms[inv, reps][None, :]]
-    G, keep = _gramian_on(F.grid, sym, reps)
-    ef = eigen_field(G, ell)
+    keep, trace = _active_cells(sym)
+    ef = _eigen_cut(F.grid, m * n_group, reps[keep], trace,
+                    lambda s, e: _gramian_mats(sym.take(keep[s:e], axis=2)), ell)
     rep_basis, rep_dims = _build_basis(sym, keep, ef, ell)
 
     # active cells: every member of an orbit whose representative is active
@@ -298,7 +317,7 @@ def best_gamma(F, group, ell):
     # smallest element index is the one that stays
     first_g = np.empty(F.grid.n_cells, dtype=np.int64)
     for gi in range(n_group - 1, -1, -1):
-        first_g[cell_perms[gi, G.active_idx]] = gi
+        first_g[cell_perms[gi, ef.active_idx]] = gi
     via = first_g[all_active]
 
     rows = rep_basis.shape[1]

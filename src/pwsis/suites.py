@@ -294,12 +294,13 @@ def _suite_covariance(rng, k, res):
         _check(float(ef.eigenvalues.min()) >= 0.0, "negative eigenvalue survived clamping", F)
 
     if F.m and G.n_active:
+        planted = fibers._BUG_GRAMIAN_NO_CONJ
         fibers._BUG_GRAMIAN_NO_CONJ = True
         try:
             GB = gramian_field(F)
             broken = np.max(np.abs(GB.mats - GB.mats.conj().transpose(0, 2, 1)), initial=0.0)
         finally:
-            fibers._BUG_GRAMIAN_NO_CONJ = False
+            fibers._BUG_GRAMIAN_NO_CONJ = planted
         _check(broken > 1e-12 * tr, "conjugation debug hook went undetected", F)
 
 

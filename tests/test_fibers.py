@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pwsis import fibers
 from pwsis.fibers import (dilation_transport, fiber, gramian_covariance_check,
                           gramian_field, membership_test, regrid_to_lattice,
                           symmetrize)
@@ -97,11 +98,11 @@ def test_gramian_on_one_support_cell_matches_full_grid():
 def test_gramian_debug_hook(monkeypatch):
     rng = np.random.default_rng(6)
     F = _random_dataset(rng)
-    monkeypatch.setenv("PWSIS_BUG_GRAMIAN_NO_CONJ", "1")
+    monkeypatch.setattr(fibers, "_BUG_GRAMIAN_NO_CONJ", True)
     broken = gramian_field(F)
     dev = max(float(np.max(np.abs(m - m.conj().T))) for m in broken.mats)
     assert dev > 1e-6
-    monkeypatch.delenv("PWSIS_BUG_GRAMIAN_NO_CONJ")
+    monkeypatch.setattr(fibers, "_BUG_GRAMIAN_NO_CONJ", False)
     good = gramian_field(F)
     dev = max(float(np.max(np.abs(m - m.conj().T))) for m in good.mats)
     assert dev <= HERMITIAN_TOL * good.trace.max()
@@ -199,9 +200,9 @@ def test_gramian_covariance_matches_cell_loop(monkeypatch):
             vals[:, :, rng.random(F.grid.n_cells) < 0.5] = 0.0
             F = SpectralDataset(F.lattice, F.grid, vals)
         if trial % 3 == 1:  # the planted fault makes the deviation nonzero
-            monkeypatch.setenv("PWSIS_BUG_GRAMIAN_NO_CONJ", "1")
+            monkeypatch.setattr(fibers, "_BUG_GRAMIAN_NO_CONJ", True)
         assert gramian_covariance_check(F, A) == _reference_covariance_check(F, A)
-        monkeypatch.delenv("PWSIS_BUG_GRAMIAN_NO_CONJ", raising=False)
+        monkeypatch.setattr(fibers, "_BUG_GRAMIAN_NO_CONJ", False)
     zero = SpectralDataset(F.lattice, F.grid, np.zeros_like(F.values))
     assert gramian_covariance_check(zero, A) == 0.0
 

@@ -107,14 +107,26 @@ def test_invariant_unreachable_measure_lists_neighbors():
     assert "%.12g" % (4 * grid.cell_weight) in msg
 
 
-def test_omega_duality_two_routes_agree():
+def test_omega_duality_two_routes_agree(monkeypatch):
+    from pwsis import omega
+
+    builds = []
+
+    def counting_partition(*args, **kwargs):
+        builds.append(args)
+        return orbit_partition(*args, **kwargs)
+
+    # both routes read one partition
+    monkeypatch.setattr(omega, "orbit_partition", counting_partition)
     rng = np.random.default_rng(25)
     for _ in range(10):
         F, grid = _c4_dataset(rng, r=4)
         total = energy_density(F).total()
         for n in (0, 4, 8, 16):
+            builds.clear()
             left, right = omega_duality_check(F, C4, n * grid.cell_weight)
             assert abs(left - right) <= DUALITY_TOL * (1.0 + total)
+            assert len(builds) == 1
 
 
 @seed(50817)

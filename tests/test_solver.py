@@ -6,10 +6,11 @@ from hypothesis import given, seed
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pwsis import fibers
 from pwsis.fibers import GramianField, gramian_field, regrid_to_lattice, symmetrize
 from pwsis.lattice import (Lattice, _cell_permutations, make_group, make_lattice,
                            offset_permutations, orbit_partition)
-from pwsis.solver import (_BLOCK, _TIE_GAP, ApproxReport, SubspaceModel, _build_basis,
+from pwsis.solver import (_TIE_GAP, _block_cells, ApproxReport, SubspaceModel, _build_basis,
                           _order_ties, best_gamma, best_sis,
                           dilation_equivalence, eigen_field, error_against,
                           generators, project_then_solve,
@@ -408,10 +409,148 @@ def test_best_gamma_matches_reference_with_ties_and_one_active_orbit():
         _assert_same_gamma(SpectralDataset(lat, grid, vals), group, ell)
 
 
+def _materialized_best_gamma(F, group, ell):
+    """best_gamma as it was before its Gramians were built per block: the
+    whole representative field from _gramian_on, then eigen_field."""
+    n_group, m = len(group), F.m
+    part = orbit_partition(F.grid, group, cells_only=True)
+    reps = part.representatives
+    cell_perms = part.perms
+    off_perms = offset_permutations(F.grid, group)
+    sym = np.empty((m * n_group, F.grid.n_offsets, len(reps)), dtype=np.complex128)
+    for gi in range(n_group):
+        inv = group.inverse_index(gi)
+        sym[gi * m:(gi + 1) * m] = F.values[:, off_perms[inv][:, None],
+                                            cell_perms[inv, reps][None, :]]
+    G = fibers._gramian_on(F.grid, sym, reps)
+    keep = np.flatnonzero(np.isin(reps, G.active_idx))
+    assert np.array_equal(reps[keep], G.active_idx)
+    ef = eigen_field(G, ell)
+    rep_basis, rep_dims = _build_basis(sym, keep, ef, ell)
+    rep_pos = np.full(len(reps), -1, dtype=np.int64)
+    rep_pos[keep] = np.arange(len(keep))
+    cell_rep = rep_pos[part.orbit_index]
+    all_active = np.flatnonzero(cell_rep >= 0)
+    src = cell_rep[all_active]
+    first_g = np.empty(F.grid.n_cells, dtype=np.int64)
+    for gi in range(n_group - 1, -1, -1):
+        first_g[cell_perms[gi, G.active_idx]] = gi
+    via = first_g[all_active]
+    basis = np.empty((len(all_active), rep_basis.shape[1], F.grid.n_offsets),
+                     dtype=np.complex128)
+    for gi in np.unique(via):
+        at = np.flatnonzero(via == gi)
+        basis[at] = rep_basis[src[at]][:, :, off_perms[group.inverse_index(gi)]]
+    model = SubspaceModel(F.lattice, F.grid, ell, all_active, basis, rep_dims[src],
+                          group=group)
+    measured = error_against(F, model)
+    return model, ApproxReport(measured.total_error, measured.per_channel,
+                               active_idx=all_active,
+                               density=ef.density[src] / n_group)
+
+
+def test_blocked_best_gamma_matches_materialized_field():
+    # m|G| = 24 (C4) and 48 (D4): more representatives than one eigh block,
+    # and a share of whole cell orbits zeroed so the active ones are gathered
+    lat = make_lattice(np.eye(2))
+    for gens, r, seed_ in (([_ROT4], 24, 60), ([_ROT4, _FLIP], 16, 61)):
+        group = make_group(gens)
+        grid = make_grid(lat, r, _closed_offsets(group, [[0, 0], [1, 0], [1, 1]]))
+        part = orbit_partition(grid, group, cells_only=True)
+        m = 6
+        assert len(part.representatives) > _block_cells(m * len(group))
+        rng = np.random.default_rng(seed_)
+        shape = (m, grid.n_offsets, grid.n_cells)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        dead = [o for o in part.orbits if rng.random() < 0.3]
+        assert dead
+        for o in dead:
+            vals[:, :, o] = 0.0
+        F = SpectralDataset(lat, grid, vals)
+        for ell in (1, 3, m * len(group)):
+            model, rep = best_gamma(F, group, ell)
+            ref_model, ref = _materialized_best_gamma(F, group, ell)
+            assert len(model.active_idx) < grid.n_cells
+            assert np.array_equal(model.active_idx, ref_model.active_idx)
+            assert np.array_equal(model.basis, ref_model.basis)
+            assert np.array_equal(model.dims, ref_model.dims)
+            assert rep.total_error == ref.total_error
+            assert np.array_equal(rep.per_channel, ref.per_channel)
+            assert np.array_equal(rep.density, ref.density)
+
+
+def test_eigen_field_and_best_gamma_without_channels_or_active_cells():
+    lat = make_lattice(np.eye(2))
+    group = make_group([_ROT4, _FLIP])
+    grid = make_grid(lat, 4, _closed_offsets(group, [[0, 0], [1, 0]]))
+    for m in (0, 2):  # no channels; channels that are zero everywhere
+        F = SpectralDataset(lat, grid, np.zeros((m, grid.n_offsets, grid.n_cells),
+                                                dtype=complex))
+        for ell in (0, 1, 3):
+            ef = eigen_field(gramian_field(F), ell)
+            assert ef.n_active == 0 and ef.error == 0.0 and ef.length == 0
+            assert ef.vectors.shape == (0, min(ell, m), m)
+            model, rep = best_gamma(F, group, ell)
+            assert model.active_idx.shape == (0,) and model.dims.shape == (0,)
+            assert model.basis.shape == (0, min(ell, m * len(group)), grid.n_offsets)
+            assert rep.total_error == 0.0
+            assert rep.per_channel.shape == (m,) and not rep.per_channel.any()
+
+
+def test_gramian_fault_reaches_best_gamma_blocks(monkeypatch):
+    from pwsis import solver
+
+    lat = make_lattice(np.eye(2))
+    group = make_group([_ROT4])
+    grid = make_grid(lat, 4, _closed_offsets(group, [[0, 0], [1, 0]]))
+    rng = np.random.default_rng(62)
+    shape = (2, grid.n_offsets, grid.n_cells)
+    F = SpectralDataset(lat, grid, rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
+    blocks = []
+
+    def spy(va):
+        mats = fibers._gramian_mats(va)
+        blocks.append(mats)
+        return mats
+
+    monkeypatch.setattr(solver, "_gramian_mats", spy)
+    for planted in (False, True):
+        monkeypatch.setattr(fibers, "_BUG_GRAMIAN_NO_CONJ", planted)
+        blocks.clear()
+        best_gamma(F, group, 1)
+        assert blocks
+        dev = max(float(np.max(np.abs(b - b.conj().transpose(0, 2, 1)))) for b in blocks)
+        assert (dev > 1e-6) == planted
+
+
+def test_best_gamma_never_holds_the_whole_gramian_field():
+    import tracemalloc
+
+    # D4 with m = 6 on 3 x 3 offsets: the representatives' field is
+    # n_reps 48 x 48 complex matrices
+    lat = make_lattice(np.eye(2))
+    group = make_group([_ROT4, _FLIP])
+    grid = make_grid(lat, 32, [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    n_reps = len(orbit_partition(grid, group, cells_only=True).representatives)
+    rng = np.random.default_rng(63)
+    shape = (6, grid.n_offsets, grid.n_cells)
+    F = SpectralDataset(lat, grid, rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
+    tracemalloc.start()
+    try:
+        best_gamma(F, group, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_reps * 48 * 48 * 16
+
+
 def test_eigen_field_matches_copying_reorder():
-    # more cells than one reorder block, with exact ties at half of them
+    # more cells than two eigh blocks, with exact ties at half of them
     rng = np.random.default_rng(55)
-    n, m = 700, 4
+    m = 4
+    n = 2 * _block_cells(m) + 188
     A = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
     mats = A @ A.conj().transpose(0, 2, 1)
     mats[::2] = np.eye(m) * rng.integers(1, 3, size=(n + 1) // 2)[:, None, None]
@@ -452,7 +591,7 @@ def _tied_field(rng, n, m):
 def test_eigen_field_rank_cut_matches_reference():
     rng = np.random.default_rng(57)
     m = 5
-    fields = [_tied_field(rng, 2 * _BLOCK + 37, m),
+    fields = [_tied_field(rng, 2 * _block_cells(m) + 37, m),
               GramianField(None, m, np.arange(0), np.zeros((0, m, m), dtype=complex),
                            np.zeros(0))]
     for G in fields:
@@ -480,7 +619,7 @@ def _eigvalsh_length(G):
 
 
 def test_length_from_eigh_matches_eigvalsh_rank(monkeypatch):
-    from pwsis import examples, fibers, solver, suites
+    from pwsis import examples, fibers, suites
 
     # suite-style datasets: random lattices, offsets, dead cells
     for k in range(400):
@@ -492,12 +631,11 @@ def test_length_from_eigh_matches_eigvalsh_rank(monkeypatch):
     real = fibers._gramian_on
 
     def spy(*args):
-        G, keep = real(*args)
+        G = real(*args)
         seen.append(G)
-        return G, keep
+        return G
 
     monkeypatch.setattr(fibers, "_gramian_on", spy)
-    monkeypatch.setattr(solver, "_gramian_on", spy)
     for example_id in examples.EXAMPLE_IDS:
         assert examples.reproduce_example(example_id).passed
     assert len(seen) >= 2 * len(examples.EXAMPLE_IDS)
