@@ -213,6 +213,20 @@ def dilation_transport(F, A):
                            support=F.support)
 
 
+def _label_offsets(k2):
+    """The distinct rows of the integer offsets k2 together with 0, which
+    every grid holds, in lexicographic order, and each row's label there.
+    The rows are keyed in 1-D over their bounding box; row-major keys sort
+    as the rows do, so this is a row-wise unique without its row copies.  A
+    box of more than 2^63 offsets raises numpy's ValueError."""
+    lo = np.minimum(k2.min(axis=0), 0)
+    box = tuple(np.maximum(k2.max(axis=0), 0) - lo + 1)
+    keys, labels = np.unique(np.append(np.ravel_multi_index((k2 - lo).T, box),
+                                       np.ravel_multi_index(-lo, box)),
+                             return_inverse=True)
+    return np.stack(np.unravel_index(keys, box), axis=1) + lo, labels[:-1]
+
+
 def regrid_to_lattice(F, lat):
     """Re-index the dataset's samples as a grid over another commensurable
     lattice, so per-lattice optima are computed from the same frequency set.
@@ -252,8 +266,7 @@ def regrid_to_lattice(F, lat):
     full2 = full @ C.T
     k2 = np.floor_divide(full2, r2)
     j2 = full2 - r2 * k2
-    K2, inverse = np.unique(np.vstack([k2, np.zeros((1, d), dtype=np.int64)]),
-                            axis=0, return_inverse=True)
+    K2, ki = _label_offsets(k2)
     if F.m * K2.shape[0] * r2 ** d > _VALUE_CAP:
         raise ValueError(
             "regridded dataset too large: %d values exceeds the supported bound"
@@ -261,7 +274,6 @@ def regrid_to_lattice(F, lat):
     grid2 = FrequencyGrid(lat, r2, K2)
     if not np.array_equal(grid2.offsets, K2):
         raise RuntimeError("regridded offsets lost their sorted order")
-    ki = np.asarray(inverse).ravel()[: k2.shape[0]]
     ci = np.ravel_multi_index(j2.T, (r2,) * d)
     vals = np.zeros((F.m, grid2.n_offsets, grid2.n_cells), dtype=np.complex128)
     vals[:, ki, ci] = F.values.reshape(F.m, len(ki))

@@ -227,7 +227,8 @@ class OrbitPartition:
         # whole orbit, so every member's column minimum is the orbit minimum
         self.representatives, self.orbit_index, self.sizes = np.unique(
             perms.min(axis=0), return_inverse=True, return_counts=True)
-        if np.any(self.orbit_index[perms] != self.orbit_index):
+        # one group element's row at a time: no |G| x n table of orbit ids
+        if any(np.any(self.orbit_index[p] != self.orbit_index) for p in perms):
             raise RuntimeError("orbit enumeration produced overlapping orbits")
 
     def __len__(self):

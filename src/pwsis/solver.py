@@ -10,7 +10,7 @@ transport the basis along the group action.
 import numpy as np
 
 from .lattice import Lattice, offset_permutations, orbit_partition, pair_permutations
-from .fibers import (_active_cells, _gramian_mats, dilation_transport, gramian_field,
+from .fibers import (_cell_trace, _gramian_mats, dilation_transport, gramian_field,
                      regrid_to_lattice)
 from .spectral import SpectralDataset, _abs2, project_pw, residual_energy
 
@@ -32,8 +32,9 @@ __all__ = [
 
 # relative gaps below this count as ties for deterministic eigenvector order
 _TIE_GAP = 1e-12
-# bytes of m x m Gramians per eigh call: a block's Gramians and full
-# eigenvectors are held only until its top rows are kept
+# bytes of m x m Gramians per eigh call, and of fibers per gather: a
+# block's Gramians and full eigenvectors are held only until its top rows
+# are kept, a block's fibers only until its products are taken
 _BLOCK_BYTES = 1 << 20
 # eigenvalues below this fraction of the cell trace are treated as zero when
 # building generator bases
@@ -102,20 +103,21 @@ def _order_ties(w, Y, trace):
         start = stop
 
 
-def _block_cells(m):
-    """Cells per eigh call: about _BLOCK_BYTES of m x m complex matrices,
+def _block_cells(m, k):
+    """Cells per block: about _BLOCK_BYTES of m x k complex matrices (m x m
+    Gramians per eigh call, m channels x k offsets of fibers per gather),
     at least one (also for m = 0)."""
-    return max(1, _BLOCK_BYTES // max(1, 16 * m * m))
+    return max(1, _BLOCK_BYTES // max(1, 16 * m * k))
 
 
 def _eigen_cut(grid, m, active_idx, trace, block, ell):
     """The rank-ell cut of the Gramians that block(s, e) returns for the
-    active cells s..e-1, taken a block of _block_cells(m) cells at a time
+    active cells s..e-1, taken a block of _block_cells(m, m) cells at a time
     (see EigenField).  eigh treats each matrix on its own, so the result
     does not depend on how the cells are split."""
     n = active_idx.shape[0]
     rows = min(ell, m)
-    step = _block_cells(m)
+    step = _block_cells(m, m)
     w = np.empty((n, m))
     Y = np.empty((n, rows, m), dtype=np.complex128)
     for s in range(0, n, step):
@@ -201,19 +203,27 @@ class ApproxReport:
 
 
 def _captured(values, model):
-    """Per-channel energy captured by the model's orthonormal fibers."""
-    va = values[:, :, model.active_idx]
-    amp = np.einsum("cjk,ikc->cij", model.basis.conj(), va)
+    """Per-channel energy captured by the model's orthonormal fibers.  The
+    amplitudes are taken a block of fibers at a time; each cell's products
+    are its own, so the blocks give the bits of one whole pass."""
+    na, rows, nK = model.basis.shape
+    amp = np.empty((na, values.shape[0], rows), dtype=np.complex128)
+    step = _block_cells(values.shape[0], nK)
+    for s in range(0, na, step):
+        amp[s:s + step] = np.einsum("cjk,ikc->cij", model.basis[s:s + step].conj(),
+                                    values[:, :, model.active_idx[s:s + step]])
     return _abs2(amp).sum(axis=(0, 2)) * model.grid.cell_weight
 
 
-def _build_basis(values, cols, ef, ell):
+def _build_basis(fibers, ef, ell):
     """Generator fibers b_j = lambda_j^(-1/2) sum_i conj(y_j)_i fiber_i for
     the top-ell eigenpairs, zero rows where the eigenvalue is negligible.
-    values[:, :, cols] holds the fibers at ef's active cells, in order."""
+    fibers(s, e) returns the (m, |K|, e - s) fibers at ef's active cells
+    s..e-1, as _eigen_cut's block does their Gramians; they are taken a
+    block at a time."""
     rows = min(ell, ef.m)
     na = ef.n_active
-    nK = values.shape[1]
+    nK = ef.grid.n_offsets
     if rows == 0 or na == 0:
         return np.zeros((na, rows, nK), dtype=np.complex128), np.zeros(na, dtype=np.int64)
     lam = ef.eigenvalues[:, :rows]
@@ -222,8 +232,10 @@ def _build_basis(values, cols, ef, ell):
     dims = keep.sum(axis=1).astype(np.int64)
     inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, lam, 1.0)), 0.0)
     scaled = ef.vectors[:, :rows, :].conj() * inv_sqrt[:, :, None]
-    va = values[:, :, cols]
-    basis = np.einsum("cji,ikc->cjk", scaled, va)
+    basis = np.empty((na, rows, nK), dtype=np.complex128)
+    step = _block_cells(ef.m, nK)
+    for s in range(0, na, step):
+        basis[s:s + step] = np.einsum("cji,ikc->cjk", scaled[s:s + step], fibers(s, s + step))
     basis[~keep] = 0.0
     return basis, dims
 
@@ -236,7 +248,7 @@ def best_sis(F, ell):
     """
     ell = _check_length(ell)
     ef = eigen_field(gramian_field(F), ell)
-    basis, dims = _build_basis(F.values, ef.active_idx, ef, ell)
+    basis, dims = _build_basis(lambda s, e: F.values[:, :, ef.active_idx[s:e]], ef, ell)
     model = SubspaceModel(F.lattice, F.grid, ell, ef.active_idx, basis, dims)
     per_channel = F.energy() - _captured(F.values, model)
     report = ApproxReport(ef.error, per_channel, active_idx=ef.active_idx,
@@ -278,10 +290,12 @@ def best_gamma(F, group, ell):
     there only, and extends the basis to the orbit by the pure offset
     permutation carried by the group action on fibers.  The representatives'
     m|G| x m|G| Gramians are built per block, each block just before its
-    eigendecomposition, so the whole field is never held.  A representative
-    is active when its symmetrized trace is positive; that trace sums the
-    same squared samples at every cell of the orbit, so activity is an orbit
-    property.  Returns (model, report); the report carries the measured error
+    eigendecomposition, so the whole field is never held; the traces, the
+    Gramians and the basis each gather the representatives' fibers a block
+    at a time, so neither are those fibers.  A representative is active
+    when its symmetrized trace is positive; that trace sums the same squared
+    samples at every cell of the orbit, so activity is an orbit property.
+    Returns (model, report); the report carries the measured error
     of the returned model, while report.density times cell_weight (already
     divided by the group order) is the per-orbit lower bound, attained except
     when the rank cut splits a tied eigenvalue at a cell with a nontrivial
@@ -294,17 +308,27 @@ def best_gamma(F, group, ell):
     reps = part.representatives
     cell_perms = part.perms
     off_perms = offset_permutations(F.grid, group)
-    # symmetrized fibers at the representatives only, as symmetrize lays
-    # them out: channel (g, i) at (k, c) reads f_i at the inverse image
-    sym = np.empty((m * n_group, F.grid.n_offsets, len(reps)), dtype=np.complex128)
-    for gi in range(n_group):
-        inv = group.inverse_index(gi)
-        sym[gi * m:(gi + 1) * m] = F.values[:, off_perms[inv][:, None],
-                                            cell_perms[inv, reps][None, :]]
-    keep, trace = _active_cells(sym)
-    ef = _eigen_cut(F.grid, m * n_group, reps[keep], trace,
-                    lambda s, e: _gramian_mats(sym.take(keep[s:e], axis=2)), ell)
-    rep_basis, rep_dims = _build_basis(sym, keep, ef, ell)
+    inverses = [group.inverse_index(gi) for gi in range(n_group)]
+
+    def gather(cells):
+        """Symmetrized fibers at the given cells, as symmetrize lays them
+        out: channel (g, i) at (k, c) reads f_i at the inverse image."""
+        out = np.empty((m * n_group, F.grid.n_offsets, len(cells)), dtype=np.complex128)
+        for gi, inv in enumerate(inverses):
+            out[gi * m:(gi + 1) * m] = F.values[:, off_perms[inv][:, None],
+                                                cell_perms[inv, cells][None, :]]
+        return out
+
+    # the trace is per cell, so blocks of representatives give its bits
+    trace = np.empty(len(reps))
+    step = _block_cells(m * n_group, F.grid.n_offsets)
+    for s in range(0, len(reps), step):
+        trace[s:s + step] = _cell_trace(gather(reps[s:s + step]))
+    keep = np.flatnonzero(trace > 0.0)
+    active = reps[keep]
+    ef = _eigen_cut(F.grid, m * n_group, active, trace[keep],
+                    lambda s, e: _gramian_mats(gather(active[s:e])), ell)
+    rep_basis, rep_dims = _build_basis(lambda s, e: gather(active[s:e]), ef, ell)
 
     # active cells: every member of an orbit whose representative is active
     rep_pos = np.full(len(reps), -1, dtype=np.int64)

@@ -6,7 +6,10 @@ write/parse round trip is byte-exact).  Scenes, lattices, groups, and offset
 lists are human formats: blank lines and '#' comments are skipped.
 """
 
+import io
 import math
+import os
+import stat
 
 import numpy as np
 
@@ -25,10 +28,10 @@ __all__ = [
 ]
 
 
-# Characters of dataset or mask text handled in one array pass.  A written
+# Bytes of dataset or mask text handled in one array pass.  A written
 # 're im' pair is at most _PAIR_CHARS characters (a float64 repr is at most
 # 24), so a written chunk stays within _CHUNK too.
-_CHUNK = 1 << 20
+_CHUNK = 1 << 18
 _PAIR_CHARS = 50
 
 
@@ -73,48 +76,62 @@ class _Walk(Exception):
 
 
 class _Head(_Lines):
-    """_Lines over the header of a dataset or mask only, cut at '\\n' as it
-    is read, so the value lines are never split into a list of strings.
-    It takes only ASCII text whose header lines are printable, where that
-    cut agrees with str.splitlines() and so with the walk's line numbers;
-    anything else, and end of file inside the header, raises _Walk."""
+    """_Lines over the header of a dataset or mask read from a binary stream
+    of size bytes, cut at b'\\n' as it is read, so the value lines are never
+    split into a list of strings.  It takes only ASCII header lines that are
+    printable, where that cut agrees with str.splitlines() and so with the
+    walk's line numbers; anything else, and end of file inside the header,
+    raises _Walk."""
 
-    def __init__(self, text, name):
-        if not text.isascii():
-            raise _Walk
+    def __init__(self, stream, size, name):
         super().__init__("", name, comments=False)
-        self.text = text
-        self.end = 0  # offset of the first character not read yet
+        self.stream = stream
+        self.size = size
 
     def next(self, what):
         while True:
-            cut = self.text.find("\n", self.end)
-            if cut < 0:
+            line = self.stream.readline()
+            if not line.endswith(b"\n"):
                 raise _Walk
-            s = self.text[self.end:cut]
+            try:
+                s = line[:-1].decode("ascii")
+            except UnicodeDecodeError:
+                raise _Walk
             if not s.isprintable():
                 raise _Walk
-            self.end = cut + 1
             self.pos += 1
             s = s.strip()
             if s:
                 return s, self.pos
 
     def left(self):
-        return len(self.text) - self.end
+        return self.size - self.stream.tell()
 
     def pieces(self):
-        """The rest of the text in pieces of about _CHUNK characters, each
-        ending at a '\\n', with their bytes; raises _Walk if the text does not
-        end at a '\\n'."""
-        text, at = self.text, self.end
-        while at < len(text):
-            stop = text.find("\n", min(at + _CHUNK, len(text)) - 1) + 1
-            if not stop:
+        """The rest of the stream in pieces of about _CHUNK bytes, each
+        ending at a b'\\n', with their bytes as a uint8 array; raises _Walk
+        if the stream does not end at a b'\\n' or holds a byte above 127."""
+        while True:
+            piece = self.stream.read(_CHUNK)
+            if not piece:
+                return
+            if not piece.endswith(b"\n"):
+                piece += self.stream.readline()
+                if not piece.endswith(b"\n"):
+                    raise _Walk
+            b = np.frombuffer(piece, np.uint8)
+            if np.any(b >= 128):
                 raise _Walk
-            piece = text[at:stop]
-            yield piece, np.frombuffer(piece.encode("ascii"), np.uint8)
-            at = stop
+            yield piece, b
+
+
+def _ascii_head(text, name):
+    """A _Head over the ASCII bytes of text; raises _Walk for other text."""
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError:
+        raise _Walk
+    return _Head(io.BytesIO(data), len(data), name)
 
 
 def _tagged(lines, tag, count=None):
@@ -235,14 +252,18 @@ def _dataset_header(lines):
 
 def parse_dataset(text, name="<dataset>"):
     try:
-        lines = _Head(text, name)
-        lat, grid, perm, _, m = _dataset_header(lines)
-        vals = _array_values(lines, m, grid, perm)
+        return _array_dataset(_ascii_head(text, name))
     except _Walk:
         lines = _Lines(text, name, comments=False)
         lat, grid, perm, res_no, m = _dataset_header(lines)
         vals = _walk_values(lines, m, grid, perm, res_no)
     return SpectralDataset(lat, grid, vals, check_finite=False)
+
+
+def _array_dataset(lines):
+    lat, grid, perm, _, m = _dataset_header(lines)
+    return SpectralDataset(lat, grid, _array_values(lines, m, grid, perm),
+                           check_finite=False)
 
 
 def _array_values(lines, m, grid, perm):
@@ -263,12 +284,15 @@ def _array_values(lines, m, grid, perm):
         if (len(sp) != k or done + k > n or np.count_nonzero(b < 32) != k
                 or sp[0] == 0 or np.any(sp[1:] <= nl[:-1] + 1) or np.any(sp >= nl - 1)):
             raise _Walk
+        part = out[2 * done:2 * (done + k)]
         try:
-            out[2 * done:2 * (done + k)] = np.array(piece.split(), dtype=float)
+            part[:] = np.array(piece.decode("ascii").split(), dtype=float)
         except ValueError:
             raise _Walk
+        if not np.all(np.isfinite(part)):
+            raise _Walk
         done += k
-    if done != n or not np.all(np.isfinite(out)):
+    if done != n:
         raise _Walk
     vals = out.view(np.complex128).reshape(m, grid.n_offsets, grid.n_cells)
     if perm != list(range(grid.n_offsets)):  # the writers list offsets in order
@@ -315,14 +339,17 @@ def format_mask(mask):
 
 def parse_mask(text, name="<mask>"):
     try:
-        lines = _Head(text, name)
-        lat, grid, perm, _ = _header_grid(lines, "pwsis-mask v1", "mask bit lines")
-        bits = _array_bits(lines, grid, perm)
+        return _array_mask(_ascii_head(text, name))
     except _Walk:
         lines = _Lines(text, name, comments=False)
         lat, grid, perm, res_no = _header_grid(lines, "pwsis-mask v1", "mask bit lines")
         bits = _walk_bits(lines, grid, perm, res_no)
     return PWMask(lat, grid, bits)
+
+
+def _array_mask(lines):
+    lat, grid, perm, _ = _header_grid(lines, "pwsis-mask v1", "mask bit lines")
+    return PWMask(lat, grid, _array_bits(lines, grid, perm))
 
 
 def _array_bits(lines, grid, perm):
@@ -512,8 +539,23 @@ def _read(path):
         return fh.read()
 
 
+def _read_array(path, array_read, parse):
+    """array_read over the bytes of a regular file, in pieces straight from
+    the file.  parse reads the whole text of any other file, such as a pipe,
+    which cannot be read twice, and of a file in any other layout or with
+    any error, so that it stays the one reporter of errors (a header error
+    in the pieces may sit before text the file's encoding rejects)."""
+    if stat.S_ISREG(os.stat(path).st_mode):
+        with open(path, "rb") as fh:
+            try:
+                return array_read(_Head(fh, os.fstat(fh.fileno()).st_size, str(path)))
+            except (_Walk, ValueError):
+                pass
+    return parse(_read(path), name=str(path))
+
+
 def read_dataset(path):
-    return parse_dataset(_read(path), name=str(path))
+    return _read_array(path, _array_dataset, parse_dataset)
 
 
 def write_dataset(F, path):
@@ -522,7 +564,7 @@ def write_dataset(F, path):
 
 
 def read_mask(path):
-    return parse_mask(_read(path), name=str(path))
+    return _read_array(path, _array_mask, parse_mask)
 
 
 def write_mask(mask, path):

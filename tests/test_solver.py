@@ -6,18 +6,18 @@ from hypothesis import given, seed
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pwsis import fibers
+from pwsis import fibers, solver
 from pwsis.fibers import GramianField, gramian_field, regrid_to_lattice, symmetrize
 from pwsis.lattice import (Lattice, _cell_permutations, make_group, make_lattice,
                            offset_permutations, orbit_partition)
-from pwsis.solver import (_TIE_GAP, _block_cells, ApproxReport, SubspaceModel, _build_basis,
+from pwsis.solver import (_RANK_CUT, _TIE_GAP, _block_cells, ApproxReport, SubspaceModel,
                           _order_ties, best_gamma, best_sis,
                           dilation_equivalence, eigen_field, error_against,
                           generators, project_then_solve,
                           refinement_inequality_check, solve_then_project,
                           subspace_length)
-from pwsis.spectral import (FrequencyGrid, Scene, SpectralDataset, interval, make_grid,
-                            pw_mask, synthesize)
+from pwsis.spectral import (FrequencyGrid, Scene, SpectralDataset, _abs2, interval,
+                            make_grid, pw_mask, synthesize)
 
 EXACT_TOL = 1e-10
 ROUTE_TOL = 1e-9
@@ -275,6 +275,38 @@ def _reference_eigen_field(G):
     return w, Y
 
 
+def _ref_captured(values, model):
+    """_captured as one whole-array pass: every active fiber gathered."""
+    va = values[:, :, model.active_idx]
+    amp = np.einsum("cjk,ikc->cij", model.basis.conj(), va)
+    return _abs2(amp).sum(axis=(0, 2)) * model.grid.cell_weight
+
+
+def _ref_error_against(F, model):
+    per_channel = F.energy() - _ref_captured(F.values, model)
+    return ApproxReport(float(per_channel.sum()), per_channel)
+
+
+def _ref_build_basis(values, cols, ef, ell):
+    """_build_basis as one whole-array pass over values[:, :, cols], the
+    fibers at ef's active cells."""
+    rows = min(ell, ef.m)
+    na = ef.n_active
+    nK = values.shape[1]
+    if rows == 0 or na == 0:
+        return np.zeros((na, rows, nK), dtype=np.complex128), np.zeros(na, dtype=np.int64)
+    lam = ef.eigenvalues[:, :rows]
+    cut = _RANK_CUT * ef.trace
+    keep = lam > cut[:, None]
+    dims = keep.sum(axis=1).astype(np.int64)
+    inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, lam, 1.0)), 0.0)
+    scaled = ef.vectors[:, :rows, :].conj() * inv_sqrt[:, :, None]
+    va = values[:, :, cols]
+    basis = np.einsum("cji,ikc->cjk", scaled, va)
+    basis[~keep] = 0.0
+    return basis, dims
+
+
 def _reference_best_gamma(F, group, ell):
     """best_gamma as it was built on the full symmetrized dataset: the
     Gramian on every cell, the representatives picked out of it, and the
@@ -293,7 +325,7 @@ def _reference_best_gamma(F, group, ell):
                                                G.mats[pos], G.trace[pos]))
     ef = SimpleNamespace(m=G.m, n_active=len(pos), eigenvalues=w, vectors=Y,
                          trace=G.trace[pos])
-    rep_basis, rep_dims = _build_basis(sym.values, G.active_idx[pos], ef, ell)
+    rep_basis, rep_dims = _ref_build_basis(sym.values, G.active_idx[pos], ef, ell)
     density_rep = w[:, ell:].sum(axis=1) if ell < G.m else np.zeros(len(pos))
     cell_perms = _cell_permutations(F.grid, group)
     off_perms = offset_permutations(F.grid, group)
@@ -313,7 +345,7 @@ def _reference_best_gamma(F, group, ell):
             dims[k] = rep_dims[oi]
             density[k] = density_rep[oi] / len(group)
     model = SubspaceModel(F.lattice, F.grid, ell, G.active_idx, basis, dims, group=group)
-    measured = error_against(F, model)
+    measured = _ref_error_against(F, model)
     return model, ApproxReport(measured.total_error, measured.per_channel,
                                active_idx=G.active_idx, density=density)
 
@@ -426,7 +458,7 @@ def _materialized_best_gamma(F, group, ell):
     keep = np.flatnonzero(np.isin(reps, G.active_idx))
     assert np.array_equal(reps[keep], G.active_idx)
     ef = eigen_field(G, ell)
-    rep_basis, rep_dims = _build_basis(sym, keep, ef, ell)
+    rep_basis, rep_dims = _ref_build_basis(sym, keep, ef, ell)
     rep_pos = np.full(len(reps), -1, dtype=np.int64)
     rep_pos[keep] = np.arange(len(keep))
     cell_rep = rep_pos[part.orbit_index]
@@ -443,7 +475,7 @@ def _materialized_best_gamma(F, group, ell):
         basis[at] = rep_basis[src[at]][:, :, off_perms[group.inverse_index(gi)]]
     model = SubspaceModel(F.lattice, F.grid, ell, all_active, basis, rep_dims[src],
                           group=group)
-    measured = error_against(F, model)
+    measured = _ref_error_against(F, model)
     return model, ApproxReport(measured.total_error, measured.per_channel,
                                active_idx=all_active,
                                density=ef.density[src] / n_group)
@@ -458,7 +490,7 @@ def test_blocked_best_gamma_matches_materialized_field():
         grid = make_grid(lat, r, _closed_offsets(group, [[0, 0], [1, 0], [1, 1]]))
         part = orbit_partition(grid, group, cells_only=True)
         m = 6
-        assert len(part.representatives) > _block_cells(m * len(group))
+        assert len(part.representatives) > _block_cells(m * len(group), m * len(group))
         rng = np.random.default_rng(seed_)
         shape = (m, grid.n_offsets, grid.n_cells)
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -477,6 +509,47 @@ def test_blocked_best_gamma_matches_materialized_field():
             assert rep.total_error == ref.total_error
             assert np.array_equal(rep.per_channel, ref.per_channel)
             assert np.array_equal(rep.density, ref.density)
+
+
+def test_fiber_blocks_ending_in_a_single_cell_match_the_whole_array_route(monkeypatch):
+    # _BLOCK_BYTES is set so that the fiber blocks of _build_basis and
+    # _captured hold n - 1 of the n active cells: the last block is a
+    # single cell, whose einsum must give the bits of the whole-array pass
+    lat = make_lattice(np.eye(2))
+    group = make_group([_ROT4, _FLIP])
+    grid = make_grid(lat, 6, _closed_offsets(group, [[0, 0], [1, 0]]))
+    part = orbit_partition(grid, group, cells_only=True)
+    rng = np.random.default_rng(64)
+    m = 3
+    shape = (m, grid.n_offsets, grid.n_cells)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    dead = part.orbits[1::3]
+    for o in dead:
+        vals[:, :, o] = 0.0
+    F = SpectralDataset(lat, grid, vals)
+    n = gramian_field(F).n_active
+    assert n == grid.n_cells - sum(len(o) for o in dead) and n > 2
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", 16 * m * grid.n_offsets * (n - 1))
+    for ell in (1, 2):
+        model, rep = best_sis(F, ell)
+        ef = eigen_field(gramian_field(F), ell)
+        basis, dims = _ref_build_basis(F.values, ef.active_idx, ef, ell)
+        assert np.array_equal(model.basis, basis) and np.array_equal(model.dims, dims)
+        assert np.array_equal(rep.per_channel, F.energy() - _ref_captured(F.values, model))
+        got, want = error_against(F, model), _ref_error_against(F, model)
+        assert got.total_error == want.total_error
+        assert np.array_equal(got.per_channel, want.per_channel)
+    n_reps = len(part) - len(dead)
+    assert n_reps > 2
+    monkeypatch.setattr(solver, "_BLOCK_BYTES",
+                        16 * m * len(group) * grid.n_offsets * (n_reps - 1))
+    for ell in (1, 3):
+        model, rep = best_gamma(F, group, ell)
+        ref_model, ref = _materialized_best_gamma(F, group, ell)
+        assert np.array_equal(model.basis, ref_model.basis)
+        assert rep.total_error == ref.total_error
+        assert np.array_equal(rep.per_channel, ref.per_channel)
+        assert np.array_equal(rep.density, ref.density)
 
 
 def test_eigen_field_and_best_gamma_without_channels_or_active_cells():
@@ -498,8 +571,6 @@ def test_eigen_field_and_best_gamma_without_channels_or_active_cells():
 
 
 def test_gramian_fault_reaches_best_gamma_blocks(monkeypatch):
-    from pwsis import solver
-
     lat = make_lattice(np.eye(2))
     group = make_group([_ROT4])
     grid = make_grid(lat, 4, _closed_offsets(group, [[0, 0], [1, 0]]))
@@ -546,11 +617,35 @@ def test_best_gamma_never_holds_the_whole_gramian_field():
     assert peak < n_reps * 48 * 48 * 16
 
 
+def test_best_gamma_never_holds_the_representatives_fibers():
+    import tracemalloc
+
+    # D4 with m = 6 on 5 x 5 offsets: the representatives' symmetrized
+    # fibers are m|G| x |K| x n_reps complex samples, 6.2 MB here, against
+    # about 1 MB per gathered or eigh block
+    lat = make_lattice(np.eye(2))
+    group = make_group([_ROT4, _FLIP])
+    grid = make_grid(lat, 48, [[a, b] for a in range(-2, 3) for b in range(-2, 3)])
+    n_reps = len(orbit_partition(grid, group, cells_only=True).representatives)
+    m = 6
+    rng = np.random.default_rng(65)
+    shape = (m, grid.n_offsets, grid.n_cells)
+    F = SpectralDataset(lat, grid, rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
+    tracemalloc.start()
+    try:
+        best_gamma(F, group, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * len(group) * grid.n_offsets * n_reps * 16
+
+
 def test_eigen_field_matches_copying_reorder():
     # more cells than two eigh blocks, with exact ties at half of them
     rng = np.random.default_rng(55)
     m = 4
-    n = 2 * _block_cells(m) + 188
+    n = 2 * _block_cells(m, m) + 188
     A = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
     mats = A @ A.conj().transpose(0, 2, 1)
     mats[::2] = np.eye(m) * rng.integers(1, 3, size=(n + 1) // 2)[:, None, None]
@@ -591,7 +686,7 @@ def _tied_field(rng, n, m):
 def test_eigen_field_rank_cut_matches_reference():
     rng = np.random.default_rng(57)
     m = 5
-    fields = [_tied_field(rng, 2 * _block_cells(m) + 37, m),
+    fields = [_tied_field(rng, 2 * _block_cells(m, m) + 37, m),
               GramianField(None, m, np.arange(0), np.zeros((0, m, m), dtype=complex),
                            np.zeros(0))]
     for G in fields:
@@ -665,30 +760,85 @@ def _reference_refine_dataset(F, N):
     return SpectralDataset(lat2, grid2, vals, check_finite=False)
 
 
+_REFINE_BASES = {1: [[[1.0]], [[0.37]], [[-2.5]]],
+                 2: [np.eye(2), [[1.0, 0.6], [0.0, 1.3]], [[0.9, -0.4], [0.25, 1.1]]]}
+
+
+def _refinement_case(trial):
+    """The seeded dataset of refinement trial 0..299, its factor N and a
+    generator for what the trial draws next."""
+    rng = np.random.default_rng([58, trial])
+    d = 1 + trial % 2
+    N = 2 + (trial // 2) % 2
+    lat = make_lattice(_REFINE_BASES[d][int(rng.integers(len(_REFINE_BASES[d])))])
+    box = np.stack(np.meshgrid(*[np.arange(-2, 3)] * d, indexing="ij"),
+                   axis=-1).reshape(-1, d)
+    pick = rng.random(len(box)) < 0.4
+    pick[len(box) // 2] = True  # the zero offset
+    grid = make_grid(lat, N * int(rng.integers(1, 4)), box[pick])
+    m = int(rng.integers(0, 4))  # m = 0: a dataset with no channels
+    shape = (m, grid.n_offsets, grid.n_cells)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vals[:, :, rng.random(grid.n_cells) < 0.3] = 0.0
+    return SpectralDataset(lat, grid, vals), N, rng
+
+
 def test_refinement_regrid_matches_old_refine():
-    bases = {1: [[[1.0]], [[0.37]], [[-2.5]]],
-             2: [np.eye(2), [[1.0, 0.6], [0.0, 1.3]], [[0.9, -0.4], [0.25, 1.1]]]}
     for trial in range(300):
-        rng = np.random.default_rng([58, trial])
-        d = 1 + trial % 2
-        N = 2 + (trial // 2) % 2
-        lat = make_lattice(bases[d][int(rng.integers(len(bases[d])))])
-        box = np.stack(np.meshgrid(*[np.arange(-2, 3)] * d, indexing="ij"),
-                       axis=-1).reshape(-1, d)
-        pick = rng.random(len(box)) < 0.4
-        pick[len(box) // 2] = True  # the zero offset
-        grid = make_grid(lat, N * int(rng.integers(1, 4)), box[pick])
-        m = int(rng.integers(0, 4))  # m = 0: a dataset with no channels
-        shape = (m, grid.n_offsets, grid.n_cells)
-        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        vals[:, :, rng.random(grid.n_cells) < 0.3] = 0.0
-        F = SpectralDataset(lat, grid, vals)
+        F, N, rng = _refinement_case(trial)
         old = _reference_refine_dataset(F, N)
         new = regrid_to_lattice(F, Lattice(F.lattice.basis / N))
         assert np.array_equal(new.lattice.basis, old.lattice.basis)
         assert new.grid.r == old.grid.r
         assert np.array_equal(new.grid.offsets, old.grid.offsets)
         assert np.array_equal(new.values, old.values)
-        ell = int(rng.integers(0, m + 1))
+        ell = int(rng.integers(0, F.m + 1))
         fine, _ = refinement_inequality_check(F, N, ell)
         assert fine == best_sis(old, ell)[1].total_error
+
+
+def _rowwise_label_offsets(k2):
+    """regrid_to_lattice's offset labelling before the 1-D key: a row-wise
+    unique of k2 with the zero row appended."""
+    K2, inverse = np.unique(np.vstack([k2, np.zeros((1, k2.shape[1]), dtype=np.int64)]),
+                            axis=0, return_inverse=True)
+    return K2, np.asarray(inverse).ravel()[: k2.shape[0]]
+
+
+def test_regrid_offset_labels_match_the_rowwise_unique(monkeypatch):
+    # the 300 refinement datasets, and the files benchmark's dataset layout
+    # (d = 2, r = 64, offsets {-2..2}^2, m = 3) on its three lattices
+    cases = []
+    for trial in range(300):
+        F, N, _ = _refinement_case(trial)
+        cases.append((F, Lattice(F.lattice.basis / N)))
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 64, [[a, b] for a in range(-2, 3) for b in range(-2, 3)])
+    rng = np.random.default_rng(66)
+    shape = (3, grid.n_offsets, grid.n_cells)
+    F = SpectralDataset(lat, grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for basis in (np.eye(2), [[1.0, 1.0], [0.0, 1.0]], np.eye(2) / 2):
+        cases.append((F, make_lattice(basis)))
+    new_label = fibers._label_offsets
+    calls = []
+    labelled = 0
+
+    def spy(k2):
+        got = new_label(k2)
+        calls.append((k2, got))
+        return got
+
+    for F, target in cases:
+        calls.clear()
+        monkeypatch.setattr(fibers, "_label_offsets", spy)
+        new = regrid_to_lattice(F, target)
+        monkeypatch.setattr(fibers, "_label_offsets", _rowwise_label_offsets)
+        old = regrid_to_lattice(F, target)
+        for k2, (K2, labels) in calls:
+            want_K2, want_labels = _rowwise_label_offsets(k2)
+            assert np.array_equal(K2, want_K2) and np.array_equal(labels, want_labels)
+        labelled += len(calls)
+        assert np.array_equal(new.grid.offsets, old.grid.offsets)
+        assert np.array_equal(new.values, old.values)
+    # every target but the dataset's own lattice is regridded
+    assert labelled == len(cases) - 1

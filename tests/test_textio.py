@@ -1,3 +1,7 @@
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,7 @@ from pwsis import textio
 from pwsis.textio import (format_dataset, format_mask, parse_dataset,
                           parse_group_file, parse_lattice, parse_lattice_list,
                           parse_mask, parse_offsets, parse_scene, read_dataset,
-                          write_dataset, write_gramian, write_model)
+                          read_mask, write_dataset, write_gramian, write_model)
 from pwsis.textio import (_Lines, _floats, _fmt, _header_grid, _ints,
                           _require_lines, _tagged)
 
@@ -295,17 +299,17 @@ def _bits_of(a):
     return np.ascontiguousarray(a).view(np.uint8)
 
 
-def _same_outcome(new, ref, text):
+def _same_outcome(new, ref, text, name="f.txt"):
     """Both parsers raise the same ValueError text, or both give the same
     grid and the same bits (signed zeros included)."""
     try:
-        want = ref(text, name="f.txt")
+        want = ref(text, name=name)
     except ValueError as e:
         with pytest.raises(ValueError) as got:
-            new(text, name="f.txt")
+            new(text, name=name)
         assert str(got.value) == str(e), text
         return None
-    got = new(text, name="f.txt")
+    got = new(text, name=name)
     assert got.grid.compatible(want.grid) and got.lattice.same_as(want.lattice)
     field = "values" if isinstance(want, SpectralDataset) else "bits"
     assert np.array_equal(_bits_of(getattr(got, field)), _bits_of(getattr(want, field))), text
@@ -451,6 +455,95 @@ def test_odd_files_give_the_line_code_outcome(monkeypatch, chunk):
     with pytest.raises(ValueError, match=r"f.txt line 9: value line needs 're im', "
                                          r"got '1 2 3'"):
         parse_dataset(_ODD_DATASETS[1], name="f.txt")
+
+
+def _same_file_outcome(read, ref, text, path):
+    """_same_outcome for read on a file holding text (its UTF-8 bytes, line
+    ends untouched) and ref on the text."""
+    path.write_bytes(text.encode("utf-8"))
+    return _same_outcome(lambda _, name: read(path), ref, text, name=str(path))
+
+
+@pytest.mark.parametrize("chunk", [None, 5, 101])
+def test_file_readers_match_the_line_code(monkeypatch, tmp_path, chunk):
+    # files in the writers' layout are read in pieces straight from the
+    # file, never as a whole text; every other file gives the line code's
+    # values or error text, line numbers included
+    if chunk is not None:
+        monkeypatch.setattr(textio, "_CHUNK", chunk)
+    read_whole = textio._read
+    path = tmp_path / "f.txt"
+
+    def no_whole_read(p):
+        raise AssertionError("a file in the writers' layout was read whole")
+
+    monkeypatch.setattr(textio, "_read", no_whole_read)
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        text = _random_dataset_text(rng)
+        F = _same_file_outcome(read_dataset, _ref_parse_dataset, text, path)
+        bits = rng.random((F.grid.n_offsets, F.grid.n_cells)) < 0.5
+        mtext = _ref_format_mask(PWMask(F.lattice, F.grid, bits))
+        back = _same_file_outcome(read_mask, _ref_parse_mask, mtext, path)
+        assert np.array_equal(back.bits, bits)
+    monkeypatch.setattr(textio, "_read", read_whole)
+    for text in _ODD_DATASETS:
+        _same_file_outcome(read_dataset, _ref_parse_dataset, text, path)
+    for text in _ODD_MASKS:
+        _same_file_outcome(read_mask, _ref_parse_mask, text, path)
+
+
+def test_file_errors_come_from_the_whole_text(tmp_path):
+    # a header error before bytes that are not text: the error is the one
+    # reading the whole text gives, as before files were read in pieces
+    path = tmp_path / "f.txt"
+    for read, parse, body in ((read_dataset, parse_dataset, b"garbage\n\xff\xfe\n"),
+                              (read_mask, parse_mask, b"pwsis-mask v1\ndim x\n\xff\n")):
+        path.write_bytes(body)
+        with pytest.raises(Exception) as want:
+            parse(textio._read(path), name=str(path))
+        with pytest.raises(type(want.value)) as got:
+            read(path)
+        assert str(got.value) == str(want.value)
+
+
+def test_readers_take_a_pipe(tmp_path):
+    # a pipe cannot be read twice, so it is read whole, as before
+    F = _sample_dataset()
+    mask = PWMask(F.lattice, F.grid, np.abs(F.values[0]) > 1.0)
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    for read, text, field in ((read_dataset, format_dataset(F), "values"),
+                              (read_mask, format_mask(mask), "bits")):
+        writer = threading.Thread(target=path.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            got = read(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(_bits_of(getattr(got, field)),
+                              _bits_of(getattr(F if field == "values" else mask, field)))
+
+
+def test_read_dataset_never_holds_the_whole_text(tmp_path):
+    # 110,592 values: 1.8 MB as float64 pairs, 4.3 MB as text
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 64, [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    rng = np.random.default_rng(67)
+    shape = (3, grid.n_offsets, grid.n_cells)
+    F = SpectralDataset(lat, grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    path = tmp_path / "big.dataset"
+    write_dataset(F, path)
+    assert path.stat().st_size > F.values.nbytes + 8 * textio._CHUNK
+    tracemalloc.start()
+    try:
+        back = read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, F.values)
+    assert peak < F.values.nbytes + 8 * textio._CHUNK
 
 
 def test_write_gramian_and_write_model_match_the_old_writers(tmp_path):
