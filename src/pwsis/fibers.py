@@ -95,6 +95,19 @@ class GramianField:
         return "GramianField(m=%d, active=%d/%d)" % (self.m, self.n_active, self.grid.n_cells)
 
 
+# bytes of m x k complex matrices per block: m x m Gramians per eigh call,
+# m channels x k offsets of fibers per gather.  A block's Gramians and full
+# eigenvectors are held only until its top rows are kept, a block's fibers
+# only until its products are taken.
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_cells(m, k):
+    """Cells per block: about _BLOCK_BYTES of m x k complex matrices, at
+    least one (also for m = 0)."""
+    return max(1, _BLOCK_BYTES // max(1, 16 * m * k))
+
+
 def _cell_trace(values):
     """Sum of |value|^2 per cell: each channel's offsets in ascending order,
     then the channels in order, one row at a time to bound temporaries.  The
@@ -109,33 +122,24 @@ def _cell_trace(values):
     return out
 
 
-def _active_cells(values):
-    """Columns of values with a positive trace (see _cell_trace), and those
-    traces."""
-    trace = _cell_trace(values)
+def _active_cells(cells, gather, step):
+    """Positions in cells whose fibers have a positive trace (see
+    _cell_trace), and those traces.  gather(cells[s:e]) returns the fibers
+    there; they are read step cells at a time, and the trace is per cell,
+    so the blocks give the bits of one whole pass."""
+    trace = np.empty(len(cells))
+    for s in range(0, len(cells), step):
+        trace[s:s + step] = _cell_trace(gather(cells[s:s + step]))
     keep = np.flatnonzero(trace > 0.0)
     return keep, trace[keep]
 
 
 def _gramian_mats(va):
     """The Gramians G[c]_ij = sum_k va[i, k, c] conj(va[j, k, c]) of the
-    C-contiguous fibers va: each entry sums over k in order, whatever the
-    number of cells, so any slice of cells gets the bits of the whole."""
+    fibers va: each entry sums over k in order, whatever the number of
+    cells, so any slice of cells gets the bits of the whole."""
     other = va if _BUG_GRAMIAN_NO_CONJ else va.conj()
     return np.einsum("ikc,jkc->cij", va, other)
-
-
-def _gramian_on(grid, values, cells=None):
-    """Gramian field of the fibers in values[:, :, c], which sit at cells[c]
-    (at cell c when cells is None).  values must be C-contiguous, so any
-    subset of cells gives the same field there as the full grid."""
-    keep, trace = _active_cells(values)
-    if keep.shape[0] == values.shape[2]:
-        va = values  # every cell is active: no gathered copy
-    else:
-        va = np.ascontiguousarray(values[:, :, keep])
-    active = keep if cells is None else cells[keep]
-    return GramianField(grid, values.shape[0], active, _gramian_mats(va), trace)
 
 
 def gramian_field(F):
@@ -144,11 +148,24 @@ def gramian_field(F):
 
     When the dataset knows its support, only those cells are read; every
     other cell is zero and so inactive.  Cells never interact, so the result
-    is the same as from the full grid."""
-    if F.support is None:
-        return _gramian_on(F.grid, F.values)
-    # take() keeps the C layout, so the per-cell sums run as on the grid
-    return _gramian_on(F.grid, F.values.take(F.support, axis=2), F.support)
+    is the same as from the full grid.  The fibers are read a block of cells
+    at a time, once for the traces and once for the Gramians of the active
+    cells; a contiguous run of cells is read in place, any other is
+    gathered."""
+    cells = np.arange(F.grid.n_cells) if F.support is None else F.support
+
+    def gather(c):
+        if c[-1] - c[0] == len(c) - 1:
+            return F.values[:, :, c[0]:c[-1] + 1]
+        return F.values.take(c, axis=2)
+
+    step = _block_cells(F.m, F.grid.n_offsets)
+    keep, trace = _active_cells(cells, gather, step)
+    active = cells[keep]
+    mats = np.empty((len(active), F.m, F.m), dtype=np.complex128)
+    for s in range(0, len(active), step):
+        mats[s:s + step] = _gramian_mats(gather(active[s:s + step]))
+    return GramianField(F.grid, F.m, active, mats, trace)
 
 
 def symmetrize(F, group):
@@ -263,10 +280,10 @@ def regrid_to_lattice(F, lat):
 
     full = (grid.cell_vectors()[None, :, :]
             + grid.r * grid.offsets[:, None, :]).reshape(-1, d)
-    full2 = full @ C.T
-    k2 = np.floor_divide(full2, r2)
-    j2 = full2 - r2 * k2
+    k2, j2 = np.divmod(full @ C.T, r2)
+    del full
     K2, ki = _label_offsets(k2)
+    del k2
     if F.m * K2.shape[0] * r2 ** d > _VALUE_CAP:
         raise ValueError(
             "regridded dataset too large: %d values exceeds the supported bound"
@@ -275,6 +292,7 @@ def regrid_to_lattice(F, lat):
     if not np.array_equal(grid2.offsets, K2):
         raise RuntimeError("regridded offsets lost their sorted order")
     ci = np.ravel_multi_index(j2.T, (r2,) * d)
+    del j2
     vals = np.zeros((F.m, grid2.n_offsets, grid2.n_cells), dtype=np.complex128)
     vals[:, ki, ci] = F.values.reshape(F.m, len(ki))
     return SpectralDataset(lat, grid2, vals, check_finite=False)

@@ -10,8 +10,8 @@ transport the basis along the group action.
 import numpy as np
 
 from .lattice import Lattice, offset_permutations, orbit_partition, pair_permutations
-from .fibers import (_cell_trace, _gramian_mats, dilation_transport, gramian_field,
-                     regrid_to_lattice)
+from .fibers import (_active_cells, _block_cells, _gramian_mats, dilation_transport,
+                     gramian_field, regrid_to_lattice)
 from .spectral import SpectralDataset, _abs2, project_pw, residual_energy
 
 __all__ = [
@@ -32,10 +32,6 @@ __all__ = [
 
 # relative gaps below this count as ties for deterministic eigenvector order
 _TIE_GAP = 1e-12
-# bytes of m x m Gramians per eigh call, and of fibers per gather: a
-# block's Gramians and full eigenvectors are held only until its top rows
-# are kept, a block's fibers only until its products are taken
-_BLOCK_BYTES = 1 << 20
 # eigenvalues below this fraction of the cell trace are treated as zero when
 # building generator bases
 _RANK_CUT = 1e-12
@@ -101,13 +97,6 @@ def _order_ties(w, Y, trace):
             Y[start:stop] = rows[order]
             w[start:stop] = w[start:stop][order]
         start = stop
-
-
-def _block_cells(m, k):
-    """Cells per block: about _BLOCK_BYTES of m x k complex matrices (m x m
-    Gramians per eigh call, m channels x k offsets of fibers per gather),
-    at least one (also for m = 0)."""
-    return max(1, _BLOCK_BYTES // max(1, 16 * m * k))
 
 
 def _eigen_cut(grid, m, active_idx, trace, block, ell):
@@ -319,14 +308,9 @@ def best_gamma(F, group, ell):
                                                 cell_perms[inv, cells][None, :]]
         return out
 
-    # the trace is per cell, so blocks of representatives give its bits
-    trace = np.empty(len(reps))
-    step = _block_cells(m * n_group, F.grid.n_offsets)
-    for s in range(0, len(reps), step):
-        trace[s:s + step] = _cell_trace(gather(reps[s:s + step]))
-    keep = np.flatnonzero(trace > 0.0)
+    keep, trace = _active_cells(reps, gather, _block_cells(m * n_group, F.grid.n_offsets))
     active = reps[keep]
-    ef = _eigen_cut(F.grid, m * n_group, active, trace[keep],
+    ef = _eigen_cut(F.grid, m * n_group, active, trace,
                     lambda s, e: _gramian_mats(gather(active[s:e])), ell)
     rep_basis, rep_dims = _build_basis(lambda s, e: gather(active[s:e]), ef, ell)
 
@@ -336,19 +320,12 @@ def best_gamma(F, group, ell):
     cell_rep = rep_pos[part.orbit_index]
     all_active = np.flatnonzero(cell_rep >= 0)
     src = cell_rep[all_active]
-    # the first group element mapping the representative to a cell carries
-    # the representative's basis there: write in descending order so the
-    # smallest element index is the one that stays
-    first_g = np.empty(F.grid.n_cells, dtype=np.int64)
+    # group element g carries each representative's basis to the cell g
+    # maps it to: written in descending order, the smallest such g stays
+    pos = np.searchsorted(all_active, cell_perms[:, ef.active_idx])
+    basis = np.empty((len(all_active),) + rep_basis.shape[1:], dtype=np.complex128)
     for gi in range(n_group - 1, -1, -1):
-        first_g[cell_perms[gi, ef.active_idx]] = gi
-    via = first_g[all_active]
-
-    rows = rep_basis.shape[1]
-    basis = np.empty((len(all_active), rows, F.grid.n_offsets), dtype=np.complex128)
-    for gi in np.unique(via):
-        at = np.flatnonzero(via == gi)
-        basis[at] = rep_basis[src[at]][:, :, off_perms[group.inverse_index(gi)]]
+        basis[pos[gi]] = rep_basis[:, :, off_perms[inverses[gi]]]
     dims = rep_dims[src]
     density = ef.density[src] / n_group
 

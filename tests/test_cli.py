@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -330,3 +331,117 @@ def test_usage_errors_exit_two(workdir):
     res = _run(["solve", "--data", "missing.txt", "--ell", "1"], workdir)
     assert res.returncode == 2
     assert "error:" in res.stderr
+
+
+# Recorded output: a small dataset written here from integer formulas (no
+# random numbers), run through the solving verbs; stdout and the files they
+# write must match, byte for byte, what the program printed when they were
+# recorded.  A change to any printed digit fails here.
+_REC_OFFSETS = [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+
+
+def _recorded_value(i, k, c):
+    if c % 7 == 3:  # dead cells
+        return 0.0, 0.0
+    return (((37 * i + 11 * k + 5 * c + c * c) % 29 - 14) / 8.0,
+            ((13 * i + 7 * k * k + 3 * c) % 23 - 11) / 16.0)
+
+
+def _write_recorded_inputs(work):
+    """A 3-channel dataset on the identity lattice at r = 6 over the D4-closed
+    star of offsets, with whole dead cells; D4; and three lattices."""
+    head = ["pwsis-dataset v1", "dim 2", "lattice 1 0 0 1", "resolution 6",
+            "offsets %d" % len(_REC_OFFSETS)]
+    head += ["%d %d" % k for k in _REC_OFFSETS] + ["channels 3"]
+    vals = ["%r %r" % _recorded_value(i, k, c)
+            for i in range(3) for k in range(len(_REC_OFFSETS)) for c in range(36)]
+    (work / "rec.dataset").write_text("\n".join(head + vals) + "\n")
+    (work / "d4.txt").write_text("".join("%d %d %d %d\n" % tuple(g.ravel())
+                                         for g in D4_GENS))
+    (work / "lats.txt").write_text("1 0 0 1\n1 1 0 1\n0.5 0 0 0.5\n")
+
+
+_REC_DATA = ["--data", "rec.dataset"]
+_REC_GROUP = _REC_DATA + ["--group", "d4.txt"]
+# (key, argv, files the run writes), in run order: the masks come first
+RECORDED_RUNS = [
+    ("omega_opt", ["omega-opt"] + _REC_DATA + ["--measure", "2.0", "--out", "band.mask"],
+     ["band.mask"]),
+    ("omega_opt_group", ["omega-opt"] + _REC_GROUP + ["--measure", "2.0",
+                                                      "--out", "gband.mask"],
+     ["gband.mask"]),
+    ("solve", ["solve"] + _REC_DATA + ["--ell", "2", "--dump-gramian", "gram.txt"],
+     ["gram.txt"]),
+    ("solve_mask", ["solve"] + _REC_DATA + ["--ell", "2", "--mask", "band.mask"], []),
+    ("solve_group", ["solve"] + _REC_GROUP + ["--ell", "1"], []),
+    ("solve_group_mask", ["solve"] + _REC_GROUP + ["--ell", "1", "--mask", "gband.mask"],
+     []),
+    ("pipeline", ["pipeline"] + _REC_DATA + ["--ell", "2", "--mask", "band.mask"], []),
+    ("compare_lattices", ["compare-lattices"] + _REC_DATA + ["--ell", "2",
+                                                             "--lattices", "lats.txt"],
+     []),
+]
+RECORDED = {
+    "omega_opt": (
+        "measure 2\n"
+        "captured 8.83040364583\n"
+        "residual 7.48947482639\n",
+        {"band.mask":
+         "0cafc07f97a9c2f2e5b289b36319a254b00b37f9a504bf56abcb1ba3afcd8e8c"}),
+    "omega_opt_group": (
+        "measure 2\n"
+        "captured 7.71375868056\n"
+        "residual 8.60611979167\n",
+        {"gband.mask":
+         "11f629d3b49649ae9161c3de1edb35ac1e40f6a2f01992c74558961811d48491"}),
+    "solve": (
+        "length 2\n"
+        "total error 1.87166628097\n"
+        "channel 0 error 0.813215099747\n"
+        "channel 1 error 0.403809012895\n"
+        "channel 2 error 0.65464216833\n",
+        {"gram.txt":
+         "2cb9a5ae333cea5d2f26443b6f6a33db64f1e672929c2c9430d870291bd600e8"}),
+    "solve_mask": (
+        "length 2\n"
+        "total error 7.82703328421\n"
+        "inside-band error 0.337558457819\n"
+        "outside-band energy 7.48947482639\n"
+        "channel 0 error 2.67467550733\n"
+        "channel 1 error 1.7041907864\n"
+        "channel 2 error 3.44816699048\n", {}),
+    "solve_group": (
+        "length 1\n"
+        "total error 10.9551696477\n"
+        "channel 0 error 4.00542129909\n"
+        "channel 1 error 3.49697959913\n"
+        "channel 2 error 3.45276874946\n", {}),
+    "solve_group_mask": (
+        "length 1\n"
+        "total error 13.6921081799\n"
+        "inside-band error 5.08598838818\n"
+        "outside-band energy 8.60611979167\n"
+        "channel 0 error 4.87751217943\n"
+        "channel 1 error 4.61629876548\n"
+        "channel 2 error 4.19829723494\n", {}),
+    "pipeline": (
+        "project-then-solve 7.82703328421\n"
+        "solve-then-project 7.87328445985\n"
+        "gap 0.0462511756433\n", {}),
+    "compare_lattices": (
+        "lattice 0 error 1.87166628097 length 3\n"
+        "lattice 1 error 1.87166628097 length 3\n"
+        "lattice 2 error 3.95130459475e-16 length 2\n", {}),
+}
+
+
+def test_cli_output_matches_the_recording(tmp_path):
+    _write_recorded_inputs(tmp_path)
+    for key, argv, files in RECORDED_RUNS:
+        res = _run(argv, tmp_path)
+        assert (res.returncode, res.stderr) == (0, ""), (key, res.stderr)
+        stdout, digests = RECORDED[key]
+        assert res.stdout == stdout, key
+        for name in files:
+            got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert got == digests[name], (key, name)

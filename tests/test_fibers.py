@@ -95,6 +95,106 @@ def test_gramian_on_one_support_cell_matches_full_grid():
         assert np.array_equal(one.mats, full.mats)
 
 
+def _whole_array_gramian(grid, values, cells=None):
+    """gramian_field's route before it read its fibers a block at a time:
+    one trace pass over the whole C-contiguous values, which sit at cells
+    (at cell c when cells is None), one gathered copy of the active fibers
+    unless every cell is active, and one einsum over them."""
+    trace = np.zeros(values.shape[2])
+    for i in range(values.shape[0]):
+        s = values[i, 0].real ** 2 + values[i, 0].imag ** 2
+        for k in range(1, values.shape[1]):
+            s += values[i, k].real ** 2 + values[i, k].imag ** 2
+        trace += s
+    keep = np.flatnonzero(trace > 0.0)
+    if keep.shape[0] == values.shape[2]:
+        va = values
+    else:
+        va = np.ascontiguousarray(values[:, :, keep])
+    other = va if fibers._BUG_GRAMIAN_NO_CONJ else va.conj()
+    active = keep if cells is None else cells[keep]
+    return fibers.GramianField(grid, values.shape[0], active,
+                               np.einsum("ikc,jkc->cij", va, other), trace[keep])
+
+
+def _assert_whole_array_field(F):
+    got = gramian_field(F)
+    if F.support is None:
+        want = _whole_array_gramian(F.grid, F.values)
+    else:
+        want = _whole_array_gramian(F.grid, F.values.take(F.support, axis=2), F.support)
+    assert np.array_equal(got.active_idx, want.active_idx)
+    assert np.array_equal(got.mats, want.mats)
+    assert np.array_equal(got.trace, want.trace)
+    assert got.mats.shape == (got.n_active, F.m, F.m)
+    return got
+
+
+def test_blocked_gramian_field_matches_the_whole_array_route(monkeypatch):
+    # m = 3 on 3 x 3 offsets at r = 64: 4096 cells, two blocks by default;
+    # magnitudes over six decades so that any change of summation order
+    # shows in the bits
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 64, [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    rng = np.random.default_rng(66)
+    m = 3
+    shape = (m, grid.n_offsets, grid.n_cells)
+    vals = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            * 10.0 ** rng.integers(-3, 3, size=shape))
+    assert grid.n_cells > fibers._block_cells(m, grid.n_offsets) > 1
+    dense = SpectralDataset(lat, grid, vals)
+    dead_vals = vals.copy()
+    dead_vals[:, :, rng.random(grid.n_cells) < 0.3] = 0.0
+    dead = SpectralDataset(lat, grid, dead_vals)
+    assert 0 < _assert_whole_array_field(dead).n_active < grid.n_cells
+    # a support that holds dead cells too; one support cell, alone or as
+    # the last cell of the grid; a contiguous run of support cells
+    cells = np.flatnonzero(rng.random(grid.n_cells) < 0.4)
+    for support in (cells, cells[:1], np.array([grid.n_cells - 1]),
+                    np.arange(100, 2900)):
+        _assert_whole_array_field(SpectralDataset(lat, grid, dead_vals, support=support))
+    for F in (dense, SpectralDataset(lat, grid, vals[:0])):  # and m = 0
+        _assert_whole_array_field(F)
+    # blocks whose last one holds a single cell: of all cells for the
+    # trace pass, of the active cells for the Gramians; one cell per block
+    n_active = gramian_field(dead).n_active
+    for n in (grid.n_cells, n_active):
+        monkeypatch.setattr(fibers, "_BLOCK_BYTES", 16 * m * grid.n_offsets * (n - 1))
+        assert n % fibers._block_cells(m, grid.n_offsets) == 1
+        for F in (dense, dead):
+            _assert_whole_array_field(F)
+    monkeypatch.setattr(fibers, "_BLOCK_BYTES", 1)
+    _assert_whole_array_field(SpectralDataset(lat, make_grid(lat, 8, grid.offsets),
+                                              dead_vals[:, :, :64]))
+    # the planted conjugation fault reaches every block
+    monkeypatch.undo()
+    monkeypatch.setattr(fibers, "_BUG_GRAMIAN_NO_CONJ", True)
+    for F in (dense, dead):
+        broken = _assert_whole_array_field(F)
+        assert np.max(np.abs(broken.mats - broken.mats.conj().transpose(0, 2, 1))) > 1e-6
+
+
+def test_gramian_field_never_copies_a_dense_dataset():
+    import tracemalloc
+
+    # m = 3 on 5 x 5 offsets at r = 64, every cell active: 4.9 MB of
+    # values against about 1 MB per block of fibers
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 64, [[a, b] for a in range(-2, 3) for b in range(-2, 3)])
+    rng = np.random.default_rng(67)
+    shape = (3, grid.n_offsets, grid.n_cells)
+    F = SpectralDataset(lat, grid, rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
+    tracemalloc.start()
+    try:
+        G = gramian_field(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.n_active == grid.n_cells
+    assert peak < F.values.nbytes
+
+
 def test_gramian_debug_hook(monkeypatch):
     rng = np.random.default_rng(6)
     F = _random_dataset(rng)
@@ -237,6 +337,28 @@ def test_regrid_round_trip_keeps_error():
     _, rep = best_sis(back, 1)
     _, rep0 = best_sis(F, 1)
     assert abs(rep.total_error - rep0.total_error) <= REGRID_TOL * (1.0 + rep0.total_error)
+
+
+def test_regrid_holds_fewer_than_two_index_tables():
+    import tracemalloc
+
+    # m = 3 on 5 x 5 offsets at r = 64: each (|K| r^2, d) int64 table of
+    # sample coordinates is 1.6 MB; the re-basis and the half-step lattice
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 64, [[a, b] for a in range(-2, 3) for b in range(-2, 3)])
+    rng = np.random.default_rng(68)
+    shape = (3, grid.n_offsets, grid.n_cells)
+    F = SpectralDataset(lat, grid, rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
+    table = grid.n_offsets * grid.n_cells * grid.d * 8
+    for basis in ([[1.0, 1.0], [0.0, 1.0]], [[0.5, 0.0], [0.0, 0.5]]):
+        tracemalloc.start()
+        try:
+            R = regrid_to_lattice(F, make_lattice(basis))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < R.values.nbytes + 2 * table
 
 
 def test_regrid_rejects_incommensurable():

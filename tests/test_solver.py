@@ -18,6 +18,7 @@ from pwsis.solver import (_RANK_CUT, _TIE_GAP, _block_cells, ApproxReport, Subsp
                           subspace_length)
 from pwsis.spectral import (FrequencyGrid, Scene, SpectralDataset, _abs2, interval,
                             make_grid, pw_mask, synthesize)
+from test_fibers import _whole_array_gramian
 
 EXACT_TOL = 1e-10
 ROUTE_TOL = 1e-9
@@ -443,7 +444,8 @@ def test_best_gamma_matches_reference_with_ties_and_one_active_orbit():
 
 def _materialized_best_gamma(F, group, ell):
     """best_gamma as it was before its Gramians were built per block: the
-    whole representative field from _gramian_on, then eigen_field."""
+    whole representative field from a copy of the old whole-array Gramian
+    route, then eigen_field."""
     n_group, m = len(group), F.m
     part = orbit_partition(F.grid, group, cells_only=True)
     reps = part.representatives
@@ -454,7 +456,7 @@ def _materialized_best_gamma(F, group, ell):
         inv = group.inverse_index(gi)
         sym[gi * m:(gi + 1) * m] = F.values[:, off_perms[inv][:, None],
                                             cell_perms[inv, reps][None, :]]
-    G = fibers._gramian_on(F.grid, sym, reps)
+    G = _whole_array_gramian(F.grid, sym, reps)
     keep = np.flatnonzero(np.isin(reps, G.active_idx))
     assert np.array_equal(reps[keep], G.active_idx)
     ef = eigen_field(G, ell)
@@ -529,7 +531,7 @@ def test_fiber_blocks_ending_in_a_single_cell_match_the_whole_array_route(monkey
     F = SpectralDataset(lat, grid, vals)
     n = gramian_field(F).n_active
     assert n == grid.n_cells - sum(len(o) for o in dead) and n > 2
-    monkeypatch.setattr(solver, "_BLOCK_BYTES", 16 * m * grid.n_offsets * (n - 1))
+    monkeypatch.setattr(fibers, "_BLOCK_BYTES", 16 * m * grid.n_offsets * (n - 1))
     for ell in (1, 2):
         model, rep = best_sis(F, ell)
         ef = eigen_field(gramian_field(F), ell)
@@ -541,7 +543,7 @@ def test_fiber_blocks_ending_in_a_single_cell_match_the_whole_array_route(monkey
         assert np.array_equal(got.per_channel, want.per_channel)
     n_reps = len(part) - len(dead)
     assert n_reps > 2
-    monkeypatch.setattr(solver, "_BLOCK_BYTES",
+    monkeypatch.setattr(fibers, "_BLOCK_BYTES",
                         16 * m * len(group) * grid.n_offsets * (n_reps - 1))
     for ell in (1, 3):
         model, rep = best_gamma(F, group, ell)
@@ -714,7 +716,7 @@ def _eigvalsh_length(G):
 
 
 def test_length_from_eigh_matches_eigvalsh_rank(monkeypatch):
-    from pwsis import examples, fibers, suites
+    from pwsis import examples, suites
 
     # suite-style datasets: random lattices, offsets, dead cells
     for k in range(400):
@@ -723,14 +725,15 @@ def test_length_from_eigh_matches_eigvalsh_rank(monkeypatch):
         assert eigen_field(G, 0).length == _eigvalsh_length(G)
     # every Gramian the worked examples build, at their own resolutions
     seen = []
-    real = fibers._gramian_on
+    real = fibers.gramian_field
 
-    def spy(*args):
-        G = real(*args)
+    def spy(F):
+        G = real(F)
         seen.append(G)
         return G
 
-    monkeypatch.setattr(fibers, "_gramian_on", spy)
+    for module in (fibers, solver, examples):  # each binds the name itself
+        monkeypatch.setattr(module, "gramian_field", spy)
     for example_id in examples.EXAMPLE_IDS:
         assert examples.reproduce_example(example_id).passed
     assert len(seen) >= 2 * len(examples.EXAMPLE_IDS)
