@@ -148,10 +148,11 @@ def gramian_field(F):
 
     When the dataset knows its support, only those cells are read; every
     other cell is zero and so inactive.  Cells never interact, so the result
-    is the same as from the full grid.  The fibers are read a block of cells
-    at a time, once for the traces and once for the Gramians of the active
+    is the same as from the full grid.  The fibers are read once for the
+    traces and then a block of cells at a time for the Gramians of the active
     cells; a contiguous run of cells is read in place, any other is
-    gathered."""
+    gathered.  The whole grid is read in place, so its traces take one pass;
+    a support is gathered, so its traces are taken a block at a time."""
     cells = np.arange(F.grid.n_cells) if F.support is None else F.support
 
     def gather(c):
@@ -160,7 +161,7 @@ def gramian_field(F):
         return F.values.take(c, axis=2)
 
     step = _block_cells(F.m, F.grid.n_offsets)
-    keep, trace = _active_cells(cells, gather, step)
+    keep, trace = _active_cells(cells, gather, len(cells) if F.support is None else step)
     active = cells[keep]
     mats = np.empty((len(active), F.m, F.m), dtype=np.complex128)
     for s in range(0, len(active), step):

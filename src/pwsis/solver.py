@@ -3,13 +3,15 @@
 Every solve is per-cell Eckart-Young: diagonalize the fiber Gramian, keep the
 top eigenvectors, and read the approximation error off the discarded
 eigenvalue mass times the cell weight.  Group-invariant solves run the same
-step on the symmetrized channels at one representative cell per orbit and
-transport the basis along the group action.
+step on the fiber side, the |K| x |K| operator of the symmetrized channels,
+at one representative cell per orbit, keep whole irreducible pieces where
+the cut splits a tie, and transport the basis along the group action.
 """
 
 import numpy as np
 
 from .lattice import Lattice, offset_permutations, orbit_partition, pair_permutations
+from .omega import _exact_fill_knapsack
 from .fibers import (_active_cells, _block_cells, _gramian_mats, dilation_transport,
                      gramian_field, regrid_to_lattice)
 from .spectral import SpectralDataset, _abs2, project_pw, residual_energy
@@ -271,28 +273,93 @@ def generators(model, F=None):
     return SpectralDataset(model.lattice, grid, vals, check_finite=False)
 
 
+def _commutant_probe(n):
+    """A fixed Hermitian n x n matrix with irrational phases and no
+    structure of its own: averaged over a permutation group it becomes a
+    generic element of the group's commutant."""
+    j = np.arange(1, n + 1, dtype=float)
+    X = np.exp(1j * (np.sqrt(2.0) * np.outer(j, j * j) + np.sqrt(3.0) * j))
+    return X + X.conj().T
+
+
+def _invariant_cut(T, trace, perms, ell):
+    """The best subspace of dimension at most ell that the offset
+    permutations perms (a stabilizer acting on C^|K|) map onto itself, for a
+    Hermitian T commuting with them.  Returns its orthonormal rows and the
+    mass of T it leaves out, trace minus the captured mass.
+
+    One full eigh of T gives its eigenspaces, which the stabilizer maps onto
+    themselves.  A fixed averaged matrix A commutes with every permutation,
+    so its eigenspaces inside a tied eigenspace of T split it into
+    irreducible pieces; an untied eigenvalue is a piece of dimension one.
+    Pieces of mass at most _RANK_CUT * trace per dimension are left out, as
+    the rank cut leaves out rows.  The exact knapsack of the band solve,
+    with its deterministic tie rule, then picks the pieces of total
+    dimension at most ell with the most mass."""
+    n = T.shape[0]
+    try:
+        w, V = np.linalg.eigh(T)
+    except np.linalg.LinAlgError as e:
+        raise RuntimeError("eigensolver failed to converge: %s" % e)
+    w = np.maximum(w[::-1], 0.0)
+    V = V[:, ::-1]
+    probe = _commutant_probe(n)
+    A = sum(probe[np.ix_(p, p)] for p in perms)
+    split_tol = 1e-9 * float(np.abs(A).max())
+    pieces = []  # (dimension, mass, orthonormal columns)
+    start = 0
+    while start < n:
+        stop = start + 1
+        while stop < n and w[stop - 1] - w[stop] < _TIE_GAP * trace:
+            stop += 1
+        Vt = V[:, start:stop]
+        mu, U = np.linalg.eigh(Vt.conj().T @ A @ Vt)
+        lo = 0
+        for hi in range(1, len(mu) + 1):
+            if hi == len(mu) or mu[hi] - mu[hi - 1] > split_tol:
+                Up = U[:, lo:hi]
+                mass = float(_abs2(Up).sum(axis=1) @ w[start:stop])
+                if mass > _RANK_CUT * trace * (hi - lo):
+                    pieces.append((hi - lo, mass, Vt @ Up))
+                lo = hi
+        start = stop
+
+    # ell massless pieces of dimension one turn "at most ell" into the
+    # exact fill the band knapsack solves
+    captured, sel = _exact_fill_knapsack([p[1] for p in pieces] + [0.0] * ell,
+                                         [p[0] for p in pieces] + [1] * ell, ell)
+    chosen = [pieces[i][2] for i in sel if i < len(pieces)]
+    rows = np.concatenate(chosen, axis=1).T if chosen else np.zeros((0, n))
+    return rows, max(trace - captured, 0.0)
+
+
 def best_gamma(F, group, ell):
     """Optimal group-invariant subspace of length at most ell.
 
-    Solves the per-cell problem for the symmetrized channels (channel (g, i)
-    is R_g f_i) at one representative cell per orbit, gathering their fibers
-    there only, and extends the basis to the orbit by the pure offset
-    permutation carried by the group action on fibers.  The representatives'
-    m|G| x m|G| Gramians are built per block, each block just before its
-    eigendecomposition, so the whole field is never held; the traces, the
-    Gramians and the basis each gather the representatives' fibers a block
-    at a time, so neither are those fibers.  A representative is active
-    when its symmetrized trace is positive; that trace sums the same squared
-    samples at every cell of the orbit, so activity is an orbit property.
-    Returns (model, report); the report carries the measured error
-    of the returned model, while report.density times cell_weight (already
-    divided by the group order) is the per-orbit lower bound, attained except
-    when the rank cut splits a tied eigenvalue at a cell with a nontrivial
-    stabilizer (there no extension of one eigenbasis choice need be exactly
-    invariant, and the bound itself need not be attainable).
+    Solves the per-cell problem at one representative cell c per orbit on
+    the fiber side: the |K| x |K| operator T_c = sum over g, i of
+    (R_g f_i)(R_g f_i)^H has the nonzero spectrum of the symmetrized
+    channels' m|G| x m|G| Gramian, and its top eigenvectors are the
+    generator fibers themselves.  T_c is built per block, each block just
+    before its eigendecomposition, from the representatives' symmetrized
+    fibers gathered a block at a time, so neither the field nor those
+    fibers are ever held whole.  The basis is extended to the orbit by the
+    pure offset permutation carried by the group action on fibers.  A
+    representative is active when its symmetrized trace is positive; that
+    trace sums the same squared samples at every cell of the orbit, so
+    activity is an orbit property.
+
+    Where the rank cut splits a tied eigenvalue at a representative whose
+    stabilizer H is nontrivial, no choice inside the tie need be H-invariant.
+    There the eigenspaces of T_c are split into H-irreducible pieces and the
+    pieces of total dimension at most ell that capture the most mass are
+    kept (_invariant_cut), so the model is invariant everywhere.  Returns
+    (model, report); the report carries the measured error of the returned
+    model, and report.density times cell_weight (already divided by the
+    group order) is the per-orbit optimum, which the model attains.
     """
     ell = _check_length(ell)
-    n_group, m = len(group), F.m
+    n_group, m, nK = len(group), F.m, F.grid.n_offsets
     part = orbit_partition(F.grid, group, cells_only=True)
     reps = part.representatives
     cell_perms = part.perms
@@ -302,17 +369,44 @@ def best_gamma(F, group, ell):
     def gather(cells):
         """Symmetrized fibers at the given cells, as symmetrize lays them
         out: channel (g, i) at (k, c) reads f_i at the inverse image."""
-        out = np.empty((m * n_group, F.grid.n_offsets, len(cells)), dtype=np.complex128)
+        out = np.empty((m * n_group, nK, len(cells)), dtype=np.complex128)
         for gi, inv in enumerate(inverses):
             out[gi * m:(gi + 1) * m] = F.values[:, off_perms[inv][:, None],
                                                 cell_perms[inv, cells][None, :]]
         return out
 
-    keep, trace = _active_cells(reps, gather, _block_cells(m * n_group, F.grid.n_offsets))
+    step = _block_cells(m * n_group, nK)
+    keep, trace = _active_cells(reps, gather, step)
     active = reps[keep]
-    ef = _eigen_cut(F.grid, m * n_group, active, trace,
-                    lambda s, e: _gramian_mats(gather(active[s:e])), ell)
-    rep_basis, rep_dims = _build_basis(lambda s, e: gather(active[s:e]), ef, ell)
+
+    def fiber_ops(s, e):
+        """T_c at the active representatives s..e-1: the Gramians of their
+        fibers taken across channels, gathered step cells at a time."""
+        cells = active[s:e]
+        mats = np.empty((len(cells), nK, nK), dtype=np.complex128)
+        for a in range(0, len(cells), step):
+            mats[a:a + step] = _gramian_mats(gather(cells[a:a + step]).transpose(1, 0, 2))
+        return mats
+
+    ef = _eigen_cut(F.grid, nK, active, trace, fiber_ops, ell)
+    # T_c has rank at most m|G|: rows past it would be zero
+    rows = min(ell, m * n_group)
+    kept = min(rows, nK)
+    live = ef.eigenvalues[:, :kept] > _RANK_CUT * trace[:, None]
+    rep_basis = np.zeros((len(active), rows, nK), dtype=np.complex128)
+    rep_basis[:, :kept] = ef.vectors[:, :kept] * live[:, :, None]
+    rep_dims = live.sum(axis=1).astype(np.int64)
+    if 0 < ell < nK:
+        w = ef.eigenvalues
+        for i in np.flatnonzero(w[:, ell - 1] - w[:, ell] < _TIE_GAP * trace):
+            c = active[i]
+            stab = off_perms[cell_perms[:, c] == c]
+            if len(stab) > 1:
+                vecs, ef.density[i] = _invariant_cut(fiber_ops(i, i + 1)[0], trace[i],
+                                                     stab, rows)
+                rep_basis[i] = 0.0
+                rep_basis[i, :len(vecs)] = vecs
+                rep_dims[i] = len(vecs)
 
     # active cells: every member of an orbit whose representative is active
     rep_pos = np.full(len(reps), -1, dtype=np.int64)

@@ -17,7 +17,7 @@ from .spectral import PWMask, SpectralDataset, make_grid, project_pw, residual_e
 from . import fibers
 from .fibers import (dilation_transport, gramian_covariance_check,
                      gramian_field, membership_test, symmetrize)
-from .solver import (SubspaceModel, best_gamma, best_sis, eigen_field,
+from .solver import (_TIE_GAP, SubspaceModel, best_gamma, best_sis, eigen_field,
                      error_against, project_then_solve,
                      refinement_inequality_check)
 from .omega import best_omega, best_omega_invariant, energy_density, omega_duality_check
@@ -448,19 +448,19 @@ def _suite_equivariance(rng, k, res):
         pos_of = {int(c): i for i, c in enumerate(model.active_idx)}
         ef = eigen_field(G, 0)
         lam = ef.eigenvalues
-        # a cell is comparable only when its rank cut does not split a tied
-        # eigenvalue group: a split tie leaves the optimal projector itself
-        # non-unique, so nothing forces the chosen one to be equivariant
+        # the projector comparison below is conditioned by the gap at the
+        # cut, so a cell whose cut falls in a narrow but open gap is skipped;
+        # a cut that splits a tie is compared, since best_gamma keeps whole
+        # irreducible pieces there
         checkable = np.empty(lam.shape[0], dtype=bool)
         for i in range(lam.shape[0]):
             cut = int(model.dims[i])
             if cut <= 0 or cut >= sym.m:
                 checkable[i] = True
             else:
-                # the projector comparison below is conditioned by the gap at
-                # the cut, so require a comfortably open one
-                checkable[i] = (lam[i, cut - 1] - lam[i, cut]) > 1e-6 * max(
-                    float(ef.trace[i]), 1e-30)
+                gap = lam[i, cut - 1] - lam[i, cut]
+                tr = max(float(ef.trace[i]), 1e-30)
+                checkable[i] = gap < _TIE_GAP * tr or gap > 1e-6 * tr
         for gi in range(n):
             for i, c in enumerate(model.active_idx):
                 img = int(cell_perms[gi][c])

@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from pwsis.solver import (_RANK_CUT, _TIE_GAP, _block_cells, ApproxReport, Subsp
                           subspace_length)
 from pwsis.spectral import (FrequencyGrid, Scene, SpectralDataset, _abs2, interval,
                             make_grid, pw_mask, synthesize)
+from pwsis.suites import run_property_suites
 from test_fibers import _whole_array_gramian
 
 EXACT_TOL = 1e-10
@@ -381,16 +383,69 @@ _CASES = [
 ]
 
 
-def _assert_same_gamma(F, group, ell):
+def _projectors(model):
+    """B^H B per active cell: the orthogonal projector onto the model's fibers."""
+    return np.einsum("cjk,cjl->ckl", model.basis.conj(), model.basis)
+
+
+def _assert_equivariant(model, group):
+    """The projector at the image of every active cell under every element
+    is the element's offset permutation of the projector there."""
+    cell_perms = _cell_permutations(model.grid, group)
+    off_perms = offset_permutations(model.grid, group)
+    act = model.active_idx
+    assert np.isin(cell_perms[:, act], act).all()
+    P = _projectors(model)
+    for gi in range(len(group)):
+        q = off_perms[group.inverse_index(gi)]
+        moved = P[:, q[:, None], q[None, :]]
+        at = np.searchsorted(act, cell_perms[gi, act])
+        assert np.max(np.abs(P[at] - moved), initial=0.0) <= 1e-11
+
+
+def _tie_split_cells(F, group, ell):
+    """Whether the Gram-side rank-ell cut splits a tie, per active cell of
+    the symmetrized data, taken over whole orbits."""
+    G = gramian_field(symmetrize(F, group))
+    lam = eigen_field(G, 0).eigenvalues
+    split = np.zeros(G.n_active, dtype=bool)
+    if 0 < ell < G.m:
+        split = lam[:, ell - 1] - lam[:, ell] < _TIE_GAP * G.trace
+    orbit_of = orbit_partition(F.grid, group, cells_only=True).orbit_index[G.active_idx]
+    in_split_orbit = np.zeros(orbit_of.max(initial=-1) + 1, dtype=bool)
+    in_split_orbit[orbit_of[split]] = True
+    return G.active_idx, in_split_orbit[orbit_of]
+
+
+def _assert_gamma_oracles(F, group, ell, reference):
+    """best_gamma against a Gram-side reference.  Where the reference's cut
+    splits no tie both give the same cells, dims, projectors and bound;
+    where it splits one, best_gamma's bound is at least the reference's
+    naive one.  Everywhere the model is invariant and attains its bound.
+    Returns whether some cut split a tie."""
     model, rep = best_gamma(F, group, ell)
-    ref_model, ref = _reference_best_gamma(F, group, ell)
+    ref_model, ref = reference(F, group, ell)
+    tol = 1e-12 * (1.0 + float(F.energy().sum()))
+    w = F.grid.cell_weight
+    active, split = _tie_split_cells(F, group, ell)
     assert np.array_equal(model.active_idx, ref_model.active_idx)
-    assert np.array_equal(model.basis, ref_model.basis)
-    assert np.array_equal(model.dims, ref_model.dims)
-    assert rep.total_error == ref.total_error
-    assert np.array_equal(rep.per_channel, ref.per_channel)
-    assert np.array_equal(rep.density, ref.density)
+    assert np.array_equal(model.active_idx, active)
     assert np.array_equal(rep.active_idx, ref.active_idx)
+    ok = ~split
+    assert np.array_equal(model.dims[ok], ref_model.dims[ok])
+    dev = np.abs(_projectors(model)[ok] - _projectors(ref_model)[ok])
+    assert np.max(dev, initial=0.0) <= 1e-11
+    assert np.max(np.abs(rep.density[ok] - ref.density[ok]), initial=0.0) <= tol
+    _assert_equivariant(model, group)
+    bound = float(rep.density.sum()) * w
+    assert abs(rep.total_error - bound) <= tol
+    assert abs(float(rep.per_channel.sum()) - rep.total_error) <= tol
+    if split.any():
+        assert bound >= float(ref.density.sum()) * w - tol
+    else:
+        assert abs(rep.total_error - ref.total_error) <= tol
+        assert np.max(np.abs(rep.per_channel - ref.per_channel), initial=0.0) <= tol
+    return bool(split.any())
 
 
 @pytest.mark.parametrize("name,basis,gens,seeds,d", _CASES, ids=[c[0] for c in _CASES])
@@ -418,7 +473,7 @@ def test_best_gamma_matches_symmetrized_reference(name, basis, gens, seeds, d):
                         flat[:, o] = 0.0
             F = SpectralDataset(lat, grid, vals)
             for ell in (0, 1, 2, 3 * m * len(group)):
-                _assert_same_gamma(F, group, ell)
+                _assert_gamma_oracles(F, group, ell, _reference_best_gamma)
 
 
 def test_best_gamma_matches_reference_with_ties_and_one_active_orbit():
@@ -431,15 +486,17 @@ def test_best_gamma_matches_reference_with_ties_and_one_active_orbit():
     base = SpectralDataset(lat, grid, rng.integers(-2, 3, size=(1,) + (grid.n_offsets,
                                                                    grid.n_cells)) + 0j)
     F = symmetrize(base, group)
-    for ell in (1, 2, 3, 5):
-        _assert_same_gamma(F, group, ell)
+    split = [_assert_gamma_oracles(F, group, ell, _reference_best_gamma)
+             for ell in (1, 2, 3, 5)]
+    assert any(split)
     # one active orbit of several cells: a single representative is solved
     part = orbit_partition(grid, group, cells_only=True)
     big = max(part.orbits, key=len)
     vals = np.zeros_like(base.values)
     vals[:, :, big] = base.values[:, :, big] + 1.0
     for ell in (1, 2):
-        _assert_same_gamma(SpectralDataset(lat, grid, vals), group, ell)
+        _assert_gamma_oracles(SpectralDataset(lat, grid, vals), group, ell,
+                              _reference_best_gamma)
 
 
 def _materialized_best_gamma(F, group, ell):
@@ -483,16 +540,20 @@ def _materialized_best_gamma(F, group, ell):
                                density=ef.density[src] / n_group)
 
 
-def test_blocked_best_gamma_matches_materialized_field():
-    # m|G| = 24 (C4) and 48 (D4): more representatives than one eigh block,
-    # and a share of whole cell orbits zeroed so the active ones are gathered
+def test_blocked_best_gamma_matches_materialized_field(monkeypatch):
+    # m|G| = 24 (C4) and 48 (D4) on |K| = 9 offsets, with blocks of 20
+    # operators per eigh and fewer fibers per gather: the representatives
+    # take several of each, and a share of whole cell orbits is zeroed so
+    # the active ones are gathered
+    monkeypatch.setattr(fibers, "_BLOCK_BYTES", 16 * 9 * 9 * 20)
     lat = make_lattice(np.eye(2))
     for gens, r, seed_ in (([_ROT4], 24, 60), ([_ROT4, _FLIP], 16, 61)):
         group = make_group(gens)
         grid = make_grid(lat, r, _closed_offsets(group, [[0, 0], [1, 0], [1, 1]]))
         part = orbit_partition(grid, group, cells_only=True)
         m = 6
-        assert len(part.representatives) > _block_cells(m * len(group), m * len(group))
+        assert grid.n_offsets == 9
+        assert len(part.representatives) > 2 * _block_cells(grid.n_offsets, grid.n_offsets)
         rng = np.random.default_rng(seed_)
         shape = (m, grid.n_offsets, grid.n_cells)
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -502,15 +563,8 @@ def test_blocked_best_gamma_matches_materialized_field():
             vals[:, :, o] = 0.0
         F = SpectralDataset(lat, grid, vals)
         for ell in (1, 3, m * len(group)):
-            model, rep = best_gamma(F, group, ell)
-            ref_model, ref = _materialized_best_gamma(F, group, ell)
-            assert len(model.active_idx) < grid.n_cells
-            assert np.array_equal(model.active_idx, ref_model.active_idx)
-            assert np.array_equal(model.basis, ref_model.basis)
-            assert np.array_equal(model.dims, ref_model.dims)
-            assert rep.total_error == ref.total_error
-            assert np.array_equal(rep.per_channel, ref.per_channel)
-            assert np.array_equal(rep.density, ref.density)
+            _assert_gamma_oracles(F, group, ell, _materialized_best_gamma)
+        assert len(best_gamma(F, group, 1)[0].active_idx) < grid.n_cells
 
 
 def test_fiber_blocks_ending_in_a_single_cell_match_the_whole_array_route(monkeypatch):
@@ -541,17 +595,121 @@ def test_fiber_blocks_ending_in_a_single_cell_match_the_whole_array_route(monkey
         got, want = error_against(F, model), _ref_error_against(F, model)
         assert got.total_error == want.total_error
         assert np.array_equal(got.per_channel, want.per_channel)
+    # the group solve gathers n_reps - 1 of the n_reps representatives per
+    # block: the bits must be those of the default blocks, which hold them all
     n_reps = len(part) - len(dead)
     assert n_reps > 2
+    whole = {ell: best_gamma(F, group, ell) for ell in (1, 3)}
     monkeypatch.setattr(fibers, "_BLOCK_BYTES",
                         16 * m * len(group) * grid.n_offsets * (n_reps - 1))
     for ell in (1, 3):
         model, rep = best_gamma(F, group, ell)
-        ref_model, ref = _materialized_best_gamma(F, group, ell)
-        assert np.array_equal(model.basis, ref_model.basis)
-        assert rep.total_error == ref.total_error
-        assert np.array_equal(rep.per_channel, ref.per_channel)
-        assert np.array_equal(rep.density, ref.density)
+        want_model, want = whole[ell]
+        assert np.array_equal(model.basis, want_model.basis)
+        assert np.array_equal(model.dims, want_model.dims)
+        assert rep.total_error == want.total_error
+        assert np.array_equal(rep.per_channel, want.per_channel)
+        assert np.array_equal(rep.density, want.density)
+        _assert_gamma_oracles(F, group, ell, _materialized_best_gamma)
+
+
+def _irreducible_pieces(T, perms, rng):
+    """(dimension, mass of T) of every irreducible piece of C^n under the
+    permutations perms, for a Hermitian T commuting with them.  The
+    isotypic components are the eigenspaces of a Hermitian element of the
+    centre of the group algebra, a random combination of class sums; a
+    component of multiplicity n_c and irreducible dimension d_c holds T's
+    eigenvalues in runs of d_c equal ones."""
+    n = T.shape[0]
+    mats = np.zeros((len(perms), n, n))
+    for i, p in enumerate(perms):
+        mats[i, np.arange(n), p] = 1.0
+    mats = np.unique(mats, axis=0)  # the group as it acts, each element once
+    key = {m.tobytes(): i for i, m in enumerate(mats)}
+    classes = {frozenset(key[(g @ h @ g.T).tobytes()] for g in mats) for h in mats}
+    Z = np.zeros((n, n), dtype=complex)
+    for cls in sorted(classes, key=sorted):
+        a = complex(rng.standard_normal(), rng.standard_normal())
+        S = mats[list(cls)].sum(axis=0)
+        Z += a * S + np.conj(a) * S.T
+    z, Q = np.linalg.eigh(Z)
+    pieces = []
+    lo = 0
+    for hi in range(1, n + 1):
+        if hi < n and z[hi] - z[hi - 1] < 1e-8:
+            continue
+        W = Q[:, lo:hi]
+        chi = np.einsum("ka,gkl,la->g", W.conj(), mats, W)
+        mult = int(round(np.sqrt(np.sum(np.abs(chi) ** 2) / len(mats))))
+        dim = (hi - lo) // mult
+        assert mult * dim == hi - lo
+        mu = np.linalg.eigvalsh(W.conj().T @ T @ W)[::-1]
+        pieces += [(dim, float(mu[j:j + dim].sum())) for j in range(0, hi - lo, dim)]
+        lo = hi
+    return pieces
+
+
+def test_best_gamma_attains_the_invariant_optimum_on_tiny_grids():
+    # every orbit's error is the best over all selections of irreducible
+    # pieces of total dimension at most ell at its representative; real data
+    # ties the conjugate pieces of C4, and the two-dimensional pieces of D4
+    # tie in any data, so many cuts split a tie
+    lat = make_lattice(np.eye(2))
+    rng = np.random.default_rng(67)
+    below_naive = 0
+    for gens in ([_ROT4], [_ROT4, _FLIP]):
+        group = make_group(gens)
+        for seeds in ([[0, 0]], [[0, 0], [1, 0]], [[0, 0], [1, 1]]):
+            offsets = _closed_offsets(group, seeds)
+            for r in (1, 2, 3, 4):
+                grid = make_grid(lat, r, offsets)
+                nK, w = grid.n_offsets, grid.cell_weight
+                part = orbit_partition(grid, group, cells_only=True)
+                off_perms = offset_permutations(grid, group)
+                for m, real in ((1, False), (1, True), (2, True)):
+                    shape = (m, nK, grid.n_cells)
+                    vals = rng.standard_normal(shape) + 0j
+                    if not real:
+                        vals += 1j * rng.standard_normal(shape)
+                    F = SpectralDataset(lat, grid, vals)
+                    sym = symmetrize(F, group)
+                    tol = 1e-12 * (1.0 + float(F.energy().sum()))
+                    for ell in range(nK + 2):
+                        model, rep = best_gamma(F, group, ell)
+                        cell_err = (_abs2(F.values).sum(axis=(0, 1))
+                                    - np.bincount(model.active_idx, minlength=grid.n_cells,
+                                                  weights=_abs2(np.einsum(
+                                                      "cjk,ikc->cij", model.basis.conj(),
+                                                      F.values[:, :, model.active_idx])
+                                                  ).sum(axis=(1, 2)))) * w
+                        bound = np.zeros(grid.n_cells)
+                        bound[model.active_idx] = rep.density * w
+                        for orbit in part.orbits:
+                            c = orbit[0]
+                            S = sym.values[:, :, c].T
+                            T = S @ S.conj().T
+                            stab = off_perms[part.perms[:, c] == c]
+                            pieces = _irreducible_pieces(T, stab, rng)
+                            best = max(sum(p[1] for p in pick)
+                                       for k in range(len(pieces) + 1)
+                                       for pick in itertools.combinations(pieces, k)
+                                       if sum(p[0] for p in pick) <= ell)
+                            trace = float(np.trace(T).real)
+                            want = len(orbit) / len(group) * (trace - best) * w
+                            assert abs(cell_err[orbit].sum() - want) <= tol
+                            assert abs(bound[orbit].sum() - want) <= tol
+                            naive = np.linalg.eigvalsh(T)[::-1][:ell].sum()
+                            below_naive += best < naive - 1e-9 * (1.0 + trace)
+    assert below_naive > 0
+
+
+@pytest.mark.parametrize("suite_seed", (208, 305, 334, 356))
+def test_equivariance_suite_passes_at_seeds_with_split_ties(suite_seed, tmp_path):
+    # each of these seeds has an instance whose cut splits a tie at a cell
+    # with a nontrivial stabilizer
+    res = run_property_suites(suite_seed, suites=["equivariance"],
+                              failure_dir=str(tmp_path))[0]
+    assert res.count == 30 and not res.failures, res.failures
 
 
 def test_eigen_field_and_best_gamma_without_channels_or_active_cells():
