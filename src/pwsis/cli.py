@@ -130,12 +130,18 @@ def _cmd_pipeline(args):
 
 def _cmd_compare_lattices(args):
     from . import solver, textio
-    from .fibers import gramian_field, regrid_to_lattice
+    from .fibers import _lattice_gramian, _regrid_layout
 
     F = textio.read_dataset(args.data)
-    lattices = textio.read_lattice_list(args.lattices)
-    for i, lat in enumerate(lattices):
-        ef = solver.eigen_field(gramian_field(regrid_to_lattice(F, lat)), args.ell)
+    # every lattice is checked against the dataset before the first row
+    layouts = []
+    for lineno, lat in textio._read_lattice_rows(args.lattices):
+        try:
+            layouts.append(_regrid_layout(F, lat))
+        except ValueError as e:
+            raise ValueError("%s line %d: %s" % (args.lattices, lineno, e))
+    for i, layout in enumerate(layouts):
+        ef = solver.eigen_field(_lattice_gramian(F, layout), args.ell)
         print("lattice %d error %s length %d" % (i, _g(ef.error), ef.length))
     return 0
 

@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .lattice import dilate_lattice, _cell_permutations, offset_permutations
-from .spectral import FrequencyGrid, SpectralDataset, _VALUE_CAP, _abs2
+from .spectral import FrequencyGrid, SpectralDataset, _VALUE_CAP, _abs2, _grid_product
 
 __all__ = [
     "FiberVector",
@@ -142,17 +142,31 @@ def _gramian_mats(va):
     return np.einsum("ikc,jkc->cij", va, other)
 
 
+def _gramian_over(grid, m, cells, gather, trace_step=None):
+    """Gramian field of the m-channel fibers that gather(c) returns at the
+    ascending cells c (as an (m, |K|, len(c)) array); every other cell is
+    inactive.  The fibers are read trace_step cells at a time for the traces
+    (a block by default) and then a block of cells at a time for the
+    Gramians of the active cells."""
+    step = _block_cells(m, grid.n_offsets)
+    keep, trace = _active_cells(cells, gather, trace_step or step)
+    active = cells[keep]
+    mats = np.empty((len(active), m, m), dtype=np.complex128)
+    for s in range(0, len(active), step):
+        mats[s:s + step] = _gramian_mats(gather(active[s:s + step]))
+    return GramianField(grid, m, active, mats, trace)
+
+
 def gramian_field(F):
     """Per-cell Gramian of all channel fibers, summed in ascending offset
     order (einsum over the offset axis is a fixed-order reduction).
 
     When the dataset knows its support, only those cells are read; every
     other cell is zero and so inactive.  Cells never interact, so the result
-    is the same as from the full grid.  The fibers are read once for the
-    traces and then a block of cells at a time for the Gramians of the active
-    cells; a contiguous run of cells is read in place, any other is
-    gathered.  The whole grid is read in place, so its traces take one pass;
-    a support is gathered, so its traces are taken a block at a time."""
+    is the same as from the full grid.  A contiguous run of cells is read in
+    place, any other is gathered.  The whole grid is read in place, so its
+    traces take one pass; a support is gathered, so its traces are taken a
+    block at a time."""
     cells = np.arange(F.grid.n_cells) if F.support is None else F.support
 
     def gather(c):
@@ -160,13 +174,8 @@ def gramian_field(F):
             return F.values[:, :, c[0]:c[-1] + 1]
         return F.values.take(c, axis=2)
 
-    step = _block_cells(F.m, F.grid.n_offsets)
-    keep, trace = _active_cells(cells, gather, len(cells) if F.support is None else step)
-    active = cells[keep]
-    mats = np.empty((len(active), F.m, F.m), dtype=np.complex128)
-    for s in range(0, len(active), step):
-        mats[s:s + step] = _gramian_mats(gather(active[s:s + step]))
-    return GramianField(F.grid, F.m, active, mats, trace)
+    return _gramian_over(F.grid, F.m, cells, gather,
+                         len(cells) if F.support is None else None)
 
 
 def symmetrize(F, group):
@@ -231,30 +240,17 @@ def dilation_transport(F, A):
                            support=F.support)
 
 
-def _label_offsets(k2):
-    """The distinct rows of the integer offsets k2 together with 0, which
-    every grid holds, in lexicographic order, and each row's label there.
-    The rows are keyed in 1-D over their bounding box; row-major keys sort
-    as the rows do, so this is a row-wise unique without its row copies.  A
-    box of more than 2^63 offsets raises numpy's ValueError."""
-    lo = np.minimum(k2.min(axis=0), 0)
-    box = tuple(np.maximum(k2.max(axis=0), 0) - lo + 1)
-    keys, labels = np.unique(np.append(np.ravel_multi_index((k2 - lo).T, box),
-                                       np.ravel_multi_index(-lo, box)),
-                             return_inverse=True)
-    return np.stack(np.unravel_index(keys, box), axis=1) + lo, labels[:-1]
+def _regrid_layout(F, lat):
+    """The grid of F's samples re-indexed over lat and the integer sample
+    map C (see regrid_to_lattice), or None when lat is F's own lattice.
+    Every check of the regrid runs here, the size cap included, before
+    anything of the regridded size is allocated.
 
-
-def regrid_to_lattice(F, lat):
-    """Re-index the dataset's samples as a grid over another commensurable
-    lattice, so per-lattice optima are computed from the same frequency set.
-
-    Writing a sample as Ahat (j + r k) / r, the target layout needs the scale
-    sigma = (det A / det A')^(1/d) to give an integer resolution r' = sigma r
-    and the map C = (r'/r) A'^T Ahat to be an integer matrix; C then has
-    determinant +-1 automatically, so samples land on distinct grid boxes of
-    equal measure.  Raises ValueError for incommensurable targets.
-    """
+    The target offsets are found one source offset at a time: the offsets
+    of its samples are keyed in 1-D over the bounding box of all of them,
+    which row-major keys sort as the rows do.  The box is bounded from the
+    corners of the cell box, where each linear coordinate takes its extremes;
+    a box of more than 2^63 offsets raises numpy's ValueError."""
     src = F.lattice
     grid = F.grid
     d = src.d
@@ -262,7 +258,7 @@ def regrid_to_lattice(F, lat):
         raise ValueError(
             "lattice dimension %d does not match the dataset's %d" % (lat.d, d))
     if lat.same_as(src):
-        return F
+        return None
     sigma = (src.det_abs / lat.det_abs) ** (1.0 / d)
     r2 = int(round(sigma * grid.r))
     if r2 < 1 or abs(sigma * grid.r - r2) > 1e-6 * max(1.0, sigma * grid.r):
@@ -279,12 +275,14 @@ def regrid_to_lattice(F, lat):
     if abs(int(round(np.linalg.det(C)))) != 1:
         raise ValueError("incommensurable lattices: the sample map is not unimodular")
 
-    full = (grid.cell_vectors()[None, :, :]
-            + grid.r * grid.offsets[:, None, :]).reshape(-1, d)
-    k2, j2 = np.divmod(full @ C.T, r2)
-    del full
-    K2, ki = _label_offsets(k2)
-    del k2
+    corners = _grid_product([[0, grid.r - 1]] * d)
+    ext = ((corners[None] + grid.r * grid.offsets[:, None]) @ C.T) // r2
+    lo = np.minimum(ext.min(axis=(0, 1)), 0)
+    box = tuple(np.maximum(ext.max(axis=(0, 1)), 0) - lo + 1)
+    keys = [np.ravel_multi_index(-lo[:, None], box)]  # 0, which every grid holds
+    for y in _sample_coords(grid, C):
+        keys.append(np.unique(np.ravel_multi_index((y // r2 - lo).T, box)))
+    K2 = np.stack(np.unravel_index(np.unique(np.concatenate(keys)), box), axis=1) + lo
     if F.m * K2.shape[0] * r2 ** d > _VALUE_CAP:
         raise ValueError(
             "regridded dataset too large: %d values exceeds the supported bound"
@@ -292,11 +290,80 @@ def regrid_to_lattice(F, lat):
     grid2 = FrequencyGrid(lat, r2, K2)
     if not np.array_equal(grid2.offsets, K2):
         raise RuntimeError("regridded offsets lost their sorted order")
-    ci = np.ravel_multi_index(j2.T, (r2,) * d)
-    del j2
-    vals = np.zeros((F.m, grid2.n_offsets, grid2.n_cells), dtype=np.complex128)
-    vals[:, ki, ci] = F.values.reshape(F.m, len(ki))
+    return grid2, C
+
+
+def _sample_coords(grid, C):
+    """For each source offset k in order, C (j + r k) over the source cells
+    j in order: the sample Ahat (j + r k) / r is Ahat' (j2 + r2 k2) / r2 with
+    (k2, j2) = divmod(C (j + r k), r2)."""
+    base = grid.cell_vectors() @ C.T
+    for k in grid.offsets:
+        yield base + grid.r * (C @ k)
+
+
+def _regrid_map(F, layout):
+    """For each sample of the regridded grid of layout = _regrid_layout(F,
+    lat), the flat position in F.values[i] of the source sample there: an
+    int32 table of shape (|K'|, r'^d) holding -1 where no sample lands.  With
+    a channel, the size cap keeps every position below 2^24."""
+    grid2, C = layout
+    K2 = grid2.offsets
+    lo = K2.min(axis=0)
+    box = tuple(K2.max(axis=0) - lo + 1)
+    keys = np.ravel_multi_index((K2 - lo).T, box)
+    n = F.grid.n_cells
+    src = np.full((grid2.n_offsets, grid2.n_cells), -1, dtype=np.int32)
+    pos = np.arange(n, dtype=np.int32)
+    for ki, y in enumerate(_sample_coords(F.grid, C)):
+        k2, j2 = np.divmod(y, grid2.r)
+        rows = np.searchsorted(keys, np.ravel_multi_index((k2 - lo).T, box))
+        src[rows, np.ravel_multi_index(j2.T, (grid2.r,) * grid2.d)] = pos + ki * n
+    return src
+
+
+def _map_gather(F, src):
+    """gather(c): the regridded fibers at target cells c, read from F
+    through the regrid map src; zero where no sample lands."""
+    flat = F.values.reshape(F.m, F.grid.n_offsets * F.grid.n_cells)
+
+    def gather(c):
+        idx = src[:, c]
+        v = flat.take(idx, axis=1)
+        np.copyto(v, 0.0, where=idx < 0)
+        return v
+
+    return gather
+
+
+def regrid_to_lattice(F, lat):
+    """Re-index the dataset's samples as a grid over another commensurable
+    lattice, so per-lattice optima are computed from the same frequency set.
+
+    Writing a sample as Ahat (j + r k) / r, the target layout needs the scale
+    sigma = (det A / det A')^(1/d) to give an integer resolution r' = sigma r
+    and the map C = (r'/r) A'^T Ahat to be an integer matrix; C then has
+    determinant +-1 automatically, so samples land on distinct grid boxes of
+    equal measure.  Raises ValueError for incommensurable targets.  The
+    target is read through the regrid map.
+    """
+    layout = _regrid_layout(F, lat)
+    if layout is None:
+        return F
+    grid2 = layout[0]
+    vals = _map_gather(F, _regrid_map(F, layout))(np.arange(grid2.n_cells))
     return SpectralDataset(lat, grid2, vals, check_finite=False)
+
+
+def _lattice_gramian(F, layout):
+    """gramian_field(regrid_to_lattice(F, lat)) for layout =
+    _regrid_layout(F, lat), with the regridded fibers read through the
+    regrid map a block at a time instead of from a regridded dataset."""
+    if layout is None:
+        return gramian_field(F)
+    grid2 = layout[0]
+    return _gramian_over(grid2, F.m, np.arange(grid2.n_cells),
+                         _map_gather(F, _regrid_map(F, layout)))
 
 
 def gramian_covariance_check(F, A):

@@ -12,9 +12,9 @@ import numpy as np
 
 from .lattice import Lattice, offset_permutations, orbit_partition, pair_permutations
 from .omega import _exact_fill_knapsack
-from .fibers import (_active_cells, _block_cells, _gramian_mats, dilation_transport,
-                     gramian_field, regrid_to_lattice)
-from .spectral import SpectralDataset, _abs2, project_pw, residual_energy
+from .fibers import (_active_cells, _block_cells, _gramian_mats, _gramian_over,
+                     _lattice_gramian, _regrid_layout, dilation_transport, gramian_field)
+from .spectral import SpectralDataset, _abs2, residual_energy
 
 __all__ = [
     "EigenField",
@@ -193,17 +193,51 @@ class ApproxReport:
         self.band_residual = band_residual
 
 
-def _captured(values, model):
-    """Per-channel energy captured by the model's orthonormal fibers.  The
+def _fibers(F, bits=None):
+    """gather(c): the (m, |K|, len(c)) fibers of F at the cells c, copied.
+    With the bits of a band mask they are the fibers of project_pw(F, mask),
+    read from F and zeroed outside the band."""
+    def gather(c):
+        v = F.values.take(c, axis=2)
+        if bits is not None:
+            np.copyto(v, 0.0, where=~bits.take(c, axis=1))
+        return v
+
+    return gather
+
+
+def _energy(F, bits=None):
+    """F.energy(), or with the bits of a band mask project_pw(F, mask).energy():
+    each channel's |value|^2 zeroed outside the band, summed whole as
+    energy sums it, so the bits are the same."""
+    if bits is None:
+        return F.energy()
+    out = np.empty(F.m)
+    for i in range(F.m):
+        a = _abs2(F.values[i])
+        a *= bits
+        out[i] = a.sum() * F.grid.cell_weight
+    return out
+
+
+def _captured(fibers, m, model):
+    """Per-channel energy captured by the model's orthonormal fibers, where
+    fibers(c) returns the m-channel fibers at the cells c (see _fibers).  The
     amplitudes are taken a block of fibers at a time; each cell's products
     are its own, so the blocks give the bits of one whole pass."""
     na, rows, nK = model.basis.shape
-    amp = np.empty((na, values.shape[0], rows), dtype=np.complex128)
-    step = _block_cells(values.shape[0], nK)
+    amp = np.empty((na, m, rows), dtype=np.complex128)
+    step = _block_cells(m, nK)
     for s in range(0, na, step):
         amp[s:s + step] = np.einsum("cjk,ikc->cij", model.basis[s:s + step].conj(),
-                                    values[:, :, model.active_idx[s:s + step]])
+                                    fibers(model.active_idx[s:s + step]))
     return _abs2(amp).sum(axis=(0, 2)) * model.grid.cell_weight
+
+
+def _unexplained(F, model, bits=None):
+    """Per-channel energy the model leaves out of F, or with the bits of a
+    band mask out of project_pw(F, mask)."""
+    return _energy(F, bits) - _captured(_fibers(F, bits), F.m, model)
 
 
 def _build_basis(fibers, ef, ell):
@@ -237,11 +271,24 @@ def best_sis(F, ell):
     Returns (model, report); the report's total is the infimum of the
     aggregate squared approximation error over all such subspaces.
     """
+    return _best_sis(F, ell)
+
+
+def _best_sis(F, ell, bits=None):
+    """best_sis of F, or with the bits of a band mask best_sis of
+    project_pw(F, mask), with every fiber read from F through the band."""
     ell = _check_length(ell)
-    ef = eigen_field(gramian_field(F), ell)
-    basis, dims = _build_basis(lambda s, e: F.values[:, :, ef.active_idx[s:e]], ef, ell)
+    fibers = _fibers(F, bits)
+    if bits is None:
+        G = gramian_field(F)
+    else:  # the band keeps the support: cells off it stay zero
+        cells = np.arange(F.grid.n_cells) if F.support is None else F.support
+        G = _gramian_over(F.grid, F.m, cells, fibers)
+    ef = eigen_field(G, ell)
+    del G
+    basis, dims = _build_basis(lambda s, e: fibers(ef.active_idx[s:e]), ef, ell)
     model = SubspaceModel(F.lattice, F.grid, ell, ef.active_idx, basis, dims)
-    per_channel = F.energy() - _captured(F.values, model)
+    per_channel = _unexplained(F, model, bits)
     report = ApproxReport(ef.error, per_channel, active_idx=ef.active_idx,
                           density=ef.density)
     return model, report
@@ -258,8 +305,7 @@ def error_against(F, model):
     already-built model (whose basis rows must be orthonormal per cell)."""
     if not F.grid.compatible(model.grid):
         raise ValueError("mismatched grid between dataset and model")
-    captured = _captured(F.values, model)
-    per_channel = F.energy() - captured
+    per_channel = _unexplained(F, model)
     return ApproxReport(float(per_channel.sum()), per_channel)
 
 
@@ -358,6 +404,13 @@ def best_gamma(F, group, ell):
     model, and report.density times cell_weight (already divided by the
     group order) is the per-orbit optimum, which the model attains.
     """
+    return _best_gamma(F, group, ell)
+
+
+def _best_gamma(F, group, ell, bits=None):
+    """best_gamma of F, or with the bits of a group-invariant band mask
+    best_gamma of project_pw(F, mask): the band zeroes the symmetrized
+    fibers where it zeroes the fibers, since it maps onto itself."""
     ell = _check_length(ell)
     n_group, m, nK = len(group), F.m, F.grid.n_offsets
     part = orbit_partition(F.grid, group, cells_only=True)
@@ -373,6 +426,8 @@ def best_gamma(F, group, ell):
         for gi, inv in enumerate(inverses):
             out[gi * m:(gi + 1) * m] = F.values[:, off_perms[inv][:, None],
                                                 cell_perms[inv, cells][None, :]]
+        if bits is not None:
+            np.copyto(out, 0.0, where=~bits.take(cells, axis=1))
         return out
 
     step = _block_cells(m * n_group, nK)
@@ -424,8 +479,8 @@ def best_gamma(F, group, ell):
     density = ef.density[src] / n_group
 
     model = SubspaceModel(F.lattice, F.grid, ell, all_active, basis, dims, group=group)
-    measured = error_against(F, model)
-    report = ApproxReport(measured.total_error, measured.per_channel,
+    per_channel = _unexplained(F, model, bits)
+    report = ApproxReport(float(per_channel.sum()), per_channel,
                           active_idx=all_active, density=density)
     return model, report
 
@@ -441,18 +496,18 @@ def project_then_solve(F, mask, ell, group=None):
     subspace inside it.
 
     The report's total is the projected optimum plus the out-of-band energy;
-    its generators vanish outside the mask by construction.
+    its generators vanish outside the mask by construction.  The projected
+    data is never built: the solve reads F's fibers zeroed outside the band.
     """
     if not F.grid.compatible(mask.grid):
         raise ValueError("mismatched grid between dataset and mask")
     if group is not None:
         _check_mask_invariant(mask, group)
-    PF = project_pw(F, mask)
-    if group is not None:
-        model, rep = best_gamma(PF, group, ell)
-    else:
-        model, rep = best_sis(PF, ell)
     outside = residual_energy(F, mask)
+    if group is not None:
+        model, rep = _best_gamma(F, group, ell, mask.bits)
+    else:
+        model, rep = _best_sis(F, ell, mask.bits)
     total = rep.total_error + float(outside.sum())
     per_channel = rep.per_channel + outside
     direct = error_against(F, model)
@@ -490,16 +545,14 @@ def solve_then_project(F, mask, ell):
     if not F.grid.compatible(mask.grid):
         raise ValueError("mismatched grid between dataset and mask")
     model, _ = best_sis(F, ell)
-    sel = mask.bits.T[model.active_idx]
-    clipped = model.basis * sel[:, None, :]
-    rows = model.basis.shape[1]
     basis = np.zeros_like(model.basis)
     dims = np.zeros(len(model.active_idx), dtype=np.int64)
-    for c in range(clipped.shape[0]):
-        block = _orthonormalize_rows(clipped[c, : model.dims[c]])
+    for c, cell in enumerate(model.active_idx):
+        block = _orthonormalize_rows(model.basis[c, : model.dims[c]] * mask.bits[:, cell])
         dims[c] = block.shape[0]
         basis[c, : dims[c]] = block
     out = SubspaceModel(F.lattice, F.grid, ell, model.active_idx, basis, dims)
+    del model  # the unclipped basis is not needed to measure the error
     return out, error_against(F, out)
 
 
@@ -518,12 +571,11 @@ def refinement_inequality_check(F, N, ell):
     if N < 1 or int(N) != N:
         raise ValueError("refinement factor must be a positive integer")
     N = int(N)
-    _, rep = best_sis(F, ell)
+    coarse = eigen_field(gramian_field(F), ell).error
     if N == 1:
-        return rep.total_error, rep.total_error
+        return coarse, coarse
     if F.grid.r % N:
         raise ValueError("indivisible resolution: r=%d is not a multiple of N=%d"
                          % (F.grid.r, N))
-    fine = regrid_to_lattice(F, Lattice(F.lattice.basis / N))
-    _, rep_fine = best_sis(fine, ell)
-    return rep_fine.total_error, rep.total_error
+    fine = _lattice_gramian(F, _regrid_layout(F, Lattice(F.lattice.basis / N)))
+    return eigen_field(fine, ell).error, coarse

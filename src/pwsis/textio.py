@@ -469,40 +469,64 @@ def _human_tokens(text, name):
     return toks
 
 
+def _check_lattice_entry(value, token, where):
+    if not math.isfinite(value):
+        raise ValueError("%s: non-finite lattice entry %r" % (where, token))
+
+
+def _lattice(vals, d, where):
+    """make_lattice of d*d row-major entries, its errors prefixed by where."""
+    try:
+        return make_lattice(np.array(vals).reshape(d, d))
+    except ValueError as e:
+        raise ValueError("%s: %s" % (where, e))
+
+
 def parse_lattice(text, name="<lattice>"):
     toks = _human_tokens(text, name)
     try:
         vals = [float(t) for t, _ in toks]
     except ValueError:
         raise ValueError("%s: lattice file must contain only numbers" % name)
+    for v, (t, lineno) in zip(vals, toks):
+        _check_lattice_entry(v, t, "%s line %d" % (name, lineno))
     d = math.isqrt(len(vals))
     if d * d != len(vals) or d == 0:
         raise ValueError("%s: lattice needs d*d entries, got %d" % (name, len(vals)))
-    return make_lattice(np.array(vals).reshape(d, d))
+    return _lattice(vals, d, name)
 
 
-def parse_lattice_list(text, name="<lattices>"):
-    """One lattice per non-comment line (d*d row-major entries)."""
-    rows = {}
+def _parse_lattice_rows(text, name="<lattices>"):
+    """One lattice per non-comment line (d*d row-major entries), as
+    (line number, lattice) pairs."""
+    rows = []
     for lineno, line in enumerate(text.splitlines(), 1):
         s = line.strip()
         if not s or s.startswith("#"):
             continue
+        where = "%s line %d" % (name, lineno)
+        toks = s.split()
         try:
-            vals = [float(t) for t in s.split()]
+            vals = [float(t) for t in toks]
         except ValueError:
-            raise ValueError("%s line %d: expected numbers" % (name, lineno))
+            raise ValueError("%s: expected numbers" % where)
+        for v, t in zip(vals, toks):
+            _check_lattice_entry(v, t, where)
         d = math.isqrt(len(vals))
         if d * d != len(vals) or d == 0:
-            raise ValueError("%s line %d: lattice needs d*d entries, got %d"
-                             % (name, lineno, len(vals)))
-        rows[lineno] = make_lattice(np.array(vals).reshape(d, d))
+            raise ValueError("%s: lattice needs d*d entries, got %d" % (where, len(vals)))
+        rows.append((lineno, _lattice(vals, d, where)))
     if not rows:
         raise ValueError("%s: no lattices given" % name)
-    lats = list(rows.values())
-    if len({lat.d for lat in lats}) != 1:
-        raise ValueError("%s: lattices mix dimensions" % name)
-    return lats
+    for lineno, lat in rows:
+        if lat.d != rows[0][1].d:
+            raise ValueError("%s line %d: lattices mix dimensions" % (name, lineno))
+    return rows
+
+
+def parse_lattice_list(text, name="<lattices>"):
+    """One lattice per non-comment line (d*d row-major entries)."""
+    return [lat for _, lat in _parse_lattice_rows(text, name)]
 
 
 def parse_group_file(text, d, name="<group>"):
@@ -582,6 +606,10 @@ def read_lattice(path):
 
 def read_lattice_list(path):
     return parse_lattice_list(_read(path), name=str(path))
+
+
+def _read_lattice_rows(path):
+    return _parse_lattice_rows(_read(path), name=str(path))
 
 
 def read_group_file(path, d):

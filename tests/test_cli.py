@@ -239,6 +239,43 @@ def test_compare_lattices(workdir):
                                        "lattice 2 error 2 length 2"]
 
 
+@pytest.mark.parametrize("lines,data,message", [
+    # an incommensurable lattice after three good ones prints no row
+    ("1.0\n0.5\n2.0\n3.14159\n", "data.txt",
+     "lats.txt line 4: incommensurable lattices: resolution scale "),
+    ("1.0\n0\n", "data.txt", "lats.txt line 2: degenerate lattice: |det basis| = 0"),
+    ("1 0 0 1\n1 0 0 nan\n", "data2.txt", "lats.txt line 2: non-finite lattice entry 'nan'"),
+    ("1.0\ninf\n", "data.txt", "lats.txt line 2: non-finite lattice entry 'inf'"),
+    ("1\n", "data2.txt",
+     "lats.txt line 1: lattice dimension 1 does not match the dataset's 2"),
+    ("1.0\n0.5\n1e-7\n", "data.txt",
+     "lats.txt line 3: regridded dataset too large: "),
+    ("# one 1-D lattice, then a 2-D one\n1.0\n\n1 0 0 1\n", "data.txt",
+     "lats.txt line 4: lattices mix dimensions"),
+], ids=["incommensurable", "degenerate", "nan", "inf", "dimension", "cap", "mixed"])
+def test_lattice_file_errors_name_the_line_before_any_row(workdir, lines, data, message):
+    _group_inputs(workdir)
+    (workdir / "lats.txt").write_text(lines)
+    res = _run(["compare-lattices", "--data", data, "--lattices", "lats.txt",
+                "--ell", "1"], workdir)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: " + message) and res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("text,message", [
+    ("0 0\n0 0\n", "lat.txt: degenerate lattice: |det basis| = 0"),
+    ("1 0\n0 nan\n", "lat.txt line 2: non-finite lattice entry 'nan'"),
+], ids=["degenerate", "nan"])
+def test_lattice_errors_name_the_file(workdir, text, message):
+    (workdir / "lat.txt").write_text(text)
+    res = _run(["synth", "--scene", "scene.txt", "--lattice", "lat.txt",
+                "--resolution", "2", "--offsets", "offs.txt", "--out", "x.txt"], workdir)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: %s\n" % message
+
+
 def test_examples_verb(workdir):
     res = _run(["examples", "--id", "3.6"], workdir)
     assert res.returncode == 0

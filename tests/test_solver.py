@@ -18,7 +18,7 @@ from pwsis.solver import (_RANK_CUT, _TIE_GAP, _block_cells, ApproxReport, Subsp
                           refinement_inequality_check, solve_then_project,
                           subspace_length)
 from pwsis.spectral import (FrequencyGrid, Scene, SpectralDataset, _abs2, interval,
-                            make_grid, pw_mask, synthesize)
+                            make_grid, project_pw, pw_mask, residual_energy, synthesize)
 from pwsis.suites import run_property_suites
 from test_fibers import _whole_array_gramian
 
@@ -881,17 +881,18 @@ def test_length_from_eigh_matches_eigvalsh_rank(monkeypatch):
         rng = np.random.default_rng([7, k])
         G = gramian_field(suites._random_dataset(rng, m_max=4, r_max=6))
         assert eigen_field(G, 0).length == _eigvalsh_length(G)
-    # every Gramian the worked examples build, at their own resolutions
+    # every Gramian the worked examples build, at their own resolutions,
+    # whether from a dataset, through a band or through a regrid map
     seen = []
-    real = fibers.gramian_field
+    real = fibers._gramian_over
 
-    def spy(F):
-        G = real(F)
+    def spy(*args):
+        G = real(*args)
         seen.append(G)
         return G
 
-    for module in (fibers, solver, examples):  # each binds the name itself
-        monkeypatch.setattr(module, "gramian_field", spy)
+    for module in (fibers, solver):  # each binds the name itself
+        monkeypatch.setattr(module, "_gramian_over", spy)
     for example_id in examples.EXAMPLE_IDS:
         assert examples.reproduce_example(example_id).passed
     assert len(seen) >= 2 * len(examples.EXAMPLE_IDS)
@@ -966,40 +967,258 @@ def _rowwise_label_offsets(k2):
     return K2, np.asarray(inverse).ravel()[: k2.shape[0]]
 
 
-def test_regrid_offset_labels_match_the_rowwise_unique(monkeypatch):
-    # the 300 refinement datasets, and the files benchmark's dataset layout
-    # (d = 2, r = 64, offsets {-2..2}^2, m = 3) on its three lattices
+def _reference_regrid(F, lat):
+    """regrid_to_lattice before its regrid map: the same checks, then the
+    sample coordinates as (|K| r^d, d) tables, a row-wise unique of the
+    target offsets and a zero-filled target written in one scatter."""
+    src, grid, d = F.lattice, F.grid, F.grid.d
+    assert lat.d == d
+    if lat.same_as(src):
+        return F
+    sigma = (src.det_abs / lat.det_abs) ** (1.0 / d)
+    r2 = int(round(sigma * grid.r))
+    M = (lat.basis.T @ src.dual_basis) * (float(r2) / grid.r)
+    C = np.rint(M).astype(np.int64)
+    full = (grid.cell_vectors()[None, :, :]
+            + grid.r * grid.offsets[:, None, :]).reshape(-1, d)
+    k2, j2 = np.divmod(full @ C.T, r2)
+    K2, ki = _rowwise_label_offsets(k2)
+    grid2 = FrequencyGrid(lat, r2, K2)
+    ci = np.ravel_multi_index(j2.T, (r2,) * d)
+    vals = np.zeros((F.m, grid2.n_offsets, grid2.n_cells), dtype=np.complex128)
+    vals[:, ki, ci] = F.values.reshape(F.m, len(ki))
+    return SpectralDataset(lat, grid2, vals, check_finite=False)
+
+
+_FILES_LATTICES = (np.eye(2), [[1.0, 1.0], [0.0, 1.0]], np.eye(2) / 2)
+
+
+def _files_layout(seed, dead=False):
+    """The files benchmark's dataset layout: d = 2, r = 64, offsets
+    {-2..2}^2, m = 3 complex normal channels; dead cells on request."""
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 64, [[a, b] for a in range(-2, 3) for b in range(-2, 3)])
+    rng = np.random.default_rng(seed)
+    shape = (3, grid.n_offsets, grid.n_cells)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if dead:
+        vals[:, :, rng.random(grid.n_cells) < 0.3] = 0.0
+    return SpectralDataset(lat, grid, vals)
+
+
+def _regrid_cases():
+    """The 300 refinement datasets on their refined lattices, and the files
+    layout on its three lattices."""
     cases = []
     for trial in range(300):
         F, N, _ = _refinement_case(trial)
         cases.append((F, Lattice(F.lattice.basis / N)))
-    lat = make_lattice(np.eye(2))
-    grid = make_grid(lat, 64, [[a, b] for a in range(-2, 3) for b in range(-2, 3)])
-    rng = np.random.default_rng(66)
-    shape = (3, grid.n_offsets, grid.n_cells)
-    F = SpectralDataset(lat, grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    for basis in (np.eye(2), [[1.0, 1.0], [0.0, 1.0]], np.eye(2) / 2):
-        cases.append((F, make_lattice(basis)))
-    new_label = fibers._label_offsets
-    calls = []
-    labelled = 0
+    F = _files_layout(66)
+    cases.extend((F, make_lattice(basis)) for basis in _FILES_LATTICES)
+    return cases
 
-    def spy(k2):
-        got = new_label(k2)
-        calls.append((k2, got))
-        return got
 
-    for F, target in cases:
-        calls.clear()
-        monkeypatch.setattr(fibers, "_label_offsets", spy)
+def test_regrid_map_matches_the_index_table_route():
+    regridded = 0
+    for F, target in _regrid_cases():
         new = regrid_to_lattice(F, target)
-        monkeypatch.setattr(fibers, "_label_offsets", _rowwise_label_offsets)
-        old = regrid_to_lattice(F, target)
-        for k2, (K2, labels) in calls:
-            want_K2, want_labels = _rowwise_label_offsets(k2)
-            assert np.array_equal(K2, want_K2) and np.array_equal(labels, want_labels)
-        labelled += len(calls)
+        old = _reference_regrid(F, target)
+        if old is F:
+            assert new is F
+            continue
+        regridded += 1
+        assert new.lattice is target and new.support is None
+        assert new.grid.r == old.grid.r
         assert np.array_equal(new.grid.offsets, old.grid.offsets)
         assert np.array_equal(new.values, old.values)
     # every target but the dataset's own lattice is regridded
-    assert labelled == len(cases) - 1
+    assert regridded == 302
+
+
+def _assert_lattice_field(F, lat):
+    """The Gramian field read through the regrid map equals the field of
+    the regridded dataset, bit for bit."""
+    got = fibers._lattice_gramian(F, fibers._regrid_layout(F, lat))
+    R = _reference_regrid(F, lat)
+    want = gramian_field(R)
+    assert got.grid.compatible(R.grid) and got.m == F.m
+    assert np.array_equal(got.active_idx, want.active_idx)
+    assert np.array_equal(got.mats, want.mats)
+    assert np.array_equal(got.trace, want.trace)
+    return got
+
+
+def test_lattice_gramian_matches_the_regridded_dataset_route(monkeypatch):
+    for F, target in _regrid_cases():
+        _assert_lattice_field(F, target)
+    dense = _files_layout(66)
+    dead = _files_layout(69, dead=True)
+    lats = [make_lattice(basis) for basis in _FILES_LATTICES]
+    for lat in lats:
+        _assert_lattice_field(dead, lat)
+    _assert_lattice_field(dead.select_channels([]), lats[2])  # m = 0
+    # blocks whose last one holds a single cell: of all target cells for
+    # the trace pass, of the active cells for the Gramians
+    R = _reference_regrid(dead, lats[2])
+    for n in (R.grid.n_cells, gramian_field(R).n_active):
+        monkeypatch.setattr(fibers, "_BLOCK_BYTES", 16 * 3 * R.grid.n_offsets * (n - 1))
+        assert n % fibers._block_cells(3, R.grid.n_offsets) == 1
+        for F in (dense, dead):
+            _assert_lattice_field(F, lats[2])
+    monkeypatch.undo()
+    # the planted conjugation fault reaches every block
+    monkeypatch.setattr(fibers, "_BUG_GRAMIAN_NO_CONJ", True)
+    for lat in lats[1:]:
+        broken = _assert_lattice_field(dead, lat)
+        assert np.max(np.abs(broken.mats - broken.mats.conj().transpose(0, 2, 1))) > 1e-6
+
+
+def _reference_project_then_solve(F, mask, ell, group=None):
+    """project_then_solve before it read the band through a gather: the
+    solve of the whole band-limited copy project_pw(F, mask)."""
+    if group is not None:
+        solver._check_mask_invariant(mask, group)
+    PF = project_pw(F, mask)
+    model, rep = best_gamma(PF, group, ell) if group is not None else best_sis(PF, ell)
+    outside = residual_energy(F, mask)
+    return model, rep, outside
+
+
+def _assert_band_route(F, mask, ell, group=None):
+    model, rep = project_then_solve(F, mask, ell, group=group)
+    ref_model, ref, outside = _reference_project_then_solve(F, mask, ell, group)
+    assert np.array_equal(model.active_idx, ref_model.active_idx)
+    assert np.array_equal(model.dims, ref_model.dims)
+    assert np.array_equal(model.basis, ref_model.basis)
+    assert rep.total_error == ref.total_error + float(outside.sum())
+    assert np.array_equal(rep.per_channel, ref.per_channel + outside)
+    assert np.array_equal(rep.active_idx, ref.active_idx)
+    assert np.array_equal(rep.density, ref.density)
+    assert rep.projected_error == ref.total_error
+    assert rep.band_residual == float(outside.sum())
+
+
+def _with_support(F, rng):
+    """F zeroed off a random set of cells, which it is told as its support."""
+    support = np.flatnonzero(rng.random(F.grid.n_cells) < 0.5)
+    vals = np.zeros_like(F.values)
+    vals[:, :, support] = F.values[:, :, support]
+    return SpectralDataset(F.lattice, F.grid, vals, support=support)
+
+
+def test_band_gather_matches_the_projected_copy():
+    from pwsis import suites
+    from pwsis.spectral import PWMask
+
+    for k in range(60):
+        rng = np.random.default_rng([71, k])
+        F = suites._random_dataset(rng, m_max=4, r_max=6)
+        for G in (F, _with_support(F, rng)):
+            mask = PWMask(G.lattice, G.grid, rng.random((G.grid.n_offsets, G.grid.n_cells)) < 0.6)
+            for ell in range(G.m + 2):
+                _assert_band_route(G, mask, ell)
+    # a synthesized support and the files layout with its disc band
+    F, grid = _two_bumps(4)
+    assert F.support is not None
+    for ell in (0, 1, 2):
+        _assert_band_route(F, pw_mask(interval(-1.0, 1.0), LAT_Z, grid), ell)
+    F = _files_layout(70, dead=True)
+    xi = F.grid.cell_vectors() / 64.0
+    disc = (((xi[None] + F.grid.offsets[:, None]) - 0.5) ** 2).sum(axis=2) < 1.6 ** 2
+    _assert_band_route(F, PWMask(F.lattice, F.grid, disc), 1)
+
+
+def test_group_band_gather_matches_the_projected_copy():
+    from pwsis.spectral import PWMask
+
+    group = make_group([_ROT4, _FLIP])
+    lat = make_lattice(np.eye(2))
+    rng = np.random.default_rng(72)
+    for r in (1, 2, 3, 4, 6):
+        grid = make_grid(lat, r, [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])
+        orbits = orbit_partition(grid, group).orbits
+        for trial in range(4):
+            m = int(rng.integers(1, 4))
+            shape = (m, grid.n_offsets, grid.n_cells)
+            vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            if trial == 3:  # real integer data symmetrized: tied eigenvalues
+                base = SpectralDataset(lat, grid, rng.integers(-2, 3, size=shape[1:])[None] + 0j)
+                vals = symmetrize(base, group).values
+            F = SpectralDataset(lat, grid, vals)
+            bits = np.zeros(grid.n_offsets * grid.n_cells, dtype=bool)
+            for o in orbits:
+                bits[o] = rng.random() < 0.6
+            mask = PWMask(lat, grid, bits.reshape(grid.n_offsets, grid.n_cells))
+            for G in (F, _with_support(F, rng)):
+                for ell in (0, 1, 2, 3 * F.m):
+                    _assert_band_route(G, mask, ell, group)
+
+
+def test_compare_lattices_route_never_holds_the_target():
+    import tracemalloc
+
+    F = _files_layout(73)
+    for basis in _FILES_LATTICES[1:]:
+        lat = make_lattice(basis)
+        target = fibers._regrid_layout(F, lat)[0]
+        nbytes = 16 * F.m * target.n_offsets * target.n_cells
+        tracemalloc.start()
+        try:
+            eigen_field(fibers._lattice_gramian(F, fibers._regrid_layout(F, lat)), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes
+
+
+def test_band_solves_never_copy_the_dataset():
+    import tracemalloc
+    from pwsis.spectral import PWMask
+
+    # the files layout, 4.9 MB of values, and D4 with m = 6 on 5 x 5
+    # offsets at r = 48, 5.5 MB, against about 1 MB per block
+    F = _files_layout(74)
+    mask = PWMask(F.lattice, F.grid, np.random.default_rng(75).random(
+        (F.grid.n_offsets, F.grid.n_cells)) < 0.5)
+    group = make_group([_ROT4, _FLIP])
+    grid = make_grid(F.lattice, 48, F.grid.offsets)
+    rng = np.random.default_rng(76)
+    shape = (6, grid.n_offsets, grid.n_cells)
+    Fg = SpectralDataset(F.lattice, grid, rng.standard_normal(shape)
+                         + 1j * rng.standard_normal(shape))
+    bits = np.zeros(grid.n_offsets * grid.n_cells, dtype=bool)
+    for o in orbit_partition(grid, group).orbits:
+        bits[o] = rng.random() < 0.25
+    gmask = PWMask(F.lattice, grid, bits.reshape(grid.n_offsets, grid.n_cells))
+    for data, band, g in ((F, mask, None), (Fg, gmask, group)):
+        tracemalloc.start()
+        try:
+            project_then_solve(data, band, 1, group=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.values.nbytes
+
+
+def test_solve_then_project_clips_one_cell_at_a_time(monkeypatch):
+    import tracemalloc
+    from pwsis.spectral import PWMask
+
+    # m = 2, ell = 2 on 5 x 5 offsets at r = 64: the basis is 3.3 MB; with
+    # the solve done beforehand and the error not measured, the clipping
+    # holds only the clipped basis it returns
+    F = _files_layout(77).select_channels([0, 1])
+    mask = PWMask(F.lattice, F.grid, np.random.default_rng(78).random(
+        (F.grid.n_offsets, F.grid.n_cells)) < 0.5)
+    want, _ = solve_then_project(F, mask, 2)
+    solved = best_sis(F, 2)
+    monkeypatch.setattr(solver, "best_sis", lambda F, ell: solved)
+    monkeypatch.setattr(solver, "error_against", lambda F, model: None)
+    tracemalloc.start()
+    try:
+        model, _ = solve_then_project(F, mask, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(model.basis, want.basis)
+    assert peak < 1.25 * model.basis.nbytes
