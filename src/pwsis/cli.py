@@ -130,18 +130,17 @@ def _cmd_pipeline(args):
 
 def _cmd_compare_lattices(args):
     from . import solver, textio
-    from .fibers import _lattice_gramian, _regrid_layout
 
     F = textio.read_dataset(args.data)
     # every lattice is checked against the dataset before the first row
-    layouts = []
+    cuts = []
     for lineno, lat in textio._read_lattice_rows(args.lattices):
         try:
-            layouts.append(_regrid_layout(F, lat))
+            cuts.append(solver._lattice_cut(F, lat))
         except ValueError as e:
             raise ValueError("%s line %d: %s" % (args.lattices, lineno, e))
-    for i, layout in enumerate(layouts):
-        ef = solver.eigen_field(_lattice_gramian(F, layout), args.ell)
+    for i, cut in enumerate(cuts):
+        ef = cut(args.ell)
         print("lattice %d error %s length %d" % (i, _g(ef.error), ef.length))
     return 0
 

@@ -13,8 +13,7 @@ import numpy as np
 
 from .lattice import make_lattice
 from .spectral import Ball, Box, Scene, interval, make_grid, pw_mask, synthesize
-from .fibers import gramian_field
-from .solver import (best_sis, eigen_field, project_then_solve,
+from .solver import (_dataset_cut, best_sis, project_then_solve,
                      refinement_inequality_check, solve_then_project)
 
 __all__ = ["ExampleReport", "Row", "reproduce_example", "EXAMPLE_IDS"]
@@ -126,9 +125,9 @@ def _ex_refine_gain(r):
 
 def _one_generator(scene, lat, r, offsets):
     """(error, length) of the one-generator optimum for the scene sampled on
-    the lattice; the dataset and its eigen field are freed before return,
+    the lattice; the dataset and its eigen cut are freed before return,
     so the next lattice's synthesis does not run next to them."""
-    ef = eigen_field(gramian_field(synthesize(scene, lat, make_grid(lat, r, offsets))), 1)
+    ef = _dataset_cut(synthesize(scene, lat, make_grid(lat, r, offsets)), 1)
     out = ef.error, ef.length
     del ef
     gc.collect()

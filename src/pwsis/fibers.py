@@ -95,10 +95,9 @@ class GramianField:
         return "GramianField(m=%d, active=%d/%d)" % (self.m, self.n_active, self.grid.n_cells)
 
 
-# bytes of m x k complex matrices per block: m x m Gramians per eigh call,
-# m channels x k offsets of fibers per gather.  A block's Gramians and full
-# eigenvectors are held only until its top rows are kept, a block's fibers
-# only until its products are taken.
+# bytes of a block: of the fibers a gather returns, of the operators an eigh
+# call takes.  A block's fibers are held only until its products are taken,
+# its operators and full eigenvectors only until their top rows are kept.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -142,40 +141,61 @@ def _gramian_mats(va):
     return np.einsum("ikc,jkc->cij", va, other)
 
 
-def _gramian_over(grid, m, cells, gather, trace_step=None):
-    """Gramian field of the m-channel fibers that gather(c) returns at the
-    ascending cells c (as an (m, |K|, len(c)) array); every other cell is
-    inactive.  The fibers are read trace_step cells at a time for the traces
-    (a block by default) and then a block of cells at a time for the
-    Gramians of the active cells."""
-    step = _block_cells(m, grid.n_offsets)
+def _gather(F, bits=None):
+    """gather(c): F's (m, |K|, len(c)) fibers at the ascending cells c, read
+    in place for a contiguous run and taken otherwise; with the bits of a
+    band mask, those of project_pw(F, mask), taken and zeroed off the band."""
+    def gather(c):
+        if bits is None and c[-1] - c[0] == len(c) - 1:
+            return F.values[:, :, c[0]:c[-1] + 1]
+        v = F.values.take(c, axis=2)
+        if bits is not None:
+            np.copyto(v, 0.0, where=~bits.take(c, axis=1))
+        return v
+
+    return gather
+
+
+def _fiber_blocks(grid, m, cells, gather, fiber_side=False, trace_step=None):
+    """The one route from the m-channel fibers gather(c) at the ascending
+    cells to their n x n operators: (grid, n, active, trace, block, step),
+    solver._eigen_cut's arguments but the rank.  The trace pass reads
+    trace_step cells at a time (a block by default); block(s, e) gathers the
+    active cells s..e-1 once and returns their Gramians (n = m) or, on the
+    fiber side, the Gramians across channels (n = |K|).  A block of the
+    larger of the two shapes sizes each gather and each eigh."""
+    nK = grid.n_offsets
+    n = nK if fiber_side else m
+    step = min(_block_cells(m, nK), _block_cells(n, n))
     keep, trace = _active_cells(cells, gather, trace_step or step)
     active = cells[keep]
-    mats = np.empty((len(active), m, m), dtype=np.complex128)
-    for s in range(0, len(active), step):
-        mats[s:s + step] = _gramian_mats(gather(active[s:s + step]))
-    return GramianField(grid, m, active, mats, trace)
+
+    def block(s, e):
+        v = gather(active[s:e])
+        return _gramian_mats(v.transpose(1, 0, 2) if fiber_side else v)
+
+    return grid, n, active, trace, block, step
+
+
+def _dataset_blocks(F, bits=None):
+    """_fiber_blocks of _gather(F, bits) over F's support, off which every
+    cell is zero and so inactive, or over its whole grid, traced in one
+    pass when it is read in place."""
+    cells = np.arange(F.grid.n_cells) if F.support is None else F.support
+    return _fiber_blocks(F.grid, F.m, cells, _gather(F, bits),
+                         trace_step=len(cells) if F.support is None and bits is None else None)
 
 
 def gramian_field(F):
     """Per-cell Gramian of all channel fibers, summed in ascending offset
-    order (einsum over the offset axis is a fixed-order reduction).
-
-    When the dataset knows its support, only those cells are read; every
-    other cell is zero and so inactive.  Cells never interact, so the result
-    is the same as from the full grid.  A contiguous run of cells is read in
-    place, any other is gathered.  The whole grid is read in place, so its
-    traces take one pass; a support is gathered, so its traces are taken a
-    block at a time."""
-    cells = np.arange(F.grid.n_cells) if F.support is None else F.support
-
-    def gather(c):
-        if c[-1] - c[0] == len(c) - 1:
-            return F.values[:, :, c[0]:c[-1] + 1]
-        return F.values.take(c, axis=2)
-
-    return _gramian_over(F.grid, F.m, cells, gather,
-                         len(cells) if F.support is None else None)
+    order (einsum over the offset axis is a fixed-order reduction), on the
+    active cells.  Cells never interact, so a support or a split into
+    blocks gives the result of the full grid."""
+    grid, m, active, trace, block, step = _dataset_blocks(F)
+    mats = np.empty((len(active), m, m), dtype=np.complex128)
+    for s in range(0, len(active), step):
+        mats[s:s + step] = block(s, s + step)
+    return GramianField(grid, m, active, mats, trace)
 
 
 def symmetrize(F, group):
@@ -355,14 +375,13 @@ def regrid_to_lattice(F, lat):
     return SpectralDataset(lat, grid2, vals, check_finite=False)
 
 
-def _lattice_gramian(F, layout):
-    """gramian_field(regrid_to_lattice(F, lat)) for layout =
-    _regrid_layout(F, lat), with the regridded fibers read through the
-    regrid map a block at a time instead of from a regridded dataset."""
+def _lattice_blocks(F, layout):
+    """_fiber_blocks of F's fibers regridded by layout = _regrid_layout(F,
+    lat), read through the regrid map instead of from a regridded dataset."""
     if layout is None:
-        return gramian_field(F)
+        return _dataset_blocks(F)
     grid2 = layout[0]
-    return _gramian_over(grid2, F.m, np.arange(grid2.n_cells),
+    return _fiber_blocks(grid2, F.m, np.arange(grid2.n_cells),
                          _map_gather(F, _regrid_map(F, layout)))
 
 

@@ -43,7 +43,10 @@ class Lattice:
         basis = np.array(basis, dtype=float)
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise ValueError("degenerate lattice: basis must be a square matrix")
-        det = np.linalg.det(basis)
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = np.linalg.det(basis)
+        if not (np.isfinite(basis).all() and np.isfinite(det)):
+            raise ValueError("lattice out of range: a basis entry or |det basis| is not finite")
         if abs(det) <= _SINGULAR_TOL:
             raise ValueError("degenerate lattice: |det basis| = %g" % abs(det))
         self.basis = basis

@@ -12,9 +12,9 @@ import numpy as np
 
 from .lattice import Lattice, offset_permutations, orbit_partition, pair_permutations
 from .omega import _exact_fill_knapsack
-from .fibers import (_active_cells, _block_cells, _gramian_mats, _gramian_over,
-                     _lattice_gramian, _regrid_layout, dilation_transport, gramian_field)
-from .spectral import SpectralDataset, _abs2, residual_energy
+from .fibers import (_block_cells, _dataset_blocks, _fiber_blocks, _gather,
+                     _lattice_blocks, _regrid_layout, dilation_transport)
+from .spectral import SpectralDataset, _abs2, _band_energy, residual_energy
 
 __all__ = [
     "EigenField",
@@ -101,14 +101,13 @@ def _order_ties(w, Y, trace):
         start = stop
 
 
-def _eigen_cut(grid, m, active_idx, trace, block, ell):
-    """The rank-ell cut of the Gramians that block(s, e) returns for the
-    active cells s..e-1, taken a block of _block_cells(m, m) cells at a time
-    (see EigenField).  eigh treats each matrix on its own, so the result
-    does not depend on how the cells are split."""
+def _eigen_cut(grid, m, active_idx, trace, block, step, ell):
+    """The rank-ell cut of the m x m operators that block(s, e) returns for
+    the active cells s..e-1, taken step cells at a time (see EigenField).
+    eigh treats each matrix on its own, so the result does not depend on
+    how the cells are split."""
     n = active_idx.shape[0]
     rows = min(ell, m)
-    step = _block_cells(m, m)
     w = np.empty((n, m))
     Y = np.empty((n, rows, m), dtype=np.complex128)
     for s in range(0, n, step):
@@ -147,8 +146,22 @@ def eigen_field(G, ell):
     """Hermitian eigendecomposition of a Gramian field cut at rank ell: all
     eigenvalues, the top min(ell, m) eigenvectors, the discarded mass per
     cell and the data's subspace length (see EigenField)."""
-    return _eigen_cut(G.grid, G.m, G.active_idx, G.trace,
-                      lambda s, e: G.mats[s:e], _check_length(ell))
+    return _eigen_cut(G.grid, G.m, G.active_idx, G.trace, lambda s, e: G.mats[s:e],
+                      _block_cells(G.m, G.m), _check_length(ell))
+
+
+def _dataset_cut(F, ell, bits=None):
+    """eigen_field(gramian_field(F), ell), with band bits of project_pw(F,
+    mask), built a block at a time: no Gramian field is held."""
+    return _eigen_cut(*_dataset_blocks(F, bits), ell)
+
+
+def _lattice_cut(F, lat):
+    """Check lat against F, as regrid_to_lattice does, and return cut(ell):
+    the rank-ell cut of F regridded onto lat, with neither the regridded
+    dataset nor its Gramian field held."""
+    layout = _regrid_layout(F, lat)
+    return lambda ell: _eigen_cut(*_lattice_blocks(F, layout), _check_length(ell))
 
 
 class SubspaceModel:
@@ -193,36 +206,9 @@ class ApproxReport:
         self.band_residual = band_residual
 
 
-def _fibers(F, bits=None):
-    """gather(c): the (m, |K|, len(c)) fibers of F at the cells c, copied.
-    With the bits of a band mask they are the fibers of project_pw(F, mask),
-    read from F and zeroed outside the band."""
-    def gather(c):
-        v = F.values.take(c, axis=2)
-        if bits is not None:
-            np.copyto(v, 0.0, where=~bits.take(c, axis=1))
-        return v
-
-    return gather
-
-
-def _energy(F, bits=None):
-    """F.energy(), or with the bits of a band mask project_pw(F, mask).energy():
-    each channel's |value|^2 zeroed outside the band, summed whole as
-    energy sums it, so the bits are the same."""
-    if bits is None:
-        return F.energy()
-    out = np.empty(F.m)
-    for i in range(F.m):
-        a = _abs2(F.values[i])
-        a *= bits
-        out[i] = a.sum() * F.grid.cell_weight
-    return out
-
-
-def _captured(fibers, m, model):
+def _captured(gather, m, model):
     """Per-channel energy captured by the model's orthonormal fibers, where
-    fibers(c) returns the m-channel fibers at the cells c (see _fibers).  The
+    gather(c) returns the m-channel fibers at the cells c (see _gather).  The
     amplitudes are taken a block of fibers at a time; each cell's products
     are its own, so the blocks give the bits of one whole pass."""
     na, rows, nK = model.basis.shape
@@ -230,22 +216,22 @@ def _captured(fibers, m, model):
     step = _block_cells(m, nK)
     for s in range(0, na, step):
         amp[s:s + step] = np.einsum("cjk,ikc->cij", model.basis[s:s + step].conj(),
-                                    fibers(model.active_idx[s:s + step]))
+                                    gather(model.active_idx[s:s + step]))
     return _abs2(amp).sum(axis=(0, 2)) * model.grid.cell_weight
 
 
 def _unexplained(F, model, bits=None):
     """Per-channel energy the model leaves out of F, or with the bits of a
     band mask out of project_pw(F, mask)."""
-    return _energy(F, bits) - _captured(_fibers(F, bits), F.m, model)
+    energy = F.energy() if bits is None else _band_energy(F, bits)
+    return energy - _captured(_gather(F, bits), F.m, model)
 
 
-def _build_basis(fibers, ef, ell):
+def _build_basis(gather, ef, ell):
     """Generator fibers b_j = lambda_j^(-1/2) sum_i conj(y_j)_i fiber_i for
     the top-ell eigenpairs, zero rows where the eigenvalue is negligible.
-    fibers(s, e) returns the (m, |K|, e - s) fibers at ef's active cells
-    s..e-1, as _eigen_cut's block does their Gramians; they are taken a
-    block at a time."""
+    gather(c) returns the (m, |K|, len(c)) fibers at the cells c; ef's
+    active cells are taken a block at a time."""
     rows = min(ell, ef.m)
     na = ef.n_active
     nK = ef.grid.n_offsets
@@ -260,7 +246,8 @@ def _build_basis(fibers, ef, ell):
     basis = np.empty((na, rows, nK), dtype=np.complex128)
     step = _block_cells(ef.m, nK)
     for s in range(0, na, step):
-        basis[s:s + step] = np.einsum("cji,ikc->cjk", scaled[s:s + step], fibers(s, s + step))
+        basis[s:s + step] = np.einsum("cji,ikc->cjk", scaled[s:s + step],
+                                      gather(ef.active_idx[s:s + step]))
     basis[~keep] = 0.0
     return basis, dims
 
@@ -278,15 +265,8 @@ def _best_sis(F, ell, bits=None):
     """best_sis of F, or with the bits of a band mask best_sis of
     project_pw(F, mask), with every fiber read from F through the band."""
     ell = _check_length(ell)
-    fibers = _fibers(F, bits)
-    if bits is None:
-        G = gramian_field(F)
-    else:  # the band keeps the support: cells off it stay zero
-        cells = np.arange(F.grid.n_cells) if F.support is None else F.support
-        G = _gramian_over(F.grid, F.m, cells, fibers)
-    ef = eigen_field(G, ell)
-    del G
-    basis, dims = _build_basis(lambda s, e: fibers(ef.active_idx[s:e]), ef, ell)
+    ef = _dataset_cut(F, ell, bits)
+    basis, dims = _build_basis(_gather(F, bits), ef, ell)
     model = SubspaceModel(F.lattice, F.grid, ell, ef.active_idx, basis, dims)
     per_channel = _unexplained(F, model, bits)
     report = ApproxReport(ef.error, per_channel, active_idx=ef.active_idx,
@@ -297,7 +277,7 @@ def _best_sis(F, ell, bits=None):
 def subspace_length(F):
     """Smallest length of an invariant subspace containing all channels:
     the max over cells of the fiber Gramian rank at relative threshold 1e-9."""
-    return eigen_field(gramian_field(F), 0).length
+    return _dataset_cut(F, 0).length
 
 
 def error_against(F, model):
@@ -386,11 +366,11 @@ def best_gamma(F, group, ell):
     the fiber side: the |K| x |K| operator T_c = sum over g, i of
     (R_g f_i)(R_g f_i)^H has the nonzero spectrum of the symmetrized
     channels' m|G| x m|G| Gramian, and its top eigenvectors are the
-    generator fibers themselves.  T_c is built per block, each block just
+    generator fibers themselves.  T_c is built a block at a time, just
     before its eigendecomposition, from the representatives' symmetrized
-    fibers gathered a block at a time, so neither the field nor those
-    fibers are ever held whole.  The basis is extended to the orbit by the
-    pure offset permutation carried by the group action on fibers.  A
+    fibers, so neither the operators nor those fibers are held whole.  The
+    basis is extended to the orbit by the pure offset permutation carried
+    by the group action on fibers.  A
     representative is active when its symmetrized trace is positive; that
     trace sums the same squared samples at every cell of the orbit, so
     activity is an orbit property.
@@ -430,20 +410,9 @@ def _best_gamma(F, group, ell, bits=None):
             np.copyto(out, 0.0, where=~bits.take(cells, axis=1))
         return out
 
-    step = _block_cells(m * n_group, nK)
-    keep, trace = _active_cells(reps, gather, step)
-    active = reps[keep]
-
-    def fiber_ops(s, e):
-        """T_c at the active representatives s..e-1: the Gramians of their
-        fibers taken across channels, gathered step cells at a time."""
-        cells = active[s:e]
-        mats = np.empty((len(cells), nK, nK), dtype=np.complex128)
-        for a in range(0, len(cells), step):
-            mats[a:a + step] = _gramian_mats(gather(cells[a:a + step]).transpose(1, 0, 2))
-        return mats
-
-    ef = _eigen_cut(F.grid, nK, active, trace, fiber_ops, ell)
+    route = _fiber_blocks(F.grid, m * n_group, reps, gather, fiber_side=True)
+    _, _, active, trace, fiber_ops, _ = route
+    ef = _eigen_cut(*route, ell)
     # T_c has rank at most m|G|: rows past it would be zero
     rows = min(ell, m * n_group)
     kept = min(rows, nK)
@@ -465,7 +434,7 @@ def _best_gamma(F, group, ell, bits=None):
 
     # active cells: every member of an orbit whose representative is active
     rep_pos = np.full(len(reps), -1, dtype=np.int64)
-    rep_pos[keep] = np.arange(len(keep))
+    rep_pos[np.searchsorted(reps, active)] = np.arange(len(active))
     cell_rep = rep_pos[part.orbit_index]
     all_active = np.flatnonzero(cell_rep >= 0)
     src = cell_rep[all_active]
@@ -571,11 +540,10 @@ def refinement_inequality_check(F, N, ell):
     if N < 1 or int(N) != N:
         raise ValueError("refinement factor must be a positive integer")
     N = int(N)
-    coarse = eigen_field(gramian_field(F), ell).error
+    coarse = _lattice_cut(F, F.lattice)(ell).error
     if N == 1:
         return coarse, coarse
     if F.grid.r % N:
         raise ValueError("indivisible resolution: r=%d is not a multiple of N=%d"
                          % (F.grid.r, N))
-    fine = _lattice_gramian(F, _regrid_layout(F, Lattice(F.lattice.basis / N)))
-    return eigen_field(fine, ell).error, coarse
+    return _lattice_cut(F, Lattice(F.lattice.basis / N))(ell).error, coarse

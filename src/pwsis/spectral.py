@@ -72,7 +72,10 @@ class FrequencyGrid:
         self.n_offsets = self.offsets.shape[0]
         self.n_cells = self.r ** self.d
         # |det Ahat| = 1 / |det A|
-        self.cell_weight = 1.0 / (lattice.det_abs * self.n_cells)
+        with np.errstate(over="ignore"):
+            self.cell_weight = 1.0 / (lattice.det_abs * self.n_cells)
+        if not 0.0 < self.cell_weight < np.inf:
+            raise ValueError("cell weight %g out of range" % self.cell_weight)
         self._offset_lookup = {tuple(int(v) for v in k): i for i, k in enumerate(self.offsets)}
         self._cells = None
         self.offsets.setflags(write=False)
@@ -407,12 +410,19 @@ def project_pw(F, mask):
                            support=F.support)
 
 
+def _band_energy(F, bits):
+    """Per-channel energy of F where bits is set: |value|^2 times the bits,
+    summed whole as energy sums it, so in a band it is project_pw's."""
+    out = np.empty(F.m)
+    for i in range(F.m):
+        a = _abs2(F.values[i])
+        a *= bits
+        out[i] = a.sum() * F.grid.cell_weight
+    return out
+
+
 def residual_energy(F, mask):
     """Per-channel energy outside the mask, i.e. the distance squared to the
     band-limited subspace of the mask."""
     _require_same_grid(F, mask)
-    off = ~mask.bits
-    out = np.empty(F.m)
-    for i in range(F.m):
-        out[i] = (_abs2(F.values[i]) * off).sum() * F.grid.cell_weight
-    return out
+    return _band_energy(F, ~mask.bits)

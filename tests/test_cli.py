@@ -252,7 +252,12 @@ def test_compare_lattices(workdir):
      "lats.txt line 3: regridded dataset too large: "),
     ("# one 1-D lattice, then a 2-D one\n1.0\n\n1 0 0 1\n", "data.txt",
      "lats.txt line 4: lattices mix dimensions"),
-], ids=["incommensurable", "degenerate", "nan", "inf", "dimension", "cap", "mixed"])
+    # finite entries whose determinant overflows: no numpy warning may
+    # reach stderr
+    ("1 0 0 1\n1e200 0 0 1e200\n", "data2.txt",
+     "lats.txt line 2: lattice out of range: a basis entry or |det basis| is not finite"),
+], ids=["incommensurable", "degenerate", "nan", "inf", "dimension", "cap", "mixed",
+        "det-overflow"])
 def test_lattice_file_errors_name_the_line_before_any_row(workdir, lines, data, message):
     _group_inputs(workdir)
     (workdir / "lats.txt").write_text(lines)
@@ -261,6 +266,27 @@ def test_lattice_file_errors_name_the_line_before_any_row(workdir, lines, data, 
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("error: " + message) and res.stderr.count("\n") == 1
+
+
+def test_out_of_range_dataset_lattice_exits_two(workdir):
+    _group_inputs(workdir)
+    text = (workdir / "data2.txt").read_text()
+    header = text.splitlines()[2]
+    assert header.startswith("lattice ")
+    (workdir / "big.txt").write_text(text.replace(header, "lattice 1e160 0 0 1e160", 1))
+    res = _run(["solve", "--data", "big.txt", "--ell", "1"], workdir)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == ("error: big.txt line 3: lattice out of range: a basis entry or "
+                          "|det basis| is not finite\n")
+    # a finite |det basis| of 1e305 times 64^2 cells leaves no cell weight
+    (workdir / "cw.txt").write_text("pwsis-dataset v1\ndim 2\nlattice 1e300 0 0 1e5\n"
+                                    "resolution 64\noffsets 1\n0 0\nchannels 0\n")
+    res = _run(["solve", "--data", "cw.txt", "--ell", "1"], workdir)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: cw.txt line ") and res.stderr.count("\n") == 1
+    assert "cell weight 0 out of range" in res.stderr
 
 
 @pytest.mark.parametrize("text,message", [

@@ -43,6 +43,21 @@ def test_singular_basis_rejected():
         Lattice(np.zeros((2, 2)))
 
 
+def test_out_of_range_basis_rejected_without_a_warning():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # non-finite entries, also where they leave |det basis| finite, and
+        # finite entries whose determinant overflows
+        for basis in ([[np.nan]], [[np.inf]], [[1.0, np.nan], [0.0, 1.0]],
+                      [[1.0, np.inf], [0.0, 1.0]], [[1e160, 0.0], [0.0, 1e160]],
+                      [[1e300, 1e300], [1e300, -1e300]]):
+            with pytest.raises(ValueError, match=r"lattice out of range: a basis entry or "
+                                                 r"\|det basis\| is not finite"):
+                make_lattice(basis)
+
+
 def test_dilate_lattice_dual_identity():
     lat = make_lattice([[1.0, 0.25], [0.0, 1.0]])
     A = np.array([[2.0, 1.0], [0.0, 0.5]])

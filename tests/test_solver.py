@@ -541,10 +541,11 @@ def _materialized_best_gamma(F, group, ell):
 
 
 def test_blocked_best_gamma_matches_materialized_field(monkeypatch):
-    # m|G| = 24 (C4) and 48 (D4) on |K| = 9 offsets, with blocks of 20
-    # operators per eigh and fewer fibers per gather: the representatives
-    # take several of each, and a share of whole cell orbits is zeroed so
-    # the active ones are gathered
+    # m|G| = 24 (C4) and 48 (D4) on |K| = 9 offsets, with blocks the size
+    # of 20 operators: the fibers, the larger shape, set 7 (C4) or 3 (D4)
+    # cells per gather and per eigh, so the representatives take many
+    # blocks, and a share of whole cell orbits is zeroed so the active ones
+    # are gathered
     monkeypatch.setattr(fibers, "_BLOCK_BYTES", 16 * 9 * 9 * 20)
     lat = make_lattice(np.eye(2))
     for gens, r, seed_ in (([_ROT4], 24, 60), ([_ROT4, _FLIP], 16, 61)):
@@ -739,13 +740,14 @@ def test_gramian_fault_reaches_best_gamma_blocks(monkeypatch):
     F = SpectralDataset(lat, grid, rng.standard_normal(shape)
                         + 1j * rng.standard_normal(shape))
     blocks = []
+    real = fibers._gramian_mats
 
     def spy(va):
-        mats = fibers._gramian_mats(va)
+        mats = real(va)
         blocks.append(mats)
         return mats
 
-    monkeypatch.setattr(solver, "_gramian_mats", spy)
+    monkeypatch.setattr(fibers, "_gramian_mats", spy)
     for planted in (False, True):
         monkeypatch.setattr(fibers, "_BUG_GRAMIAN_NO_CONJ", planted)
         blocks.clear()
@@ -865,6 +867,16 @@ def test_eigen_field_rank_cut_matches_reference():
         eigen_field(fields[0], -1)
 
 
+def _route_field(route):
+    """The operators of a _fiber_blocks route, read through its block
+    function at its own step, as a GramianField."""
+    grid, n, active, trace, block, step = route
+    mats = np.empty((len(active), n, n), dtype=complex)
+    for s in range(0, len(active), step):
+        mats[s:s + step] = block(s, s + step)
+    return GramianField(grid, n, active, mats, trace)
+
+
 def _eigvalsh_length(G):
     """subspace_length's rank path before it moved onto eigen_field."""
     if G.n_active == 0:
@@ -881,18 +893,19 @@ def test_length_from_eigh_matches_eigvalsh_rank(monkeypatch):
         rng = np.random.default_rng([7, k])
         G = gramian_field(suites._random_dataset(rng, m_max=4, r_max=6))
         assert eigen_field(G, 0).length == _eigvalsh_length(G)
-    # every Gramian the worked examples build, at their own resolutions,
-    # whether from a dataset, through a band or through a regrid map
+    # every operator set the worked examples cut, at their own resolutions,
+    # whether from a dataset, through a band or through a regrid map, read
+    # through the route's block function while its data is alive
     seen = []
-    real = fibers._gramian_over
+    real = fibers._fiber_blocks
 
-    def spy(*args):
-        G = real(*args)
-        seen.append(G)
-        return G
+    def spy(*args, **kwargs):
+        route = real(*args, **kwargs)
+        seen.append(_route_field(route))
+        return route
 
     for module in (fibers, solver):  # each binds the name itself
-        monkeypatch.setattr(module, "_gramian_over", spy)
+        monkeypatch.setattr(module, "_fiber_blocks", spy)
     for example_id in examples.EXAMPLE_IDS:
         assert examples.reproduce_example(example_id).passed
     assert len(seen) >= 2 * len(examples.EXAMPLE_IDS)
@@ -1036,9 +1049,10 @@ def test_regrid_map_matches_the_index_table_route():
 
 
 def _assert_lattice_field(F, lat):
-    """The Gramian field read through the regrid map equals the field of
-    the regridded dataset, bit for bit."""
-    got = fibers._lattice_gramian(F, fibers._regrid_layout(F, lat))
+    """The Gramians compare-lattices cuts, read through the regrid map by
+    the route's block function, equal the field of the regridded dataset,
+    bit for bit."""
+    got = _route_field(fibers._lattice_blocks(F, fibers._regrid_layout(F, lat)))
     R = _reference_regrid(F, lat)
     want = gramian_field(R)
     assert got.grid.compatible(R.grid) and got.m == F.m
@@ -1063,6 +1077,8 @@ def test_lattice_gramian_matches_the_regridded_dataset_route(monkeypatch):
     for n in (R.grid.n_cells, gramian_field(R).n_active):
         monkeypatch.setattr(fibers, "_BLOCK_BYTES", 16 * 3 * R.grid.n_offsets * (n - 1))
         assert n % fibers._block_cells(3, R.grid.n_offsets) == 1
+        step = fibers._lattice_blocks(dead, fibers._regrid_layout(dead, lats[2]))[5]
+        assert step == fibers._block_cells(3, R.grid.n_offsets)
         for F in (dense, dead):
             _assert_lattice_field(F, lats[2])
     monkeypatch.undo()
@@ -1080,13 +1096,16 @@ def _reference_project_then_solve(F, mask, ell, group=None):
         solver._check_mask_invariant(mask, group)
     PF = project_pw(F, mask)
     model, rep = best_gamma(PF, group, ell) if group is not None else best_sis(PF, ell)
-    outside = residual_energy(F, mask)
+    # residual_energy before it shared the band energy loop
+    outside = np.array([(_abs2(F.values[i]) * ~mask.bits).sum() * F.grid.cell_weight
+                        for i in range(F.m)])
     return model, rep, outside
 
 
 def _assert_band_route(F, mask, ell, group=None):
     model, rep = project_then_solve(F, mask, ell, group=group)
     ref_model, ref, outside = _reference_project_then_solve(F, mask, ell, group)
+    assert np.array_equal(residual_energy(F, mask), outside)
     assert np.array_equal(model.active_idx, ref_model.active_idx)
     assert np.array_equal(model.dims, ref_model.dims)
     assert np.array_equal(model.basis, ref_model.basis)
@@ -1164,11 +1183,40 @@ def test_compare_lattices_route_never_holds_the_target():
         nbytes = 16 * F.m * target.n_offsets * target.n_cells
         tracemalloc.start()
         try:
-            eigen_field(fibers._lattice_gramian(F, fibers._regrid_layout(F, lat)), 1)
+            solver._lattice_cut(F, lat)(1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < nbytes
+
+
+def test_no_solve_holds_its_gramian_field():
+    import tracemalloc
+    from pwsis.spectral import PWMask
+
+    # m = 8 channels on K = {0} at r = 128: the Gramian field is 16,384
+    # 8 x 8 complex matrices, 16 MB, against 2 MB of values and about 1 MB
+    # per block
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 128, [[0, 0]])
+    rng = np.random.default_rng(79)
+    shape = (8, grid.n_offsets, grid.n_cells)
+    F = SpectralDataset(lat, grid, rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
+    field = 16 * F.m * F.m * grid.n_cells
+    mask = PWMask(lat, grid, rng.random((grid.n_offsets, grid.n_cells)) < 0.5)
+    # the half-step lattice is refinement_inequality_check's; compare-lattices
+    # is run on the re-basis
+    for solve in (lambda: best_sis(F, 1), lambda: project_then_solve(F, mask, 1),
+                  lambda: subspace_length(F), lambda: refinement_inequality_check(F, 2, 1),
+                  lambda: solver._lattice_cut(F, make_lattice(_FILES_LATTICES[1]))(1)):
+        tracemalloc.start()
+        try:
+            solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < field
 
 
 def test_band_solves_never_copy_the_dataset():

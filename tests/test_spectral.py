@@ -36,6 +36,18 @@ def test_grid_cell_weight_and_sizes():
     assert make_grid(half, 4, [[0]]).cell_weight == 0.5
 
 
+def test_grid_cell_weight_out_of_range_rejected():
+    import warnings
+
+    # |det basis| = 1e305 is finite, but 1e305 * 64^2 cells overflows
+    lat = make_lattice([[1e300, 0.0], [0.0, 1e5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="cell weight 0 out of range"):
+            make_grid(lat, 64, [[0, 0]])
+    assert make_grid(lat, 16, [[0, 0]]).cell_weight > 0.0
+
+
 def test_grid_offsets_sorted_and_zero_required():
     grid = make_grid(LAT_Z, 1, [[1], [-1], [0]])
     assert np.array_equal(grid.offsets.ravel(), [-1, 0, 1])
