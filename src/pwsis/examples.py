@@ -126,7 +126,9 @@ def _ex_refine_gain(r):
 def _one_generator(scene, lat, r, offsets):
     """(error, length) of the one-generator optimum for the scene sampled on
     the lattice; the dataset and its eigen cut are freed before return,
-    so the next lattice's synthesis does not run next to them."""
+    so the next lattice's synthesis does not run next to them.  The full
+    collection finds no cycle to free, but it empties the interpreter's
+    free lists, and `pwsis examples` peaks up to 0.7 MB lower with it."""
     ef = _dataset_cut(synthesize(scene, lat, make_grid(lat, r, offsets)), 1)
     out = ef.error, ef.length
     del ef

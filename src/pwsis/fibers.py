@@ -279,12 +279,18 @@ def _regrid_layout(F, lat):
             "lattice dimension %d does not match the dataset's %d" % (lat.d, d))
     if lat.same_as(src):
         return None
-    sigma = (src.det_abs / lat.det_abs) ** (1.0 / d)
-    r2 = int(round(sigma * grid.r))
-    if r2 < 1 or abs(sigma * grid.r - r2) > 1e-6 * max(1.0, sigma * grid.r):
+    with np.errstate(over="ignore"):  # an infinite scale is reported below
+        sigma = (src.det_abs / lat.det_abs) ** (1.0 / d)
+        scaled = sigma * grid.r
+    r2 = int(round(scaled)) if np.isfinite(scaled) else 0
+    if r2 < 1 or abs(scaled - r2) > 1e-6 * max(1.0, scaled):
         raise ValueError(
             "incommensurable lattices: resolution scale %.12g does not give "
             "an integer resolution at r=%d" % (sigma, grid.r))
+    if r2 > _VALUE_CAP:
+        raise ValueError(
+            "regridded dataset too large: resolution %.12g exceeds the supported "
+            "bound %d" % (scaled, _VALUE_CAP))
     M = (lat.basis.T @ src.dual_basis) * (float(r2) / grid.r)
     C = np.rint(M)
     if np.max(np.abs(M - C)) > 1e-9:

@@ -83,22 +83,24 @@ def _check_length(ell):
     return int(ell)
 
 
-def _order_ties(w, Y, trace):
+def _order_ties(w, Y, tie):
     """Reorder eigenpairs inside tie groups by ascending lex order of the
-    row magnitude sequence; w and Y move together."""
-    n = w.shape[0]
-    tol = _TIE_GAP * trace
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and w[stop - 1] - w[stop] < tol:
-            stop += 1
-        if stop - start > 1:
-            rows = Y[start:stop]
-            order = np.lexsort(np.abs(rows).T[::-1])
-            Y[start:stop] = rows[order]
-            w[start:stop] = w[start:stop][order]
-        start = stop
+    row magnitude sequence, for a block of cells: w (cells, m) and Y
+    (cells, m, m) move together, and tie[c, j] says the gap after
+    eigenvalue j of cell c is a tie.  A tie group is a run of tied gaps.
+    One stable lexsort takes every cell with a tie at once, keyed by cell,
+    then group, then |y_0|, ..., |y_{m-1}|; groups are contiguous, so each
+    cell gets the permutation a sort of each group on its own gives."""
+    cells = np.flatnonzero(tie.any(axis=1))
+    if not cells.size:
+        return
+    n, m = cells.size, w.shape[1]
+    group = np.zeros((n, m), dtype=np.int64)
+    np.cumsum(~tie[cells], axis=1, out=group[:, 1:])
+    rows = Y[cells].reshape(n * m, m)
+    order = np.lexsort((*np.abs(rows).T[::-1], group.ravel(), np.arange(n).repeat(m)))
+    Y[cells] = rows[order].reshape(n, m, m)
+    w[cells] = w[cells].ravel()[order].reshape(n, m)
 
 
 def _eigen_cut(grid, m, active_idx, trace, block, step, ell):
@@ -121,11 +123,8 @@ def _eigen_cut(grid, m, active_idx, trace, block, step, ell):
         Yb = vb.transpose(0, 2, 1)[:, ::-1, :]
         # ties are ordered whole before the cut, so the kept rows do not
         # depend on where the cut falls
-        tb = trace[s:s + step]
         if m > 1:
-            gaps = -np.diff(wb, axis=1)
-            for c in np.flatnonzero(np.any(gaps < _TIE_GAP * tb[:, None], axis=1)):
-                _order_ties(wb[c], Yb[c], tb[c])
+            _order_ties(wb, Yb, -np.diff(wb, axis=1) < _TIE_GAP * trace[s:s + step, None])
         w[s:s + step] = wb
         Y[s:s + step] = Yb[:, :rows]
 

@@ -45,6 +45,17 @@ def _sorted_offsets(offsets, d):
     return arr
 
 
+def _cell_weight(lattice, n_cells):
+    """|det Ahat| / r^d, the measure of one sample of a grid of n_cells = r^d
+    cells; ValueError unless it is a positive finite float."""
+    # |det Ahat| = 1 / |det A|
+    with np.errstate(over="ignore"):
+        weight = 1.0 / (lattice.det_abs * n_cells)
+    if not 0.0 < weight < np.inf:
+        raise ValueError("cell weight %g out of range" % weight)
+    return weight
+
+
 def _grid_product(ranges):
     """Rows of the cartesian product of integer ranges, in C order."""
     mesh = np.meshgrid(*ranges, indexing="ij")
@@ -71,11 +82,7 @@ class FrequencyGrid:
             raise ValueError("offset set must contain 0")
         self.n_offsets = self.offsets.shape[0]
         self.n_cells = self.r ** self.d
-        # |det Ahat| = 1 / |det A|
-        with np.errstate(over="ignore"):
-            self.cell_weight = 1.0 / (lattice.det_abs * self.n_cells)
-        if not 0.0 < self.cell_weight < np.inf:
-            raise ValueError("cell weight %g out of range" % self.cell_weight)
+        self.cell_weight = _cell_weight(lattice, self.n_cells)
         self._offset_lookup = {tuple(int(v) for v in k): i for i, k in enumerate(self.offsets)}
         self._cells = None
         self.offsets.setflags(write=False)

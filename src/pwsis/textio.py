@@ -15,7 +15,7 @@ import numpy as np
 
 from .lattice import make_lattice, make_group
 from .spectral import (Ball, Box, FrequencyGrid, PWMask, Scene, SpectralDataset,
-                       _VALUE_CAP)
+                       _VALUE_CAP, _cell_weight)
 
 __all__ = [
     "format_dataset", "parse_dataset", "read_dataset", "write_dataset",
@@ -160,8 +160,9 @@ def _floats(lines, toks, no):
 
 def _header_grid(lines, kind, unit):
     """Read the grid header up to the offsets.  |K| * r^d (the unit lines
-    per channel the header promises) is checked against _VALUE_CAP, naming
-    the resolution line, before any grid is built."""
+    per channel the header promises) is checked against _VALUE_CAP before
+    any grid is built.  An error of the resolution names its line, one of
+    the cell weight the lattice line, any other the last offsets line."""
     s, no = lines.next("header")
     if s != kind:
         lines.fail(no, "unrecognized header %r (expected %r)" % (s, kind))
@@ -169,11 +170,11 @@ def _header_grid(lines, kind, unit):
     d = _ints(lines, [tok], no)[0]
     if d < 1:
         lines.fail(no, "dim must be positive")
-    toks, no = _tagged(lines, "lattice", d * d)
+    toks, lat_no = _tagged(lines, "lattice", d * d)
     try:
-        lat = make_lattice(np.array(_floats(lines, toks, no)).reshape(d, d))
+        lat = make_lattice(np.array(_floats(lines, toks, lat_no)).reshape(d, d))
     except ValueError as e:
-        lines.fail(no, str(e))
+        lines.fail(lat_no, str(e))
     (tok,), res_no = _tagged(lines, "resolution", 1)
     r = _ints(lines, [tok], res_no)[0]
     (tok,), no = _tagged(lines, "offsets", 1)
@@ -187,10 +188,16 @@ def _header_grid(lines, kind, unit):
         if len(row) != d:
             lines.fail(no, "offset needs %d integers, got %d" % (d, len(row)))
         file_offsets.append(row)
-    if r >= 1 and (r > _VALUE_CAP or n_off * r ** d > _VALUE_CAP):
+    if r < 1:
+        lines.fail(res_no, "resolution must be a positive integer")
+    if r > _VALUE_CAP or n_off * r ** d > _VALUE_CAP:
         count = "%d" % (n_off * r ** d) if r <= _VALUE_CAP else "more than %d" % _VALUE_CAP
         lines.fail(res_no, "header promises %s %s at this resolution; at most %d "
                            "are supported" % (count, unit, _VALUE_CAP))
+    try:
+        _cell_weight(lat, r ** d)
+    except ValueError as e:
+        lines.fail(lat_no, str(e))
     try:
         grid = FrequencyGrid(lat, r, np.array(file_offsets, dtype=np.int64))
     except ValueError as e:

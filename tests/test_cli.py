@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from pwsis.suites import SUITE_NAMES
 from pwsis.textio import read_mask
 
 # The checkout's package directory, absolute so that it still resolves from
@@ -268,6 +269,28 @@ def test_lattice_file_errors_name_the_line_before_any_row(workdir, lines, data, 
     assert res.stderr.startswith("error: " + message) and res.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("line,message", [
+    # |det| ratio 1e311 overflows the scale itself
+    ("1e-11", "incommensurable lattices: resolution scale inf does not give an "
+              "integer resolution at r=2"),
+    # a finite scale of 1e308 overflows times the resolution
+    ("1e-8", "incommensurable lattices: resolution scale 1e+308 does not give an "
+             "integer resolution at r=2"),
+    ("1e-5", "regridded dataset too large: resolution 2e+305 exceeds the supported "
+             "bound 16777216"),
+], ids=["scale", "resolution", "finite"])
+def test_regrid_scale_overflow_exits_two(workdir, line, message):
+    text = (workdir / "data.txt").read_text()
+    header = text.splitlines()[2]
+    assert header.startswith("lattice ")
+    (workdir / "big.txt").write_text(text.replace(header, "lattice 1e300", 1))
+    (workdir / "lats.txt").write_text(line + "\n")
+    res = _run(["compare-lattices", "--data", "big.txt", "--lattices", "lats.txt",
+                "--ell", "1"], workdir)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: lats.txt line 1: %s\n" % message
+
+
 def test_out_of_range_dataset_lattice_exits_two(workdir):
     _group_inputs(workdir)
     text = (workdir / "data2.txt").read_text()
@@ -285,8 +308,7 @@ def test_out_of_range_dataset_lattice_exits_two(workdir):
     res = _run(["solve", "--data", "cw.txt", "--ell", "1"], workdir)
     assert res.returncode == 2
     assert res.stdout == ""
-    assert res.stderr.startswith("error: cw.txt line ") and res.stderr.count("\n") == 1
-    assert "cell weight 0 out of range" in res.stderr
+    assert res.stderr == "error: cw.txt line 3: cell weight 0 out of range\n"
 
 
 @pytest.mark.parametrize("text,message", [
@@ -397,9 +419,10 @@ def test_usage_errors_exit_two(workdir):
 
 
 # Recorded output: a small dataset written here from integer formulas (no
-# random numbers), run through the solving verbs; stdout and the files they
-# write must match, byte for byte, what the program printed when they were
-# recorded.  A change to any printed digit fails here.
+# random numbers), run through the solving verbs, then `examples` and every
+# `check` suite; stdout and the files they write must match, byte for byte,
+# what the program printed when they were recorded.  A change to any printed
+# digit fails here.
 _REC_OFFSETS = [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
 
 
@@ -443,7 +466,9 @@ RECORDED_RUNS = [
     ("compare_lattices", ["compare-lattices"] + _REC_DATA + ["--ell", "2",
                                                              "--lattices", "lats.txt"],
      []),
-]
+    # the worked examples, and every property suite at one seed
+    ("examples", ["examples"], []),
+] + [("check " + name, ["check", "--suite", name, "--seed", "7"], []) for name in SUITE_NAMES]
 RECORDED = {
     "omega_opt": (
         "measure 2\n"
@@ -495,6 +520,65 @@ RECORDED = {
         "lattice 0 error 1.87166628097 length 3\n"
         "lattice 1 error 1.87166628097 length 3\n"
         "lattice 2 error 3.95130459475e-16 length 2\n", {}),
+    "examples": (
+        "3.6 unconstrained optimal error, one generator: computed 2 expected 2 (abs tol "
+        "1e-10) PASS\n"
+        "3.6 project-then-solve total error: computed 8 expected 8 (abs tol 1e-10) PASS\n"
+        "3.6 in-band optimum after projecting: computed 0 expected 0 (abs tol 1e-10) PASS\n"
+        "3.6 energy outside the band: computed 8 expected 8 (abs tol 1e-10) PASS\n"
+        "3.6 solve-then-project total error: computed 10 expected 10 (abs tol 1e-10) PASS\n"
+        "3.6 note: The unconstrained generator lives entirely in the high band, so "
+        "clipping it to the band leaves the zero space; projecting the data first "
+        "recovers the low band exactly.\n"
+        "3.6: PASS\n"
+        "6.1 optimal error on the base lattice: computed 0 expected 0 (abs tol 1e-10) PASS\n"
+        "6.1 optimal error on the half-step lattice: computed 0 expected 0 (abs tol "
+        "1e-10) PASS\n"
+        "6.1: PASS\n"
+        "6.2 optimal error on the base lattice: computed 0.5 expected 0.5 (abs tol "
+        "1e-10) PASS\n"
+        "6.2 optimal error on the half-step lattice: computed 0 expected 0 (abs tol "
+        "1e-10) PASS\n"
+        "6.2: PASS\n"
+        "6.3 optimal error on the step-h lattice: computed 0 expected 0 (abs tol 1e-10) PASS\n"
+        "6.3 optimal error on the base lattice: computed 1.27525725812 expected "
+        "1.27525725812 (abs tol 1e-10) PASS\n"
+        "6.3 base-lattice error exceeds 1e-3: computed 1.27525725812 expected > 0.001 PASS\n"
+        "6.3 note: The incommensurate step is approximated by the rational 377/610; the "
+        "gap between the two lattices persists for every resolution.\n"
+        "6.3: PASS\n"
+        "6.4 optimal error on the square lattice: computed 0 expected 0 (abs tol 1e-10) PASS\n"
+        "6.4 optimal error on the rotated lattice: computed 0.005029 expected "
+        "0.00502654824574 (rel tol 0.01) PASS\n"
+        "6.4 subspace length, square lattice: computed 1 expected 1 PASS\n"
+        "6.4 subspace length, rotated lattice: computed 2 expected 2 PASS\n"
+        "6.4 note: The separation step equals one rotated-lattice unit, so on the "
+        "rotated lattice both balls land on the same cells and one generator must leave "
+        "a full ball's energy behind: the two optima genuinely differ.\n"
+        "6.4: PASS\n"
+        "6.5 optimal error on the square lattice: computed 0.0016 expected 0.0016 (abs "
+        "tol 1e-10) PASS\n"
+        "6.5 optimal error on the rotated lattice: computed 6.70161229182e-05 expected "
+        "6.69834510024e-05 (rel tol 0.02) PASS\n"
+        "6.5 rotated beats square despite longer length: computed 6.70161229182e-05 "
+        "expected < 0.0016 PASS\n"
+        "6.5 subspace length, square lattice: computed 2 expected 2 PASS\n"
+        "6.5 subspace length, rotated lattice: computed 3 expected 3 PASS\n"
+        "6.5 note: On the square lattice the two boxes collide on the same cells (cost "
+        "1/625) while the balls separate; on the rotated lattice the three balls stack "
+        "but are nearly collinear, costing only about 6.69835e-05.\n"
+        "6.5: PASS\n"
+        "examples: 6/6 passed\n", {}),
+    "check lattice": ("suite lattice: 60/60 passed\n", {}),
+    "check roundtrip": ("suite roundtrip: 30/30 passed\n", {}),
+    "check projection": ("suite projection: 200/200 passed\n", {}),
+    "check covariance": ("suite covariance: 100/100 passed\n", {}),
+    "check eckart-young": ("suite eckart-young: 10/10 passed\n", {}),
+    "check refinement": ("suite refinement: 100/100 passed\n", {}),
+    "check membership": ("suite membership: 40/40 passed\n", {}),
+    "check equivariance": ("suite equivariance: 30/30 passed\n", {}),
+    "check omega": ("suite omega: 100/100 passed\n", {}),
+    "check padding": ("suite padding: 30/30 passed\n", {}),
 }
 
 

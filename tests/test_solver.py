@@ -12,7 +12,7 @@ from pwsis.fibers import GramianField, gramian_field, regrid_to_lattice, symmetr
 from pwsis.lattice import (Lattice, _cell_permutations, make_group, make_lattice,
                            offset_permutations, orbit_partition)
 from pwsis.solver import (_RANK_CUT, _TIE_GAP, _block_cells, ApproxReport, SubspaceModel,
-                          _order_ties, best_gamma, best_sis,
+                          best_gamma, best_sis,
                           dilation_equivalence, eigen_field, error_against,
                           generators, project_then_solve,
                           refinement_inequality_check, solve_then_project,
@@ -255,9 +255,29 @@ def test_best_sis_error_is_monotone_in_length(vals):
     assert errs[3] <= MONOTONE_TOL * scale
 
 
+def _order_ties(w, Y, trace):
+    """The tie order one cell at a time, as eigen_field took it before the
+    one lexsort per block: reorder eigenpairs inside tie groups by ascending
+    lex order of the row magnitude sequence; w and Y move together."""
+    n = w.shape[0]
+    tol = _TIE_GAP * trace
+    start = 0
+    while start < n:
+        stop = start + 1
+        while stop < n and w[stop - 1] - w[stop] < tol:
+            stop += 1
+        if stop - start > 1:
+            rows = Y[start:stop]
+            order = np.lexsort(np.abs(rows).T[::-1])
+            Y[start:stop] = rows[order]
+            w[start:stop] = w[start:stop][order]
+        start = stop
+
+
 def _reference_eigen_field(G):
-    """eigen_field as it was before the in-place row reorder: a separate
-    contiguous copy of the transposed, reversed eigenvectors."""
+    """eigen_field as it was before the in-place row reorder and the one
+    lexsort per block: a separate contiguous copy of the transposed,
+    reversed eigenvectors, its ties ordered one cell at a time."""
     w, v = np.linalg.eigh(G.mats)
     w = w[:, ::-1].copy()
     np.maximum(w, 0.0, out=w)
@@ -803,16 +823,34 @@ def test_best_gamma_never_holds_the_representatives_fibers():
     assert peak < m * len(group) * grid.n_offsets * n_reps * 16
 
 
-def test_eigen_field_matches_copying_reorder():
-    # more cells than two eigh blocks, with exact ties at half of them
-    rng = np.random.default_rng(55)
-    m = 4
+def _field(mats):
+    trace = np.trace(mats, axis1=1, axis2=2).real.copy()
+    return GramianField(None, mats.shape[1], np.arange(len(mats)), mats, trace)
+
+
+def _identity_tied_field(rng, m):
+    """More cells than two eigh blocks, with exact ties at half of them."""
     n = 2 * _block_cells(m, m) + 188
     A = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
     mats = A @ A.conj().transpose(0, 2, 1)
     mats[::2] = np.eye(m) * rng.integers(1, 3, size=(n + 1) // 2)[:, None, None]
-    trace = np.trace(mats, axis1=1, axis2=2).real.copy()
-    G = GramianField(None, m, np.arange(n), mats, trace)
+    return _field(mats)
+
+
+def _zero_tied_field(rng, m):
+    """Gramians of rank one or two over more cells than two eigh blocks:
+    the m - 1 or m - 2 eigenvalues at zero or round-off tie at nearly every
+    cell, as they do at the cells of example 6.5."""
+    n = 2 * _block_cells(m, m) + 61
+    A = rng.standard_normal((n, m, 2)) + 1j * rng.standard_normal((n, m, 2))
+    A[::3, :, 1] = 0.0
+    A[1::7] *= 1e-3
+    return _field(A @ A.conj().transpose(0, 2, 1))
+
+
+def test_eigen_field_matches_copying_reorder():
+    m = 4
+    G = _identity_tied_field(np.random.default_rng(55), m)
     ef = eigen_field(G, m)
     w, Y = _reference_eigen_field(G)
     assert np.array_equal(ef.eigenvalues, w)
@@ -841,18 +879,22 @@ def _tied_field(rng, n, m):
         else:
             Q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
             mats[c] = (Q * lam) @ Q.conj().T
-    trace = np.trace(mats, axis1=1, axis2=2).real.copy()
-    return GramianField(None, m, np.arange(n), mats, trace)
+    return _field(mats)
 
 
 def test_eigen_field_rank_cut_matches_reference():
     rng = np.random.default_rng(57)
     m = 5
+    # every tie group of a block is ordered by one lexsort; the reference
+    # orders them one cell at a time
     fields = [_tied_field(rng, 2 * _block_cells(m, m) + 37, m),
+              _identity_tied_field(rng, m), _zero_tied_field(rng, m),
               GramianField(None, m, np.arange(0), np.zeros((0, m, m), dtype=complex),
                            np.zeros(0))]
     for G in fields:
         w, Y = _reference_eigen_field(G)
+        gaps = -np.diff(w, axis=1)
+        assert np.any(gaps < _TIE_GAP * G.trace[:, None], axis=1).sum() >= G.n_active // 2
         rank = (w > 1e-9 * G.trace[:, None]).sum(axis=1)
         for ell in (0, 1, m - 1, m, m + 2):
             ef = eigen_field(G, ell)

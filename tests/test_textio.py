@@ -93,6 +93,33 @@ def test_header_grid_over_the_cap_fails_on_the_resolution_line():
         parse_mask(at_cap, name="cap.txt")
 
 
+@pytest.mark.parametrize("lattice,res,offsets,message", [
+    ("1.0 0.0 0.0 1.0", "0", "0 0", "line 4: resolution must be a positive integer"),
+    ("1.0 0.0 0.0 1.0", "-3", "0 0", "line 4: resolution must be a positive integer"),
+    # |det basis| 1e305 times 64^2 cells leaves no cell weight
+    ("1e300 0 0 1e5", "64", "0 0", "line 3: cell weight 0 out of range"),
+    ("1.0 0.0 0.0 1.0", "2", "1 0", "line 7: offset set must contain 0"),
+], ids=["zero", "negative", "cell-weight", "no-zero-offset"])
+def test_grid_errors_name_their_own_header_line(tmp_path, lattice, res, offsets, message):
+    # the header errors FrequencyGrid raises name the resolution line, the
+    # lattice line or the last offsets line, in the piece reader (a regular
+    # file, or ASCII text) and in the line walk (CRLF text)
+    header = ("dim 2\nlattice %s\nresolution %s\noffsets 2\n0 1\n%s\n"
+              % (lattice, res, offsets))
+    for kind, parse, read, body in (
+            ("pwsis-dataset v1", parse_dataset, read_dataset, "channels 0\n"),
+            ("pwsis-mask v1", parse_mask, read_mask, "1\n0\n")):
+        text = kind + "\n" + header + body
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        for attempt in (lambda: read(path),
+                        lambda: parse(text, name=str(path)),
+                        lambda: parse(text.replace("\n", "\r\n"), name=str(path))):
+            with pytest.raises(ValueError) as got:
+                attempt()
+            assert str(got.value) == "%s %s" % (path, message)
+
+
 def test_non_finite_value_names_its_line():
     text = ("pwsis-dataset v1\ndim 1\nlattice 1.0\nresolution 2\noffsets 2\n"
             "1\n0\nchannels 1\n1.0 0.0\n2.0 0.0\n\n3.0 0.0\n4.0 inf\n")
