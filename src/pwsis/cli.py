@@ -47,7 +47,14 @@ def _cmd_synth(args):
     scene = textio.read_scene(args.scene)
     lat = textio.read_lattice(args.lattice)
     offsets = textio.read_offsets(args.offsets, lat.d)
-    grid = spectral.make_grid(lat, args.resolution, offsets)
+    # m |K| r^d is bounded as regrids are, before the grid is built (the cell
+    # weight of a huge resolution overflows) and before anything is allocated
+    r = args.resolution
+    count = scene.n_channels * len(set(map(tuple, offsets.tolist()))) * r ** lat.d
+    if r >= 1 and count > spectral._VALUE_CAP:
+        raise ValueError("synthesized dataset too large: %d values exceeds the "
+                         "supported bound %d" % (count, spectral._VALUE_CAP))
+    grid = spectral.make_grid(lat, r, offsets)
     F = spectral.synthesize(scene, lat, grid)
     textio.write_dataset(F, args.out)
     print("channels %d" % F.m)

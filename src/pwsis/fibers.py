@@ -156,18 +156,18 @@ def _gather(F, bits=None):
     return gather
 
 
-def _fiber_blocks(grid, m, cells, gather, fiber_side=False, trace_step=None):
+def _fiber_blocks(grid, m, cells, gather, fiber_side=False):
     """The one route from the m-channel fibers gather(c) at the ascending
     cells to their n x n operators: (grid, n, active, trace, block, step),
-    solver._eigen_cut's arguments but the rank.  The trace pass reads
-    trace_step cells at a time (a block by default); block(s, e) gathers the
-    active cells s..e-1 once and returns their Gramians (n = m) or, on the
-    fiber side, the Gramians across channels (n = |K|).  A block of the
-    larger of the two shapes sizes each gather and each eigh."""
+    solver._eigen_cut's arguments but the rank.  The trace pass reads step
+    cells at a time; block(s, e) gathers the active cells s..e-1 once and
+    returns their Gramians (n = m) or, on the fiber side, the Gramians
+    across channels (n = |K|).  A block of the larger of the two shapes
+    sizes each gather and each eigh."""
     nK = grid.n_offsets
     n = nK if fiber_side else m
     step = min(_block_cells(m, nK), _block_cells(n, n))
-    keep, trace = _active_cells(cells, gather, trace_step or step)
+    keep, trace = _active_cells(cells, gather, step)
     active = cells[keep]
 
     def block(s, e):
@@ -179,11 +179,9 @@ def _fiber_blocks(grid, m, cells, gather, fiber_side=False, trace_step=None):
 
 def _dataset_blocks(F, bits=None):
     """_fiber_blocks of _gather(F, bits) over F's support, off which every
-    cell is zero and so inactive, or over its whole grid, traced in one
-    pass when it is read in place."""
+    cell is zero and so inactive, or over its whole grid."""
     cells = np.arange(F.grid.n_cells) if F.support is None else F.support
-    return _fiber_blocks(F.grid, F.m, cells, _gather(F, bits),
-                         trace_step=len(cells) if F.support is None and bits is None else None)
+    return _fiber_blocks(F.grid, F.m, cells, _gather(F, bits))
 
 
 def gramian_field(F):
@@ -198,26 +196,42 @@ def gramian_field(F):
     return GramianField(grid, m, active, mats, trace)
 
 
+def _symmetrized(F, group, cell_perms, off_perms, bits=None):
+    """gather(c): symmetrize(F, group)'s fibers at the cells c, channel (g, i)
+    at (k, c) taken from f_i at the inverse image, one group element's
+    channels at a time; with the bits of an invariant band, zeroed off it as
+    _gather zeroes them."""
+    m, n = F.m, F.grid.n_cells
+    flat = F.values.reshape(m, F.grid.n_offsets * n)
+
+    def gather(c):
+        out = np.empty((m * len(group), F.grid.n_offsets, len(c)), dtype=np.complex128)
+        for g, inv in enumerate(group.inverses):
+            src = off_perms[inv][:, None] * n + cell_perms[inv, c]
+            # every index is in range; mode "raise" would buffer out whole
+            flat.take(src, axis=1, out=out[g * m:(g + 1) * m], mode="clip")
+        if bits is not None:
+            np.copyto(out, 0.0, where=~bits.take(c, axis=1))
+        return out
+
+    return gather
+
+
 def symmetrize(F, group):
     """Expand channels by the group action: channel (g, i) holds R_g f_i.
 
     The output has m * |G| channels ordered g-major.  Channel (g, i) at index
     (k, u) reads channel i of F at the inverse-image index, so the identity
     block is an exact copy and every channel is an index permutation of its
-    source (energies are preserved exactly).
+    source (energies are preserved exactly): the _symmetrized gather at
+    every cell.
     """
     if group.d != F.grid.d:
         raise ValueError("group dimension %d does not match grid" % group.d)
-    cell_perms = _cell_permutations(F.grid, group)
-    off_perms = offset_permutations(F.grid, group)
-    m, n = F.m, len(group)
-    out = np.empty((m * n, F.grid.n_offsets, F.grid.n_cells), dtype=np.complex128)
-    for gi in range(n):
-        inv = group.inverse_index(gi)
-        src = np.ix_(off_perms[inv], cell_perms[inv])
-        for i in range(m):
-            out[gi * m + i] = F.values[i][src]
-    return SpectralDataset(F.lattice, F.grid, out, check_finite=False)
+    gather = _symmetrized(F, group, _cell_permutations(F.grid, group),
+                          offset_permutations(F.grid, group))
+    return SpectralDataset(F.lattice, F.grid, gather(np.arange(F.grid.n_cells)),
+                           check_finite=False)
 
 
 def membership_test(F, i, Psi, j, tol=1e-9):

@@ -148,6 +148,8 @@ def _check_unimodular(mat):
     mf = np.asarray(m, dtype=float)
     if not np.all(mf == np.rint(mf)):
         raise ValueError("does not preserve lattice: non-integer entries")
+    if not np.all(np.abs(mf) < 2.0 ** 63):  # before the cast to int64
+        raise ValueError("group element entry outside the int64 range")
     mi = np.rint(mf).astype(np.int64)
     det = round(float(np.linalg.det(mf)))
     if abs(float(np.linalg.det(mf)) - det) > 1e-9 or abs(det) != 1:

@@ -45,17 +45,18 @@ def energy_density(F):
 
 def _box_count(grid, measure):
     """Validate that the measure is an integer number of grid boxes and
-    within range; return the count."""
-    w = grid.cell_weight
-    q = measure / w
-    n = int(round(q))
-    if not math.isclose(q, n, rel_tol=1e-9, abs_tol=1e-9):
+    within range (a non-finite measure is out of range); return the count."""
+    # a Python float quotient overflows to inf without a numpy warning
+    w = float(grid.cell_weight)
+    q = float(measure) / w
+    n = int(round(q)) if math.isfinite(q) else None  # None: out of range
+    if n is not None and not math.isclose(q, n, rel_tol=1e-9, abs_tol=1e-9):
         raise ValueError(
             "measure not grid-representable: %.12g is not a multiple of the box "
             "measure %.12g; nearest representable are %.12g and %.12g"
             % (measure, w, math.floor(q) * w, math.ceil(q) * w))
     total = grid.n_offsets * grid.n_cells
-    if n < 0 or n > total:
+    if n is None or n < 0 or n > total:
         raise ValueError("measure %.12g outside the representable range [0, %.12g]"
                          % (measure, total * w))
     return n

@@ -10,10 +10,10 @@ the cut splits a tie, and transport the basis along the group action.
 
 import numpy as np
 
-from .lattice import Lattice, offset_permutations, orbit_partition, pair_permutations
+from .lattice import Lattice, offset_permutations, orbit_partition
 from .omega import _exact_fill_knapsack
 from .fibers import (_block_cells, _dataset_blocks, _fiber_blocks, _gather,
-                     _lattice_blocks, _regrid_layout, dilation_transport)
+                     _lattice_blocks, _regrid_layout, _symmetrized, dilation_transport)
 from .spectral import SpectralDataset, _abs2, _band_energy, residual_energy
 
 __all__ = [
@@ -396,18 +396,11 @@ def _best_gamma(F, group, ell, bits=None):
     reps = part.representatives
     cell_perms = part.perms
     off_perms = offset_permutations(F.grid, group)
-    inverses = [group.inverse_index(gi) for gi in range(n_group)]
-
-    def gather(cells):
-        """Symmetrized fibers at the given cells, as symmetrize lays them
-        out: channel (g, i) at (k, c) reads f_i at the inverse image."""
-        out = np.empty((m * n_group, nK, len(cells)), dtype=np.complex128)
-        for gi, inv in enumerate(inverses):
-            out[gi * m:(gi + 1) * m] = F.values[:, off_perms[inv][:, None],
-                                                cell_perms[inv, cells][None, :]]
-        if bits is not None:
-            np.copyto(out, 0.0, where=~bits.take(cells, axis=1))
-        return out
+    # the band maps onto itself: checked one group element at a time
+    if bits is not None and any(np.any(bits[np.ix_(op, cp)] != bits)
+                                for op, cp in zip(off_perms, cell_perms)):
+        raise ValueError("mask is not invariant under the group")
+    gather = _symmetrized(F, group, cell_perms, off_perms, bits)
 
     route = _fiber_blocks(F.grid, m * n_group, reps, gather, fiber_side=True)
     _, _, active, trace, fiber_ops, _ = route
@@ -442,7 +435,7 @@ def _best_gamma(F, group, ell, bits=None):
     pos = np.searchsorted(all_active, cell_perms[:, ef.active_idx])
     basis = np.empty((len(all_active),) + rep_basis.shape[1:], dtype=np.complex128)
     for gi in range(n_group - 1, -1, -1):
-        basis[pos[gi]] = rep_basis[:, :, off_perms[inverses[gi]]]
+        basis[pos[gi]] = rep_basis[:, :, off_perms[group.inverses[gi]]]
     dims = rep_dims[src]
     density = ef.density[src] / n_group
 
@@ -451,12 +444,6 @@ def _best_gamma(F, group, ell, bits=None):
     report = ApproxReport(float(per_channel.sum()), per_channel,
                           active_idx=all_active, density=density)
     return model, report
-
-
-def _check_mask_invariant(mask, group):
-    flat = mask.bits.ravel()
-    if np.any(flat[pair_permutations(mask.grid, group)] != flat):
-        raise ValueError("mask is not invariant under the group")
 
 
 def project_then_solve(F, mask, ell, group=None):
@@ -469,8 +456,6 @@ def project_then_solve(F, mask, ell, group=None):
     """
     if not F.grid.compatible(mask.grid):
         raise ValueError("mismatched grid between dataset and mask")
-    if group is not None:
-        _check_mask_invariant(mask, group)
     outside = residual_energy(F, mask)
     if group is not None:
         model, rep = _best_gamma(F, group, ell, mask.bits)

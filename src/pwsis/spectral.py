@@ -31,7 +31,8 @@ __all__ = [
 
 # Size cap checked before allocating: a parsed dataset or mask header may
 # promise at most this many samples per channel (|K| * r^d), and a regridded
-# dataset may hold at most this many values (m * |K| * r^d).
+# dataset or one `pwsis synth` writes may hold at most this many values
+# (m * |K| * r^d).
 _VALUE_CAP = 1 << 24
 
 

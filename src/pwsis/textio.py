@@ -184,9 +184,12 @@ def _header_grid(lines, kind, unit):
     file_offsets = []
     for _ in range(n_off):
         s, no = lines.next("offset line")
-        row = _ints(lines, s.split(), no)
+        toks = s.split()
+        row = _ints(lines, toks, no)
         if len(row) != d:
             lines.fail(no, "offset needs %d integers, got %d" % (d, len(row)))
+        for v, t in zip(row, toks):
+            _check_int64(v, t, "%s line %d" % (lines.name, no), "offset")
         file_offsets.append(row)
     if r < 1:
         lines.fail(res_no, "resolution must be a positive integer")
@@ -398,6 +401,21 @@ def _walk_bits(lines, grid, perm, res_no):
     return bits
 
 
+def _scene_floats(lines, toks, no):
+    vals = _floats(lines, toks, no)
+    for v, t in zip(vals, toks):
+        _check_finite(v, t, "%s line %d" % (lines.name, no), "scene")
+    return vals
+
+
+def _primitive(lines, no, make, *args):
+    """make(*args), its errors naming the scene line."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        lines.fail(no, str(e))
+
+
 def _scene_numbers(toks):
     """Split primitive arguments at the optional 'mod' keyword."""
     if "mod" in toks:
@@ -425,26 +443,26 @@ def parse_scene(text, name="<scene>"):
         if len(toks) < 6 or toks[0] != "channel" or toks[2] != "coeff":
             lines.fail(no, "expected 'channel I coeff RE IM <primitive> ...', got %r" % s)
         ch = _ints(lines, toks[1:2], no)[0]
-        re_im = _floats(lines, toks[3:5], no)
+        re_im = _scene_floats(lines, toks[3:5], no)
         coeff = complex(re_im[0], re_im[1])
         kind = toks[5]
         body, mod = _scene_numbers(toks[6:])
-        nums = _floats(lines, body, no)
+        nums = _scene_floats(lines, body, no)
         if kind == "interval":
             if len(nums) != 2:
                 lines.fail(no, "interval takes 2 numbers, got %d" % len(nums))
             term_d = 1
-            prim = Box([nums[0]], [nums[1]])
+            prim = _primitive(lines, no, Box, [nums[0]], [nums[1]])
         elif kind == "box":
             if not nums or len(nums) % 2:
                 lines.fail(no, "box takes an even number of values, got %d" % len(nums))
             term_d = len(nums) // 2
-            prim = Box(nums[:term_d], nums[term_d:])
+            prim = _primitive(lines, no, Box, nums[:term_d], nums[term_d:])
         elif kind == "ball":
             if len(nums) < 2:
                 lines.fail(no, "ball takes center coordinates then a radius")
             term_d = len(nums) - 1
-            prim = Ball(nums[:term_d], nums[term_d])
+            prim = _primitive(lines, no, Ball, nums[:term_d], nums[term_d])
         else:
             lines.fail(no, "unknown primitive %r" % kind)
         if d is None:
@@ -454,7 +472,7 @@ def parse_scene(text, name="<scene>"):
             lines.fail(no, "scene mixes dimensions %d and %d" % (d, term_d))
         h = None
         if mod is not None:
-            h = _floats(lines, mod, no)
+            h = _scene_floats(lines, mod, no)
             if len(h) != d:
                 lines.fail(no, "mod takes %d numbers, got %d" % (d, len(h)))
         try:
@@ -476,9 +494,16 @@ def _human_tokens(text, name):
     return toks
 
 
-def _check_lattice_entry(value, token, where):
+def _check_finite(value, token, where, what):
     if not math.isfinite(value):
-        raise ValueError("%s: non-finite lattice entry %r" % (where, token))
+        raise ValueError("%s: non-finite %s entry %r" % (where, what, token))
+
+
+def _check_int64(value, token, where, what):
+    """Integers are stored as int64: refuse one outside its range before
+    numpy casts it."""
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError("%s: %s entry %s outside the int64 range" % (where, what, token))
 
 
 def _lattice(vals, d, where):
@@ -496,7 +521,7 @@ def parse_lattice(text, name="<lattice>"):
     except ValueError:
         raise ValueError("%s: lattice file must contain only numbers" % name)
     for v, (t, lineno) in zip(vals, toks):
-        _check_lattice_entry(v, t, "%s line %d" % (name, lineno))
+        _check_finite(v, t, "%s line %d" % (name, lineno), "lattice")
     d = math.isqrt(len(vals))
     if d * d != len(vals) or d == 0:
         raise ValueError("%s: lattice needs d*d entries, got %d" % (name, len(vals)))
@@ -518,7 +543,7 @@ def _parse_lattice_rows(text, name="<lattices>"):
         except ValueError:
             raise ValueError("%s: expected numbers" % where)
         for v, t in zip(vals, toks):
-            _check_lattice_entry(v, t, where)
+            _check_finite(v, t, where, "lattice")
         d = math.isqrt(len(vals))
         if d * d != len(vals) or d == 0:
             raise ValueError("%s: lattice needs d*d entries, got %d" % (where, len(vals)))
@@ -542,6 +567,8 @@ def parse_group_file(text, d, name="<group>"):
         vals = [int(t) for t, _ in toks]
     except ValueError:
         raise ValueError("%s: group file must contain only integers" % name)
+    for v, (t, lineno) in zip(vals, toks):
+        _check_int64(v, t, "%s line %d" % (name, lineno), "group")
     per = d * d
     if not vals or len(vals) % per:
         raise ValueError("%s: group needs a multiple of %d integers, got %d"
@@ -559,6 +586,8 @@ def parse_offsets(text, d, name="<offsets>"):
         vals = [int(t) for t, _ in toks]
     except ValueError:
         raise ValueError("%s: offsets file must contain only integers" % name)
+    for v, (t, lineno) in zip(vals, toks):
+        _check_int64(v, t, "%s line %d" % (name, lineno), "offset")
     if not vals or len(vals) % d:
         raise ValueError("%s: offsets need a multiple of %d integers, got %d"
                          % (name, d, len(vals)))

@@ -49,8 +49,10 @@ def _run(args, cwd, env=None):
                           cwd=cwd, env=full_env, capture_output=True, text=True)
 
 
-@pytest.fixture()
-def workdir(tmp_path):
+def _write_inputs(tmp_path):
+    """Writes the 1-D scene, lattice and offsets into tmp_path, and from
+    them a dataset, a band dataset and a mask of measure 2; returns
+    tmp_path."""
     (tmp_path / "scene.txt").write_text(SCENE)
     (tmp_path / "lat.txt").write_text("1.0\n")
     (tmp_path / "offs.txt").write_text("-1\n0\n1\n")
@@ -69,6 +71,11 @@ def workdir(tmp_path):
                 "--out", "mask.txt"], tmp_path)
     assert res.returncode == 0, res.stderr
     return tmp_path
+
+
+@pytest.fixture()
+def workdir(tmp_path):
+    return _write_inputs(tmp_path)
 
 
 def _group_inputs(workdir):
@@ -416,6 +423,120 @@ def test_usage_errors_exit_two(workdir):
     res = _run(["solve", "--data", "missing.txt", "--ell", "1"], workdir)
     assert res.returncode == 2
     assert "error:" in res.stderr
+
+
+def _line_replaced(name, lineno, line):
+    """The text of the workdir file name with its line lineno replaced."""
+    def text(work):
+        lines = (work / name).read_text().splitlines()
+        lines[lineno - 1] = line
+        return "\n".join(lines) + "\n"
+    return text
+
+
+_INT64_PLUS = "99999999999999999999"
+_SYNTH_2D = ["synth", "--lattice", "lat2.txt", "--offsets", "offs2.txt", "--out", "x.txt"]
+_CAP_HEADER = "dim 2\nlattice 1.0 0.0 0.0 1.0\nresolution %s\noffsets 1\n0 0\n"
+_CAP_LINE = "line 4: header promises %s at this resolution; at most 16777216 are supported"
+
+# Bad inputs, each (files written into the work directory, argv, the error
+# line expected on stderr after "error: ").  A file's text is a string or a
+# function of the work directory.  Lines 6-10 of data2.txt and gband.txt
+# are their offsets, "1 0" last; line 11 of gband.txt is the bit of offset
+# (-1, 0) at cell 0, whose D4 orbit holds three more boxes.
+_BAD_INPUTS = {
+    "measure-inf": ({}, ["omega-opt", "--data", "data.txt", "--measure", "inf"],
+                    "measure inf outside the representable range [0, 3]"),
+    "measure-minus-inf": ({}, ["omega-opt", "--data", "data.txt", "--measure=-inf"],
+                          "measure -inf outside the representable range [0, 3]"),
+    "measure-overflow": ({}, ["omega-opt", "--data", "data.txt", "--measure", "1e400"],
+                         "measure inf outside the representable range [0, 3]"),
+    "measure-nan": ({}, ["omega-opt", "--data", "data.txt", "--measure", "nan"],
+                    "measure nan outside the representable range [0, 3]"),
+    "synth-resolution": ({}, _SYNTH_2D + ["--scene", "scene2.txt", "--resolution", "100000"],
+                         "synthesized dataset too large: 150000000000 values exceeds "
+                         "the supported bound 16777216"),
+    "synth-huge-resolution": ({}, _SYNTH_2D + ["--scene", "scene2.txt",
+                                               "--resolution", "1" + "0" * 21],
+                              "synthesized dataset too large: 15%s values exceeds the "
+                              "supported bound 16777216" % ("0" * 42)),
+    "synth-channel": ({"chan.txt": "channel 100000000 coeff 1 0 box 0 0 1 1\n"},
+                      _SYNTH_2D + ["--scene", "chan.txt", "--resolution", "64"],
+                      "synthesized dataset too large: 2048000020480 values exceeds "
+                      "the supported bound 16777216"),
+    "offsets-file": ({"offs_big.txt": "0 0\n%s 0\n" % _INT64_PLUS},
+                     ["synth", "--scene", "scene2.txt", "--lattice", "lat2.txt",
+                      "--offsets", "offs_big.txt", "--resolution", "4", "--out", "x.txt"],
+                     "offs_big.txt line 2: offset entry %s outside the int64 range"
+                     % _INT64_PLUS),
+    "dataset-offset": ({"off_data.txt": _line_replaced("data2.txt", 10, _INT64_PLUS + " 0")},
+                       ["solve", "--data", "off_data.txt", "--ell", "1"],
+                       "off_data.txt line 10: offset entry %s outside the int64 range"
+                       % _INT64_PLUS),
+    "mask-offset": ({"off_mask.txt": _line_replaced("gband.txt", 10, "0 " + _INT64_PLUS)},
+                    ["solve", "--data", "data2.txt", "--ell", "1", "--mask", "off_mask.txt"],
+                    "off_mask.txt line 10: offset entry %s outside the int64 range"
+                    % _INT64_PLUS),
+    "group-entry": ({"big_group.txt": "1%s 0 0 1\n" % ("0" * 20)},
+                    ["solve", "--data", "data2.txt", "--ell", "1", "--group", "big_group.txt"],
+                    "big_group.txt line 1: group entry 1%s outside the int64 range"
+                    % ("0" * 20)),
+    "scene-coeff": ({"coeff.txt": "channel 0 coeff inf 0 interval -1 0\n"},
+                    ["synth", "--scene", "coeff.txt", "--lattice", "lat.txt",
+                     "--offsets", "offs.txt", "--resolution", "2", "--out", "x.txt"],
+                    "coeff.txt line 1: non-finite scene entry 'inf'"),
+    "scene-center": ({"center.txt": "# a ball\nchannel 0 coeff 1 0 ball nan 0 0.5\n"},
+                     _SYNTH_2D + ["--scene", "center.txt", "--resolution", "4"],
+                     "center.txt line 2: non-finite scene entry 'nan'"),
+    "scene-bound": ({"bound.txt": "channel 0 coeff 1 0 interval 0 inf\n"},
+                    ["synth", "--scene", "bound.txt", "--lattice", "lat.txt",
+                     "--offsets", "offs.txt", "--resolution", "2", "--out", "x.txt"],
+                    "bound.txt line 1: non-finite scene entry 'inf'"),
+    "scene-mod": ({"mod.txt": "channel 0 coeff 1 0 box 0 0 0.5 0.5 mod 0 -nan\n"},
+                  _SYNTH_2D + ["--scene", "mod.txt", "--resolution", "4"],
+                  "mod.txt line 1: non-finite scene entry '-nan'"),
+    "scene-box-order": ({"order.txt": "channel 0 coeff 1 0 box 0.5 0 0 0.5\n"},
+                        _SYNTH_2D + ["--scene", "order.txt", "--resolution", "4"],
+                        "order.txt line 1: box needs lo < hi in every coordinate"),
+    "header-cap": ({"cap.txt": "pwsis-dataset v1\n" + _CAP_HEADER % "3000000" + "channels 0\n"},
+                   ["solve", "--data", "cap.txt", "--ell", "1"],
+                   "cap.txt " + _CAP_LINE % "9000000000000 value lines per channel"),
+    "header-cap-huge": ({"caph.txt": "pwsis-mask v1\n" + _CAP_HEADER % ("1" + "0" * 400)},
+                        ["solve", "--data", "data.txt", "--ell", "1", "--mask", "caph.txt"],
+                        "caph.txt " + _CAP_LINE % "more than 16777216 mask bit lines"),
+    "lattice-file": ({"lats.txt": "1.0\nnan\n"},
+                     ["compare-lattices", "--data", "data.txt", "--lattices", "lats.txt",
+                      "--ell", "1"],
+                     "lats.txt line 2: non-finite lattice entry 'nan'"),
+    "lattice-overflow": ({"latd.txt": "1 0 0 1\n1e200 0 0 1e200\n"},
+                         ["compare-lattices", "--data", "data2.txt", "--lattices", "latd.txt",
+                          "--ell", "1"],
+                         "latd.txt line 2: lattice out of range: a basis entry or "
+                         "|det basis| is not finite"),
+    "band-not-invariant": ({"unfixed.txt": _line_replaced("gband.txt", 11, "1")},
+                           ["solve", "--data", "data2.txt", "--group", "d4.txt", "--ell", "1",
+                            "--mask", "unfixed.txt"],
+                           "mask is not invariant under the group"),
+}
+
+
+@pytest.fixture(scope="module")
+def bad_input_dir(tmp_path_factory):
+    work = _write_inputs(tmp_path_factory.mktemp("bad_inputs"))
+    _group_inputs(work)
+    return work
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_bad_input_exits_two_with_one_error_line(bad_input_dir, case):
+    files, argv, message = _BAD_INPUTS[case]
+    for name, text in files.items():
+        (bad_input_dir / name).write_text(text(bad_input_dir) if callable(text) else text)
+    if argv[0] == "omega-opt":
+        argv = argv + ["--out", "m.txt"]
+    res = _run(argv, bad_input_dir)
+    # one line: no traceback, no numpy warning
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: %s\n" % message)
 
 
 # Recorded output: a small dataset written here from integer formulas (no

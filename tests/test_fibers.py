@@ -5,7 +5,7 @@ from pwsis import fibers
 from pwsis.fibers import (dilation_transport, fiber, gramian_covariance_check,
                           gramian_field, membership_test, regrid_to_lattice,
                           symmetrize)
-from pwsis.lattice import make_group, make_lattice
+from pwsis.lattice import _cell_permutations, make_group, make_lattice, offset_permutations
 from pwsis.solver import best_sis
 from pwsis.spectral import (Scene, SpectralDataset, interval, make_grid,
                             synthesize)
@@ -195,6 +195,28 @@ def test_gramian_field_never_copies_a_dense_dataset():
     assert peak < F.values.nbytes
 
 
+def test_gramian_field_reads_the_trace_a_block_at_a_time():
+    import tracemalloc
+
+    # one channel on K = {0} at r = 1024, every cell active: the field's own
+    # arrays (cells, traces and 1 x 1 Gramians) take 33.6 MB; a trace pass
+    # over the whole grid at once held 40 MB
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 1024, [[0, 0]])
+    rng = np.random.default_rng(81)
+    shape = (1, grid.n_offsets, grid.n_cells)
+    F = SpectralDataset(lat, grid, rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
+    tracemalloc.start()
+    try:
+        G = gramian_field(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.n_active == grid.n_cells
+    assert peak < 36e6
+
+
 def test_gramian_debug_hook(monkeypatch):
     rng = np.random.default_rng(6)
     F = _random_dataset(rng)
@@ -252,6 +274,47 @@ def test_symmetrize_expands_channels():
             # each channel is an exact index permutation of its source
             assert np.array_equal(np.sort_complex(S.values[2 * g + i].ravel()),
                                   np.sort_complex(F.values[i].ravel()))
+
+
+def _reference_symmetrize(F, group):
+    """symmetrize before it read through the one group-action gather: each
+    channel (g, i) taken on its own at the inverse-image indices."""
+    cell_perms = _cell_permutations(F.grid, group)
+    off_perms = offset_permutations(F.grid, group)
+    m, n = F.m, len(group)
+    out = np.empty((m * n, F.grid.n_offsets, F.grid.n_cells), dtype=np.complex128)
+    for gi in range(n):
+        inv = group.inverse_index(gi)
+        src = np.ix_(off_perms[inv], cell_perms[inv])
+        for i in range(m):
+            out[gi * m + i] = F.values[i][src]
+    return out
+
+
+def test_symmetrize_matches_the_per_channel_loop():
+    rot, flip, diag = (np.array(g) for g in ([[0, -1], [1, 0]], [[1, 0], [0, -1]],
+                                             [[0, 1], [1, 0]]))
+    # subgroups of D4: trivial, C2, two mirrors, C4, both Klein groups, D4
+    subgroups = [[np.eye(2, dtype=int)], [rot @ rot], [flip], [diag], [rot],
+                 [flip, rot @ rot], [diag, rot @ rot], [rot, flip]]
+    lat = make_lattice(np.eye(2))
+    rng = np.random.default_rng(80)
+    for gens in subgroups:
+        group = make_group(gens)
+        for r in (1, 2, 3, 5):
+            grid = make_grid(lat, r, [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])
+            for m in (0, 1, 3):
+                shape = (m, grid.n_offsets, grid.n_cells)
+                vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                support = np.flatnonzero(rng.random(grid.n_cells) < 0.5)
+                dead = np.zeros_like(vals)
+                dead[:, :, support] = vals[:, :, support]
+                for F in (SpectralDataset(lat, grid, vals),
+                          SpectralDataset(lat, grid, dead, support=support)):
+                    got = symmetrize(F, group).values
+                    want = _reference_symmetrize(F, group)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
 
 def test_dilation_transport_is_unitary():

@@ -99,6 +99,13 @@ def test_make_group_rejects_non_unimodular():
         make_group([np.array([[2, 0], [0, 1]])])
 
 
+def test_make_group_rejects_entries_beyond_int64():
+    # 2^63 - 1 rounds up to 2^63 as a float: refused before the int64 cast
+    for entry in (2 ** 63 - 1, -2.0 ** 64, 1e20):
+        with pytest.raises(ValueError, match="^group element entry outside the int64 range$"):
+            make_group([np.array([[1, entry], [0, 1]], dtype=float)])
+
+
 def test_make_group_rejects_infinite_shear():
     with pytest.raises(ValueError, match="not finite"):
         make_group([np.array([[1, 1], [0, 1]])])

@@ -73,6 +73,11 @@ def test_best_omega_measure_validation():
         best_omega(density, -grid.cell_weight)
     with pytest.raises(ValueError, match="outside the representable range"):
         best_omega(density, 5 * grid.cell_weight)
+    # non-finite measures, and a finite one whose box count overflows
+    for measure in (np.inf, -np.inf, np.nan, np.float64(1e308)):
+        with pytest.raises(ValueError, match="^measure %s outside the representable range"
+                                             % ("%.12g" % measure).replace("+", "\\+")):
+            best_omega(density, measure)
 
 
 def _c4_dataset(rng, r=3):

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from pwsis import fibers, solver
 from pwsis.fibers import GramianField, gramian_field, regrid_to_lattice, symmetrize
 from pwsis.lattice import (Lattice, _cell_permutations, make_group, make_lattice,
-                           offset_permutations, orbit_partition)
+                           offset_permutations, orbit_partition, pair_permutations)
 from pwsis.solver import (_RANK_CUT, _TIE_GAP, _block_cells, ApproxReport, SubspaceModel,
                           best_gamma, best_sis,
                           dilation_equivalence, eigen_field, error_against,
@@ -1135,7 +1135,11 @@ def _reference_project_then_solve(F, mask, ell, group=None):
     """project_then_solve before it read the band through a gather: the
     solve of the whole band-limited copy project_pw(F, mask)."""
     if group is not None:
-        solver._check_mask_invariant(mask, group)
+        # the band check before it ran inside the solve: the whole |G| x n
+        # table of (offset, cell) index maps
+        flat = mask.bits.ravel()
+        if np.any(flat[pair_permutations(mask.grid, group)] != flat):
+            raise ValueError("mask is not invariant under the group")
     PF = project_pw(F, mask)
     model, rep = best_gamma(PF, group, ell) if group is not None else best_sis(PF, ell)
     # residual_energy before it shared the band energy loop
@@ -1213,6 +1217,68 @@ def test_group_band_gather_matches_the_projected_copy():
             for G in (F, _with_support(F, rng)):
                 for ell in (0, 1, 2, 3 * F.m):
                     _assert_band_route(G, mask, ell, group)
+
+
+def test_non_invariant_band_is_refused():
+    from pwsis.spectral import PWMask
+
+    rot, flip = _ROT4, _FLIP
+    d4 = make_group([rot, flip])
+    lat = make_lattice(np.eye(2))
+    rng = np.random.default_rng(82)
+    seen = set()
+    for r in (1, 2, 3, 4):
+        grid = make_grid(lat, r, [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])
+        shape = (2, grid.n_offsets, grid.n_cells)
+        F = SpectralDataset(lat, grid, rng.standard_normal(shape)
+                            + 1j * rng.standard_normal(shape))
+        # bands invariant under a subgroup H, tried under H and under D4;
+        # the solve refuses them exactly where the pair table shows a box
+        # and its image on opposite sides of the band
+        for gens in ([rot], [flip], [rot @ rot], [rot, flip]):
+            sub = make_group(gens)
+            for trial in range(6):
+                bits = np.zeros(grid.n_offsets * grid.n_cells, dtype=bool)
+                for o in orbit_partition(grid, sub).orbits:
+                    bits[o] = rng.random() < 0.5
+                if trial == 5:  # one bit flipped
+                    bits[rng.integers(len(bits))] ^= True
+                mask = PWMask(lat, grid, bits.reshape(grid.n_offsets, grid.n_cells))
+                for group in (sub, d4):
+                    fixed = np.array_equal(bits[pair_permutations(grid, group)],
+                                           np.broadcast_to(bits, (len(group), len(bits))))
+                    seen.add(fixed)
+                    if fixed:
+                        project_then_solve(F, mask, 1, group=group)
+                    else:
+                        with pytest.raises(ValueError,
+                                           match="^mask is not invariant under the group$"):
+                            project_then_solve(F, mask, 1, group=group)
+    assert seen == {False, True}
+
+
+def test_group_band_solve_holds_no_pair_table():
+    import tracemalloc
+    from pwsis.spectral import PWMask
+
+    # D4 with m = 3 on 3 x 3 offsets at r = 256: 28.3 MB of values; the
+    # |G| x |K| r^d int64 table of (offset, cell) index maps alone is
+    # 37.7 MB
+    group = make_group([_ROT4, _FLIP])
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 256, [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    rng = np.random.default_rng(83)
+    shape = (3, grid.n_offsets, grid.n_cells)
+    F = SpectralDataset(lat, grid, rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
+    table = 8 * len(group) * grid.n_offsets * grid.n_cells
+    tracemalloc.start()
+    try:
+        project_then_solve(F, PWMask.full(lat, grid), 1, group=group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table
 
 
 def test_compare_lattices_route_never_holds_the_target():
