@@ -56,6 +56,10 @@ def _cmd_synth(args):
                          "supported bound %d" % (count, spectral._VALUE_CAP))
     grid = spectral.make_grid(lat, r, offsets)
     F = spectral.synthesize(scene, lat, grid)
+    # coefficients below the bound can sum, or turn by a phase, past it
+    if not spectral._within_cap(F.values):
+        raise ValueError("%s: synthesized samples reach 2^511 or more in magnitude"
+                         % args.scene)
     textio.write_dataset(F, args.out)
     print("channels %d" % F.m)
     print("energy %s" % _g(F.energy().sum() if F.m else 0.0))

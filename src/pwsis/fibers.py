@@ -14,7 +14,8 @@ import os
 import numpy as np
 
 from .lattice import dilate_lattice, _cell_permutations, offset_permutations
-from .spectral import FrequencyGrid, SpectralDataset, _VALUE_CAP, _abs2, _grid_product
+from .spectral import (FrequencyGrid, SpectralDataset, _VALUE_CAP, _abs2, _grid_product,
+                       _unique)
 
 __all__ = [
     "FiberVector",
@@ -307,10 +308,17 @@ def _regrid_layout(F, lat):
             "bound %d" % (scaled, _VALUE_CAP))
     M = (lat.basis.T @ src.dual_basis) * (float(r2) / grid.r)
     C = np.rint(M)
-    if np.max(np.abs(M - C)) > 1e-9:
+    if not np.max(np.abs(M - C)) <= 1e-9:
         raise ValueError(
             "incommensurable lattices: the sample map is not integer "
             "(max deviation %.3g)" % float(np.max(np.abs(M - C))))
+    # |C (j + r k)| bounded in Python ints: below 2^62, no int64 sum,
+    # product or difference of sample coordinates below can wrap
+    kmax = max(int(grid.offsets.max()), -int(grid.offsets.min()))
+    reach = max(sum(abs(int(x)) for x in row) for row in C) * (grid.r - 1 + grid.r * kmax)
+    if reach >= 2 ** 62:
+        raise ValueError("regrid out of range: sample coordinates reach %d, "
+                         "2^62 or more" % reach)
     C = C.astype(np.int64)
     if abs(int(round(np.linalg.det(C)))) != 1:
         raise ValueError("incommensurable lattices: the sample map is not unimodular")
@@ -321,8 +329,8 @@ def _regrid_layout(F, lat):
     box = tuple(np.maximum(ext.max(axis=(0, 1)), 0) - lo + 1)
     keys = [np.ravel_multi_index(-lo[:, None], box)]  # 0, which every grid holds
     for y in _sample_coords(grid, C):
-        keys.append(np.unique(np.ravel_multi_index((y // r2 - lo).T, box)))
-    K2 = np.stack(np.unravel_index(np.unique(np.concatenate(keys)), box), axis=1) + lo
+        keys.append(_unique(np.ravel_multi_index((y // r2 - lo).T, box)))
+    K2 = np.stack(np.unravel_index(_unique(np.concatenate(keys)), box), axis=1) + lo
     if F.m * K2.shape[0] * r2 ** d > _VALUE_CAP:
         raise ValueError(
             "regridded dataset too large: %d values exceeds the supported bound"

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .lattice import orbit_partition
-from .spectral import PWMask, _abs2
+from .spectral import PWMask, _abs2, _unique
 
 __all__ = [
     "DensityField",
@@ -97,7 +97,7 @@ def _exact_fill_knapsack(values, weights, capacity):
     reach = np.zeros(capacity + 1, dtype=bool)
     reach[0] = True
     steps = []
-    for size in np.unique(weights):
+    for size in _unique(weights):
         size = int(size)
         ids = np.flatnonzero(weights == size)
         ids = ids[np.lexsort((ids, -values[ids]))]

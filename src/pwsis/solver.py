@@ -475,20 +475,32 @@ def project_then_solve(F, mask, ell, group=None):
     return model, report
 
 
-def _orthonormalize_rows(rows, drop=1e-12):
-    """Modified Gram-Schmidt on the rows; rows with residual norm <= drop
-    are removed.  Returns the new row block."""
-    out = []
-    for v in rows:
-        v = v.copy()
-        for u in out:
-            v -= np.vdot(u, v) * u
-        n = np.linalg.norm(v)
-        if n > drop:
-            out.append(v / n)
-    if not out:
-        return np.zeros((0, rows.shape[1]), dtype=np.complex128)
-    return np.array(out)
+def _clip_orthonormalize(basis, bits, drop=1e-12):
+    """The rows of each cell of basis (cells, rows, |K|) clipped to its
+    column of the band bits (|K|, cells) and orthonormalized by modified
+    Gram-Schmidt, in place; a row whose residual norm is <= drop is removed
+    and the later rows move up, leaving zero rows at the end.  Returns the
+    number of rows kept per cell.
+
+    Row j is taken for every cell at once.  Before it, each cell's kept rows
+    fill its first slots and its other slots below j are zero, so projecting
+    out all j slots is each cell's own Gram-Schmidt step."""
+    n, rows, _ = basis.shape
+    basis *= bits.T[:, None, :]
+    out = np.zeros(n, dtype=np.int64)
+    for j in range(rows):
+        v = basis[:, j]
+        for i in range(j):
+            u = basis[:, i]
+            v -= np.einsum("ck,ck->c", u.conj(), v)[:, None] * u
+        norm = np.sqrt(_abs2(v).sum(axis=1))
+        keep = norm > drop
+        v /= np.where(keep, norm, 1.0)[:, None]
+        moved = keep & (out < j)
+        basis[moved, out[moved]] = v[moved]
+        basis[~keep | moved, j] = 0.0
+        out += keep
+    return out
 
 
 def solve_then_project(F, mask, ell):
@@ -498,12 +510,13 @@ def solve_then_project(F, mask, ell):
     if not F.grid.compatible(mask.grid):
         raise ValueError("mismatched grid between dataset and mask")
     model, _ = best_sis(F, ell)
-    basis = np.zeros_like(model.basis)
-    dims = np.zeros(len(model.active_idx), dtype=np.int64)
-    for c, cell in enumerate(model.active_idx):
-        block = _orthonormalize_rows(model.basis[c, : model.dims[c]] * mask.bits[:, cell])
-        dims[c] = block.shape[0]
-        basis[c, : dims[c]] = block
+    basis = model.basis.copy()
+    dims = np.empty_like(model.dims)
+    # about _BLOCK_BYTES of the few cells x |K| temporaries a row's step holds
+    step = _block_cells(4, F.grid.n_offsets)
+    for s in range(0, len(model.active_idx), step):
+        dims[s:s + step] = _clip_orthonormalize(
+            basis[s:s + step], mask.bits[:, model.active_idx[s:s + step]])
     out = SubspaceModel(F.lattice, F.grid, ell, model.active_idx, basis, dims)
     del model  # the unclipped basis is not needed to measure the error
     return out, error_against(F, out)

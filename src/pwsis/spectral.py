@@ -35,6 +35,27 @@ __all__ = [
 # (m * |K| * r^d).
 _VALUE_CAP = 1 << 24
 
+# Bound on the magnitude of each real and imaginary part of a sample a
+# dataset file or a synthesized scene may hold: below it every |v|^2 is
+# finite.
+_MAGNITUDE_CAP = 2.0 ** 511
+
+
+def _within_cap(x):
+    """Whether every real and imaginary part in the float or complex array x
+    is below _MAGNITUDE_CAP in magnitude (so also finite), read from its
+    extremes without a temporary of its size."""
+    x = np.ascontiguousarray(x).view(np.float64)
+    return x.size == 0 or bool(-_MAGNITUDE_CAP < x.min() and x.max() < _MAGNITUDE_CAP)
+
+
+def _unique(a, axis=None):
+    """np.unique(a, axis=axis): the sorted distinct entries (or rows).
+    Asking numpy for the indices too keeps it from importing numpy.ma, which
+    numpy 2 does on the first np.unique call without them (8-16 ms, paid by
+    every process that builds a grid)."""
+    return np.unique(a, axis=axis, return_index=True)[0]
+
 
 def _sorted_offsets(offsets, d):
     arr = np.array(offsets, dtype=np.int64)
@@ -42,7 +63,7 @@ def _sorted_offsets(offsets, d):
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[1] != d:
         raise ValueError("offsets must be integer %d-vectors" % d)
-    arr = np.unique(arr, axis=0)  # unique sorts rows lexicographically
+    arr = _unique(arr, axis=0)  # unique sorts rows lexicographically
     return arr
 
 
@@ -222,19 +243,35 @@ def _offset_hull(primitive, lattice):
     return corners.min(axis=0), corners.max(axis=0)
 
 
+def _cell_bounds(hull, grid, k):
+    """Per-dimension bounds (lo, hi) of the cells a primitive with
+    lattice-coordinate hull (xlo, xhi) can reach at offset k: every cell j
+    whose corner j/r + k lies in the hull widened by one cell, clipped to
+    [0, r).  k may be a stack of offsets (rows), giving rows of bounds."""
+    r = grid.r
+    xlo, xhi = hull
+    lo = np.maximum(np.floor((xlo - k) * r) - 1.0, 0.0)
+    hi = np.minimum(np.floor((xhi - k) * r) + 1.0, r - 1.0)
+    return lo, hi
+
+
+def _reached_offsets(hull, grid):
+    """Indices of the grid offsets where _candidate_cells of hull is not
+    empty, from the bounds of every offset in one pass."""
+    lo, hi = _cell_bounds(hull, grid, grid.offsets)
+    return np.flatnonzero(np.all(lo <= hi, axis=1))
+
+
 def _candidate_cells(hull, grid, k):
     """Cells a primitive with lattice-coordinate hull (xlo, xhi) can reach at
-    offset k: every cell j whose corner j/r + k lies in the hull widened by
-    one cell, clipped to [0, r).
+    offset k (see _cell_bounds).
 
     Returns (flat, pts): ascending flat cell indices and their sample points.
     The widening covers rounding in the sample-point product, so every sample
     inside the primitive is among the candidates.
     """
     r = grid.r
-    xlo, xhi = hull
-    lo = np.maximum(np.floor((xlo - k) * r) - 1.0, 0.0)
-    hi = np.minimum(np.floor((xhi - k) * r) + 1.0, r - 1.0)
+    lo, hi = _cell_bounds(hull, grid, k)
     if not np.all(lo <= hi):
         return np.zeros(0, dtype=np.int64), np.zeros((0, grid.d))
     cells = _grid_product([np.arange(int(a), int(b) + 1) for a, b in zip(lo, hi)])
@@ -328,8 +365,9 @@ def synthesize(scene, lattice, grid):
     modulation term multiplies by exp(-2 pi i <h, xi>) at the physical sample
     point xi.  Every primitive must fit inside the covered band, otherwise a
     "band too small" error names the offender.  Each primitive is tested only
-    on the cells its bounding box can reach, and the dataset's support is the
-    union of the cells some primitive hit.
+    at the offsets and on the cells its bounding box can reach, and the
+    dataset's support is the union of the cells some primitive hit.  Terms
+    are added in scene order at every sample.
     """
     if scene.d != grid.d:
         raise ValueError("scene dimension %d does not match grid" % scene.d)
@@ -338,12 +376,11 @@ def synthesize(scene, lattice, grid):
     _validate_band([t[2] for t in scene.terms], lattice, grid)
     m = scene.n_channels
     values = np.zeros((m, grid.n_offsets, grid.n_cells), dtype=np.complex128)
-    hulls = [_offset_hull(t[2], lattice) for t in scene.terms]
     touched = np.zeros(grid.n_cells, dtype=bool)
-    for ki in range(grid.n_offsets):
-        k = grid.offsets[ki]
-        for (channel, coeff, prim, h), hull in zip(scene.terms, hulls):
-            cells, pts = _candidate_cells(hull, grid, k)
+    for channel, coeff, prim, h in scene.terms:
+        hull = _offset_hull(prim, lattice)
+        for ki in _reached_offsets(hull, grid):
+            cells, pts = _candidate_cells(hull, grid, grid.offsets[ki])
             inside = prim.contains(pts)
             hit = cells[inside]
             if hit.size == 0:
@@ -397,9 +434,9 @@ def pw_mask(region, lattice, grid):
         region = [region]
     _validate_band(region, lattice, grid)
     bits = np.zeros((grid.n_offsets, grid.n_cells), dtype=bool)
-    hulls = [_offset_hull(prim, lattice) for prim in region]
-    for ki in range(grid.n_offsets):
-        for prim, hull in zip(region, hulls):
+    for prim in region:
+        hull = _offset_hull(prim, lattice)
+        for ki in _reached_offsets(hull, grid):
             cells, pts = _candidate_cells(hull, grid, grid.offsets[ki])
             bits[ki, cells[prim.contains(pts)]] = True
     return PWMask(lattice, grid, bits)

@@ -4,18 +4,27 @@ offset sets, solved models, and Gramian debug dumps.
 Datasets and masks are strict machine formats (floats via repr, so a
 write/parse round trip is byte-exact).  Scenes, lattices, groups, and offset
 lists are human formats: blank lines and '#' comments are skipped.
+
+A dataset or mask in the writers' layout is read in array passes over
+pieces of the file: numpy's C parser reads the values of a piece that holds
+only the bytes of such numbers, and must give two per line.  Any departure
+sends the whole text to the line walk, the one reporter of errors.  The
+writers format each distinct value of a chunk once.  Dataset values and
+scene numbers must be below _MAGNITUDE_CAP (2^511) in magnitude, so every
+|v|^2 is finite.
 """
 
 import io
 import math
 import os
 import stat
+import warnings
 
 import numpy as np
 
 from .lattice import make_lattice, make_group
 from .spectral import (Ball, Box, FrequencyGrid, PWMask, Scene, SpectralDataset,
-                       _VALUE_CAP, _cell_weight)
+                       _MAGNITUDE_CAP, _VALUE_CAP, _cell_weight, _within_cap)
 
 __all__ = [
     "format_dataset", "parse_dataset", "read_dataset", "write_dataset",
@@ -29,10 +38,12 @@ __all__ = [
 
 
 # Bytes of dataset or mask text handled in one array pass.  A written
-# 're im' pair is at most _PAIR_CHARS characters (a float64 repr is at most
-# 24), so a written chunk stays within _CHUNK too.
+# 're im' pair holds about _PAIR_BYTES while its chunk is formatted: its
+# text (at most 50 characters, a float64 repr is at most 24) and its share
+# of the bit patterns, their sort and the text of each distinct value; so
+# formatting a chunk holds about _CHUNK bytes too.
 _CHUNK = 1 << 18
-_PAIR_CHARS = 50
+_PAIR_BYTES = 200
 
 
 def _fmt(x):
@@ -110,7 +121,8 @@ class _Head(_Lines):
     def pieces(self):
         """The rest of the stream in pieces of about _CHUNK bytes, each
         ending at a b'\\n', with their bytes as a uint8 array; raises _Walk
-        if the stream does not end at a b'\\n' or holds a byte above 127."""
+        if the stream does not end at a b'\\n'.  The caller checks every
+        byte against the few its layout allows."""
         while True:
             piece = self.stream.read(_CHUNK)
             if not piece:
@@ -119,10 +131,7 @@ class _Head(_Lines):
                 piece += self.stream.readline()
                 if not piece.endswith(b"\n"):
                     raise _Walk
-            b = np.frombuffer(piece, np.uint8)
-            if np.any(b >= 128):
-                raise _Walk
-            yield piece, b
+            yield piece, np.frombuffer(piece, np.uint8)
 
 
 def _ascii_head(text, name):
@@ -232,16 +241,18 @@ def _grid_header(kind, lattice, g):
 def _pairs(z):
     """Text of the complex 2-D array z, one row per line as 're im' pairs
     separated by spaces.  Floats are written by repr, so parsing the text
-    gives z back bit for bit."""
+    gives z back bit for bit; each distinct bit pattern is formatted once."""
     rows, per = z.shape
-    line = " ".join(["%r %r"] * per) + "\n"
-    return line * rows % tuple(np.ascontiguousarray(z).view(np.float64).ravel().tolist())
+    bits, inv = np.unique(np.ascontiguousarray(z).view(np.int64), return_inverse=True)
+    words = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    line = " ".join(["%s %s"] * per) + "\n"
+    return line * rows % tuple(words[inv.ravel()].tolist())
 
 
 def _dataset_chunks(F):
     yield _grid_header("pwsis-dataset v1", F.lattice, F.grid) + "channels %d\n" % F.m
     z = F.values.reshape(-1, 1)
-    step = _CHUNK // _PAIR_CHARS
+    step = max(1, _CHUNK // _PAIR_BYTES)
     for a in range(0, len(z), step):
         yield _pairs(z[a:a + step])
 
@@ -276,45 +287,70 @@ def _array_dataset(lines):
                            check_finite=False)
 
 
+# The bytes a value line of the writers' layout may hold.
+_VALUE_BYTES = b"0123456789.eE+- \n"
+
+
+def _parse_floats(piece):
+    """np.fromstring of the numbers in piece, which rounds each as float()
+    does; raises _Walk where numpy's parser stops early, by a ValueError
+    (numpy 2) or a DeprecationWarning (numpy 1.x)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.fromstring(piece, sep=" ")
+        except (ValueError, DeprecationWarning):
+            raise _Walk
+
+
 def _array_values(lines, m, grid, perm):
     """The value block as the writers lay it out, in array passes: exactly
     m*|K|*r^d lines 'RE IM\\n', one space apart, nothing else, every number
-    finite.  Raises _Walk on any departure."""
-    n = m * grid.n_offsets * grid.n_cells
+    below _MAGNITUDE_CAP in magnitude.  Each piece is parsed by numpy's C
+    parser and written straight into the rows of its offsets.  numpy may
+    read spellings float() refuses (such as '1-2' as two numbers), so a
+    piece reaches it only if it holds no byte but those of the writers'
+    numbers, and its k lines must give exactly 2k numbers, one per token.
+    Raises _Walk on any departure."""
+    n_off, nc = grid.n_offsets, grid.n_cells
+    n = m * n_off * nc
     if lines.left() < 4 * n:  # a value line takes at least 4 characters
         raise _Walk
-    out = np.empty(2 * n)
+    vals = np.empty(n, dtype=np.complex128)
+    # line j * nc + c of the file, of channel i and file offset fk, fills
+    # (i, perm[fk], c): its position moves by shift[j]
+    rows = (np.arange(m)[:, None] * n_off + np.asarray(perm, dtype=np.int64)).ravel()
+    shift = (rows - np.arange(m * n_off)) * nc
     done = 0
     for piece, b in lines.pieces():
-        nl = np.flatnonzero(b == 10)
-        sp = np.flatnonzero(b == 32)
-        k = len(nl)
-        # one space per line, with a token on each side of it: the space
-        # of line i lies strictly inside it, and spaces and lines are as many
-        if (len(sp) != k or done + k > n or np.count_nonzero(b < 32) != k
-                or sp[0] == 0 or np.any(sp[1:] <= nl[:-1] + 1) or np.any(sp >= nl - 1)):
+        if piece.translate(None, _VALUE_BYTES):
             raise _Walk
-        part = out[2 * done:2 * (done + k)]
-        try:
-            part[:] = np.array(piece.decode("ascii").split(), dtype=float)
-        except ValueError:
+        # the separators, spaces and newlines alone after the byte check,
+        # alternate from a space to the piece's final newline and never
+        # touch: every line is one token, a space and one token
+        sep = np.flatnonzero(b <= 32)
+        k = len(sep) // 2
+        if (len(sep) % 2 or done + k > n or sep[0] == 0 or np.any(b[sep[0::2]] != 32)
+                or np.any(b[sep[1::2]] != 10) or np.any(np.diff(sep) == 1)):
             raise _Walk
-        if not np.all(np.isfinite(part)):
+        part = _parse_floats(piece)
+        if len(part) != 2 * k or not _within_cap(part):
             raise _Walk
+        at = np.arange(done, done + k)
+        at += shift[at // nc]
+        vals[at] = part.view(np.complex128)
         done += k
     if done != n:
         raise _Walk
-    vals = out.view(np.complex128).reshape(m, grid.n_offsets, grid.n_cells)
-    if perm != list(range(grid.n_offsets)):  # the writers list offsets in order
-        vals[:, perm, :] = vals.copy()
-    return vals
+    return vals.reshape(m, n_off, nc)
 
 
 def _walk_values(lines, m, grid, perm, res_no):
     """The value lines one at a time, in any layout the format allows
     (blank lines, tabs, CRLF, extra spaces); the one reporter of bad values.
-    A non-finite value is reported after the whole file is read, so a
-    malformed line anywhere is reported first."""
+    A non-finite value, or one of magnitude _MAGNITUDE_CAP or more, is
+    reported after the whole file is read, so a malformed line anywhere is
+    reported first."""
     _require_lines(lines, m * grid.n_offsets * grid.n_cells, "value", res_no)
     vals = np.zeros((m, grid.n_offsets, grid.n_cells), dtype=np.complex128)
     bad = None
@@ -326,12 +362,14 @@ def _walk_values(lines, m, grid, perm, res_no):
                 pair = _floats(lines, s.split(), no)
                 if len(pair) != 2:
                     lines.fail(no, "value line needs 're im', got %r" % s)
-                if bad is None and not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
-                    bad = no, s
+                if bad is None and not (abs(pair[0]) < _MAGNITUDE_CAP
+                                        and abs(pair[1]) < _MAGNITUDE_CAP):
+                    bad = no, s, math.isfinite(pair[0]) and math.isfinite(pair[1])
                 vals[i, ki, c] = complex(pair[0], pair[1])
     lines.done()
     if bad is not None:
-        lines.fail(bad[0], "non-finite value in %r" % bad[1])
+        no, s, finite = bad
+        lines.fail(no, "%s value in %r" % ("out-of-range" if finite else "non-finite", s))
     return vals
 
 
@@ -404,7 +442,10 @@ def _walk_bits(lines, grid, perm, res_no):
 def _scene_floats(lines, toks, no):
     vals = _floats(lines, toks, no)
     for v, t in zip(vals, toks):
-        _check_finite(v, t, "%s line %d" % (lines.name, no), "scene")
+        where = "%s line %d" % (lines.name, no)
+        _check_finite(v, t, where, "scene")
+        if not abs(v) < _MAGNITUDE_CAP:
+            raise ValueError("%s: scene entry %r is 2^511 or more in magnitude" % (where, t))
     return vals
 
 
@@ -672,7 +713,7 @@ def write_gramian(G, path):
     're im' pairs, row-major; inactive cells are all zero."""
     grid = G.grid
     per = G.m * G.m
-    step = max(1, _CHUNK // (_PAIR_CHARS * max(per, 1)))
+    step = max(1, _CHUNK // (_PAIR_BYTES * max(per, 1)))
     with open(path, "w") as fh:
         fh.write("pwsis-gramian v1\n")
         fh.write("dim %d\n" % grid.d)

@@ -498,6 +498,27 @@ _BAD_INPUTS = {
     "scene-box-order": ({"order.txt": "channel 0 coeff 1 0 box 0.5 0 0 0.5\n"},
                         _SYNTH_2D + ["--scene", "order.txt", "--resolution", "4"],
                         "order.txt line 1: box needs lo < hi in every coordinate"),
+    # |v|^2 overflows at 2^512: a scene coefficient, synthesized sums and a
+    # dataset value of 2^511 or more are refused
+    "scene-huge-coeff": ({"hugec.txt": "channel 0 coeff 1e200 0 box 0 0 0.5 0.5\n"},
+                         _SYNTH_2D + ["--scene", "hugec.txt", "--resolution", "4"],
+                         "hugec.txt line 1: scene entry '1e200' is 2^511 or more in magnitude"),
+    "synth-huge-sum": ({"sum.txt": "channel 0 coeff 5e153 0 box 0 0 0.5 0.5\n"
+                                   "channel 0 coeff 5e153 0 box 0 0 0.5 0.5\n"},
+                       _SYNTH_2D + ["--scene", "sum.txt", "--resolution", "4"],
+                       "sum.txt: synthesized samples reach 2^511 or more in magnitude"),
+    "dataset-huge-value": ({"hugev.txt": _line_replaced("data2.txt", 13, "1e200 0.0")},
+                           ["solve", "--data", "hugev.txt", "--ell", "1"],
+                           "hugev.txt line 13: out-of-range value in '1e200 0.0'"),
+    # sample coordinates j + r k of offset 2^62 at r = 4 wrap in int64
+    "regrid-wrap": ({"wrap.dataset": "pwsis-dataset v1\ndim 2\nlattice 1 0 0 1\n"
+                                     "resolution 4\noffsets 2\n0 0\n4611686018427387904 0\n"
+                                     "channels 1\n" + "0.5 0.0\n" * 32,
+                     "wrap_lats.txt": "1 0 0 1\n0.5 0 0 0.5\n"},
+                    ["compare-lattices", "--data", "wrap.dataset", "--lattices",
+                     "wrap_lats.txt", "--ell", "0"],
+                    "wrap_lats.txt line 2: regrid out of range: sample coordinates reach "
+                    "18446744073709551619, 2^62 or more"),
     "header-cap": ({"cap.txt": "pwsis-dataset v1\n" + _CAP_HEADER % "3000000" + "channels 0\n"},
                    ["solve", "--data", "cap.txt", "--ell", "1"],
                    "cap.txt " + _CAP_LINE % "9000000000000 value lines per channel"),
@@ -547,6 +568,17 @@ def test_bad_input_exits_two_with_one_error_line(bad_input_dir, case):
 _REC_OFFSETS = [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
 
 
+# overlapping boxes and balls, modulated and not, with repeated and
+# distinct coefficients, for the recorded `synth --out`
+_REC_SCENE = """channel 0 coeff 1.5 -0.25 box 0 0 1 1
+channel 0 coeff 0.1 0.7 ball 0.5 0.5 0.4 mod 0.3 -1.7
+channel 1 coeff -2 0.5 box -1 0.25 2 0.75
+channel 1 coeff 0.3 0 ball 0.5 1.2 0.3
+channel 2 coeff 1e-3 2 box 0.25 -1 0.75 2 mod 1 1
+channel 2 coeff 1.5 -0.25 box 0 0 0.5 0.5
+"""
+
+
 def _recorded_value(i, k, c):
     if c % 7 == 3:  # dead cells
         return 0.0, 0.0
@@ -566,6 +598,9 @@ def _write_recorded_inputs(work):
     (work / "d4.txt").write_text("".join("%d %d %d %d\n" % tuple(g.ravel())
                                          for g in D4_GENS))
     (work / "lats.txt").write_text("1 0 0 1\n1 1 0 1\n0.5 0 0 0.5\n")
+    (work / "rec_scene.txt").write_text(_REC_SCENE)
+    (work / "rec_lat.txt").write_text("1 0\n0 1\n")
+    (work / "rec_offs.txt").write_text("".join("%d %d\n" % k for k in _REC_OFFSETS))
 
 
 _REC_DATA = ["--data", "rec.dataset"]
@@ -583,6 +618,11 @@ RECORDED_RUNS = [
     ("solve_group", ["solve"] + _REC_GROUP + ["--ell", "1"], []),
     ("solve_group_mask", ["solve"] + _REC_GROUP + ["--ell", "1", "--mask", "gband.mask"],
      []),
+    ("project", ["project"] + _REC_DATA + ["--mask", "band.mask", "--out", "proj.dataset"],
+     ["proj.dataset"]),
+    ("synth", ["synth", "--scene", "rec_scene.txt", "--lattice", "rec_lat.txt",
+               "--resolution", "6", "--offsets", "rec_offs.txt", "--out", "syn.dataset"],
+     ["syn.dataset"]),
     ("pipeline", ["pipeline"] + _REC_DATA + ["--ell", "2", "--mask", "band.mask"], []),
     ("compare_lattices", ["compare-lattices"] + _REC_DATA + ["--ell", "2",
                                                              "--lattices", "lats.txt"],
@@ -633,6 +673,16 @@ RECORDED = {
         "channel 0 error 4.87751217943\n"
         "channel 1 error 4.61629876548\n"
         "channel 2 error 4.19829723494\n", {}),
+    "project": (
+        "inside-band energy 8.83040364583\n"
+        "outside-band energy 7.48947482639\n",
+        {"proj.dataset":
+         "3cb186f717f0c0c3e647c25e5829b0842c4f5455bedc5b22e665b1b573221791"}),
+    "synth": (
+        "channels 3\n"
+        "energy 15.4828480608\n",
+        {"syn.dataset":
+         "b90c7eade88df78e67e942db74f89fd83e9238857f6c893165b7d09c569721cd"}),
     "pipeline": (
         "project-then-solve 7.82703328421\n"
         "solve-then-project 7.87328445985\n"

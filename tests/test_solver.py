@@ -1378,3 +1378,62 @@ def test_solve_then_project_clips_one_cell_at_a_time(monkeypatch):
         tracemalloc.stop()
     assert np.array_equal(model.basis, want.basis)
     assert peak < 1.25 * model.basis.nbytes
+
+
+def _orthonormalize_rows(rows, drop=1e-12):
+    """Modified Gram-Schmidt on the rows of one cell; rows with residual
+    norm <= drop are removed (the per-cell loop solve_then_project ran)."""
+    out = []
+    for v in rows:
+        v = v.copy()
+        for u in out:
+            v -= np.vdot(u, v) * u
+        n = np.linalg.norm(v)
+        if n > drop:
+            out.append(v / n)
+    if not out:
+        return np.zeros((0, rows.shape[1]), dtype=np.complex128)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 3, 4])
+def test_block_gram_schmidt_matches_the_per_cell_loop(ell):
+    from pwsis.spectral import PWMask
+
+    # m = 3 on 3 x 3 offsets at r = 8 with dead cells.  The band keeps all
+    # offsets at some cells, none at others, and one or two at others, where
+    # the clipped rows are parallel or fill the plane and the rows after
+    # them fall under the 1e-12 cut
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 8, [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    rng = np.random.default_rng(91)
+    shape = (3, grid.n_offsets, grid.n_cells)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vals[:, :, rng.random(grid.n_cells) < 0.2] = 0.0
+    F = SpectralDataset(lat, grid, vals)
+    kind = rng.integers(5, size=grid.n_cells)
+    bits = rng.random((grid.n_offsets, grid.n_cells)) < 0.5
+    bits[:, kind == 0] = True
+    bits[:, kind == 1] = False
+    for n_kept in (1, 2):
+        for c in np.flatnonzero(kind == 1 + n_kept):
+            bits[:, c] = False
+            bits[rng.choice(grid.n_offsets, n_kept, replace=False), c] = True
+    mask = PWMask(lat, grid, bits)
+
+    model, rep = solve_then_project(F, mask, ell)
+    solved, _ = best_sis(F, ell)
+    assert np.array_equal(model.active_idx, solved.active_idx)
+    dims = np.zeros_like(solved.dims)
+    basis = np.zeros_like(solved.basis)
+    for c, cell in enumerate(solved.active_idx):
+        block = _orthonormalize_rows(solved.basis[c, :solved.dims[c]] * bits[:, cell])
+        dims[c] = len(block)
+        basis[c, :dims[c]] = block
+    assert np.array_equal(model.dims, dims)
+    assert np.max(np.abs(model.basis - basis), initial=0.0) <= 1e-12
+    want = error_against(F, SubspaceModel(lat, grid, ell, solved.active_idx, basis, dims))
+    assert abs(rep.total_error - want.total_error) <= 1e-12 * (1.0 + F.energy().sum())
+    if ell >= 2:  # rows were dropped at the cut where one or two offsets stay
+        few = np.isin(solved.active_idx, np.flatnonzero(kind >= 2))
+        assert np.any(dims[few] < solved.dims[few]) and np.any(dims[few] > 0)

@@ -303,6 +303,12 @@ def test_synthesize_and_mask_match_full_grid(d):
         F = synthesize(scene, lat, grid)
         assert np.array_equal(F.values, _reference_synthesize(scene, grid))
         assert np.array_equal(pw_mask(prims, lat, grid).bits, _reference_mask_bits(prims, grid))
+        # skipping the offsets a term cannot reach changes no bit
+        values, support = _all_offsets_synthesize(scene, lat, grid)
+        assert np.array_equal(_bits(F.values), _bits(values))
+        assert np.array_equal(F.support, support)
+        assert np.array_equal(pw_mask(prims, lat, grid).bits,
+                              _all_offsets_mask_bits(prims, lat, grid))
 
         nonzero = np.flatnonzero(np.any(F.values != 0, axis=(0, 1)))
         assert np.all(np.diff(F.support) > 0)
@@ -341,3 +347,59 @@ def test_support_follows_cell_preserving_operations():
               dilation_transport(F, [[2.0]])):
         assert np.array_equal(G.support, F.support)
     assert SpectralDataset(LAT_Z, grid, F.values).support is None
+
+
+def _all_offsets_synthesize(scene, lattice, grid):
+    """The synthesis loop before offsets were skipped: every offset, then
+    every term, each tested on its candidate cells."""
+    from pwsis.spectral import _candidate_cells, _offset_hull
+
+    values = np.zeros((scene.n_channels, grid.n_offsets, grid.n_cells), dtype=np.complex128)
+    touched = np.zeros(grid.n_cells, dtype=bool)
+    hulls = [_offset_hull(t[2], lattice) for t in scene.terms]
+    for ki in range(grid.n_offsets):
+        for (channel, coeff, prim, h), hull in zip(scene.terms, hulls):
+            cells, pts = _candidate_cells(hull, grid, grid.offsets[ki])
+            inside = prim.contains(pts)
+            hit = cells[inside]
+            touched[hit] = True
+            if h is None:
+                values[channel, ki, hit] += coeff
+            else:
+                values[channel, ki, hit] += coeff * np.exp(-2j * np.pi * (pts[inside] @ h))
+    return values, np.flatnonzero(touched)
+
+
+def _all_offsets_mask_bits(region, lattice, grid):
+    from pwsis.spectral import _candidate_cells, _offset_hull
+
+    bits = np.zeros((grid.n_offsets, grid.n_cells), dtype=bool)
+    for ki in range(grid.n_offsets):
+        for prim in region:
+            cells, pts = _candidate_cells(_offset_hull(prim, lattice), grid, grid.offsets[ki])
+            bits[ki, cells[prim.contains(pts)]] = True
+    return bits
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def test_overlapping_modulated_terms_add_in_scene_order():
+    # three terms on the same samples, one modulated, on 5 x 5 offsets of
+    # which the terms reach a few: the sum at each sample is taken in scene
+    # order, as the all-offsets loop takes it
+    lat = make_lattice([[1.0, 0.3], [-0.2, 0.9]])
+    grid = make_grid(lat, 7, [[a, b] for a in range(-2, 3) for b in range(-2, 3)])
+    scene = Scene(2)
+    scene.add(0, 0.1 + 0.7j, Box([0.0, 0.0], [1.3, 0.9]))
+    scene.add(0, 1e-17 - 3.0j, Ball([0.6, 0.5], 0.45), mod=[0.25, -1.5])
+    scene.add(0, -0.1 - 0.7j, Box([0.1, -0.4], [1.0, 0.6]))
+    scene.add(1, 2.5, Ball([-0.5, 0.2], 0.3))
+    F = synthesize(scene, lat, grid)
+    values, support = _all_offsets_synthesize(scene, lat, grid)
+    assert np.array_equal(_bits(F.values), _bits(values))
+    assert np.array_equal(F.support, support)
+    prims = [t[2] for t in scene.terms]
+    assert np.array_equal(pw_mask(prims, lat, grid).bits,
+                          _all_offsets_mask_bits(prims, lat, grid))

@@ -249,8 +249,10 @@ def _ref_parse_dataset(text, name="<dataset>"):
                     lines.fail(no, "value line needs 're im', got %r" % s)
                 vals[i, ki, c] = complex(pair[0], pair[1])
     lines.done()
-    if not np.all(np.isfinite(vals)):
-        bad = ~np.isfinite(vals[:, perm, :])
+    # both parts of every value below 2^511 in magnitude, so |v|^2 is finite
+    cap = 2.0 ** 511
+    bad = ~((np.abs(vals.real) < cap) & (np.abs(vals.imag) < cap))[:, perm, :]
+    if bad.any():
         target = int(np.flatnonzero(bad)[0])
         seen = -1
         for no in range(first + 1, len(lines.raw) + 1):
@@ -258,7 +260,9 @@ def _ref_parse_dataset(text, name="<dataset>"):
             if s:
                 seen += 1
                 if seen == target:
-                    lines.fail(no, "non-finite value in %r" % s)
+                    kind = ("out-of-range" if np.isfinite(vals[:, perm, :].ravel()[target])
+                            else "non-finite")
+                    lines.fail(no, "%s value in %r" % (kind, s))
     return SpectralDataset(lat, grid, vals, check_finite=False)
 
 
@@ -343,7 +347,9 @@ def _same_outcome(new, ref, text, name="f.txt"):
     return got
 
 
-_SPECIALS = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, -2.2e-310, 1e17, -1e17, 1.5, 1e308]
+# large magnitudes a dataset may hold: 1e150, and 2^511 one ulp down
+_SPECIALS = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, -2.2e-310, 1e17, -1e17, 1.5, 1e150,
+             -np.nextafter(2.0 ** 511, 0.0)]
 
 
 def _random_dataset_text(rng):
@@ -446,6 +452,8 @@ _ODD_DATASETS = [
     _BASE.replace("channels 1\n", "channels 1\n\n"),
     _BASE.replace("resolution 2\n", "resolution 2\n") + "\n",
     _BASE.replace("offsets 2\n1\n0\n", "offsets 2\n1\n1\n"),
+    _odd_body("1.0 -0.0\n2.5 1e200\n4.0 5e-324\n-6.0 inf\n"),  # |v|^2 overflows
+    _odd_body("1.0 -0.0\n2.5 3.0\n-6.703903964971299e+153 5e-324\n-6.0 7.0\n"),  # 2^511
 ]
 
 _MASK = "pwsis-mask v1\ndim 1\nlattice 1.0\nresolution 2\noffsets 2\n1\n0\n"
@@ -589,3 +597,173 @@ def test_write_gramian_and_write_model_match_the_old_writers(tmp_path):
     write_model(model, rep, tmp_path / "model.txt")
     assert (tmp_path / "model.txt").read_text() == (
         _ref_format_dataset(generators(model)) + "error %r\n" % float(rep.total_error))
+
+
+# ---------------------------------------------------------------------------
+# numpy's parser on the array route against float(), and the guard around it
+
+
+def _hard_tokens(rng, n):
+    """Decimal spellings float() must round with care: random bit patterns
+    at 17 and 25 digits, 25-digit decimals next to the midpoint of two
+    neighbouring doubles and the exact midpoints (ties to even), subnormal
+    and overflow edges."""
+    import decimal
+
+    bits = rng.integers(0, 2 ** 63, size=n, dtype=np.int64).view(np.float64)
+    x = bits[np.isfinite(bits)]
+    x = x * np.where(rng.random(len(x)) < 0.5, -1.0, 1.0)
+    toks = [repr(v) for v in x.tolist()]
+    toks += ["%.17g" % v for v in x.tolist()]
+    toks += ["%.25g" % v for v in x[: n // 4].tolist()]
+    ctx = decimal.Context(prec=1200)
+    for v in x[: n // 4].tolist():
+        mid = ctx.divide(ctx.add(decimal.Decimal(v), decimal.Decimal(
+            np.nextafter(v, np.inf).item())), 2)
+        if mid.is_finite():
+            toks += [format(mid, ".24e"), str(mid)]
+    toks += ["-0.0", "0.0", "2.2250738585072011e-308", "2.2250738585072012e-308",
+             "2.2250738585072014e-308", "4.9406564584124654e-324",
+             "2.4703282292062327e-324", "2.4703282292062328e-324", "1e-400",
+             "1.00000000000000011102230246251565404236316680908203125",
+             "1.00000000000000011102230246251565404236316680908203124",
+             "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+             "6.703903964971298e+153", "6.703903964971299e+153", "1e400", "-1e400"]
+    return toks if len(toks) % 2 == 0 else toks + ["1.5"]
+
+
+def test_array_parse_rounds_as_float_does(monkeypatch, tmp_path):
+    toks = _hard_tokens(np.random.default_rng(17), 6000)
+    want = np.array([float(t) for t in toks])
+    piece = "".join("%s %s\n" % (toks[i], toks[i + 1]) for i in range(0, len(toks), 2))
+    got = textio._parse_floats(piece.encode("ascii"))
+    assert np.array_equal(_bits_of(got), _bits_of(want))
+    # the values a dataset may hold, read from a file in the writers' layout
+    # by the array route (the walk would also give float()'s bits)
+    pairs = want.reshape(-1, 2)
+    keep = np.all(np.abs(pairs) < 2.0 ** 511, axis=1)
+    lines = [" ".join(toks[2 * i:2 * i + 2]) for i in np.flatnonzero(keep)]
+    path = tmp_path / "hard.dataset"
+    path.write_text("pwsis-dataset v1\ndim 1\nlattice 1.0\nresolution %d\noffsets 1\n0\n"
+                    "channels 1\n" % len(lines) + "\n".join(lines) + "\n")
+    monkeypatch.setattr(textio, "_walk_values", None)  # the array route takes it
+    F = read_dataset(path)
+    assert np.array_equal(_bits_of(F.values.ravel()), _bits_of(pairs[keep].ravel()))
+
+
+# spellings numpy's parser would read otherwise than float(), or that float()
+# refuses, or that only the guard stops; the last four float() reads too
+_GUARDED = ["1_0", "1-2", "1.2.3", "0x10", "inf", "nan", "1e400", ".5", "1.", "+1", "1E5"]
+
+
+def _lenient_fromstring(piece, sep):
+    """A parser that also reads integer literals such as '0x10' (as 16):
+    the byte guard must keep such tokens from any parser numpy may have."""
+    vals = []
+    for t in piece.split():
+        try:
+            vals.append(float(t))
+        except ValueError:
+            vals.append(float(int(t, 0)))
+    return np.array(vals)
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@pytest.mark.parametrize("token", _GUARDED)
+def test_guarded_spellings_give_the_line_code_outcome(monkeypatch, tmp_path, token, lenient):
+    text = _odd_body("1.0 -0.0\n2.5 %s\n4.0 5e-324\n-6.0 7.0\n" % token)
+    if token in (".5", "1.", "+1", "1E5"):  # float() spellings: no walk needed
+        def no_walk(*args):
+            raise AssertionError("the line walk read %r" % token)
+
+        monkeypatch.setattr(textio, "_walk_values", no_walk)
+    if lenient:
+        monkeypatch.setattr(np, "fromstring", _lenient_fromstring)
+    _same_outcome(parse_dataset, _ref_parse_dataset, text)
+    _same_file_outcome(read_dataset, _ref_parse_dataset, text, tmp_path / "f.txt")
+
+
+@pytest.mark.parametrize("how", ["warns", "miscounts"])
+def test_a_parse_that_warns_or_miscounts_falls_back_to_the_walk(monkeypatch, how):
+    # numpy 1.x warns and returns what it read before a bad token instead of
+    # raising, and may read one token as two numbers: the warning must send
+    # the file to the walk, not escape, and so must a wrong count
+    import warnings
+
+    want = parse_dataset(_BASE)
+    real = np.fromstring
+    walked = []
+    walk = textio._walk_values
+
+    def parse(piece, sep):
+        if how == "warns":
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return real(piece, sep=sep)[:-1]
+        return np.append(real(piece, sep=sep), 2.0)
+
+    monkeypatch.setattr(np, "fromstring", parse)
+    monkeypatch.setattr(textio, "_walk_values", lambda *a: walked.append(1) or walk(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = parse_dataset(_BASE)
+    assert walked and np.array_equal(_bits_of(got.values), _bits_of(want.values))
+
+
+def _ref_pairs(z):
+    return "".join(" ".join("%s %s" % (_fmt(v.real), _fmt(v.imag)) for v in row) + "\n"
+                   for row in z)
+
+
+@pytest.mark.parametrize("per", [1, 4, 9])
+def test_pairs_formats_each_distinct_value_like_repr(per):
+    rng = np.random.default_rng(per)
+    n = 3 * 97 * per
+
+    def cplx(re, im):  # both parts exactly, signed zeros included
+        return np.stack([re, im], axis=-1).view(np.complex128).ravel()
+
+    scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
+    blocks = {
+        "random": cplx(scaled, rng.standard_normal(n)),
+        "repeated": cplx(rng.choice([0.5, -0.25, 3.0 + 1e-15], size=n),
+                         rng.choice([0.5, -1.0], size=n)),
+        "signed zeros": cplx(rng.choice([0.0, -0.0], size=n), rng.choice([0.0, -0.0], size=n)),
+        "subnormal": cplx(rng.choice([5e-324, -5e-324, 2.2e-310, 0.0], size=n),
+                          np.full(n, 1e-320)),
+        "one row": cplx(scaled[:per], scaled[::-1][:per]),
+        "empty": np.zeros(0, dtype=np.complex128),
+    }
+    for name, flat in blocks.items():
+        z = flat.reshape(-1, per)
+        assert textio._pairs(z) == _ref_pairs(z), name
+
+
+def test_read_dataset_fills_the_rows_of_offsets_listed_out_of_order(tmp_path):
+    # 196,608 values (3.1 MB) with the offsets listed 1, 0, -1: each piece
+    # goes straight into its offsets' rows, without a copy of the values
+    grid = make_grid(LAT_Z, 1 << 15, K3)
+    rng = np.random.default_rng(71)
+    shape = (2, grid.n_offsets, grid.n_cells)
+    F = SpectralDataset(LAT_Z, grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    lines = format_dataset(F).splitlines(keepends=True)
+    head = lines.index("channels 2\n") + 1
+    body = lines[head:]
+    n = grid.n_cells
+    blocks = [body[(i * 3 + k) * n:(i * 3 + k + 1) * n] for i in range(2) for k in (2, 1, 0)]
+    head_lines = lines[:head]
+    at = head_lines.index("offsets 3\n") + 1
+    head_lines[at:at + 3] = ["1\n", "0\n", "-1\n"]
+    path = tmp_path / "reversed.dataset"
+    with open(path, "w") as fh:
+        fh.writelines(head_lines)
+        for block in blocks:
+            fh.writelines(block)
+    del lines, body, blocks
+    tracemalloc.start()
+    try:
+        back = read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(_bits_of(back.values), _bits_of(F.values))
+    assert peak < F.values.nbytes + 8 * textio._CHUNK
