@@ -60,9 +60,10 @@ def _cmd_synth(args):
     if not spectral._within_cap(F.values):
         raise ValueError("%s: synthesized samples reach 2^511 or more in magnitude"
                          % args.scene)
+    energy = F.energy().sum() if F.m else 0.0
     textio.write_dataset(F, args.out)
     print("channels %d" % F.m)
-    print("energy %s" % _g(F.energy().sum() if F.m else 0.0))
+    print("energy %s" % _g(energy))
     return 0
 
 
@@ -114,6 +115,7 @@ def _cmd_omega_opt(args):
 
     F = textio.read_dataset(args.data)
     density = omega.energy_density(F)
+    total = density.total()  # finite, so is every sum of boxes below
     if args.group:
         group = textio.read_group_file(args.group, F.grid.d)
         mask, captured = omega.best_omega_invariant(F, group, args.measure)
@@ -122,7 +124,7 @@ def _cmd_omega_opt(args):
     textio.write_mask(mask, args.out)
     print("measure %s" % _g(mask.measure))
     print("captured %s" % _g(captured))
-    print("residual %s" % _g(density.total() - captured))
+    print("residual %s" % _g(total - captured))
     return 0
 
 
@@ -274,6 +276,11 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ValueError, OSError) as e:
+        from .spectral import SumOverflow
+
+        source = vars(args).get("data") or vars(args).get("scene")
+        if isinstance(e, SumOverflow) and source:  # raised without the file's name
+            e = "%s: %s" % (source, e)
         print("error: %s" % e, file=sys.stderr)
         return 2
     except RuntimeError as e:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .lattice import orbit_partition
-from .spectral import PWMask, _abs2, _unique
+from .spectral import PWMask, _abs2, _finite_sum, _unique
 
 __all__ = [
     "DensityField",
@@ -33,13 +33,17 @@ class DensityField:
         self.phi.setflags(write=False)
 
     def total(self):
-        return float(self.phi.sum() * self.grid.cell_weight)
+        with np.errstate(over="ignore"):
+            return float(_finite_sum(self.phi.sum() * self.grid.cell_weight))
 
 
 def energy_density(F):
+    """The density of F; a box whose sum over channels overflows holds inf,
+    which total() reports."""
     phi = np.zeros((F.grid.n_offsets, F.grid.n_cells))
-    for i in range(F.m):
-        phi += _abs2(F.values[i])
+    with np.errstate(over="ignore"):
+        for i in range(F.m):
+            phi += _abs2(F.values[i])
     return DensityField(F.lattice, F.grid, phi)
 
 

@@ -14,7 +14,8 @@ from .lattice import Lattice, offset_permutations, orbit_partition
 from .omega import _exact_fill_knapsack
 from .fibers import (_block_cells, _dataset_blocks, _fiber_blocks, _gather,
                      _lattice_blocks, _regrid_layout, _symmetrized, dilation_transport)
-from .spectral import SpectralDataset, _abs2, _band_energy, residual_energy
+from .spectral import (SpectralDataset, _abs2, _band_energy, _finite_sum,
+                       residual_energy)
 
 __all__ = [
     "EigenField",
@@ -74,7 +75,8 @@ class EigenField:
 
     @property
     def error(self):
-        return float(self.density.sum() * self.grid.cell_weight)
+        with np.errstate(over="ignore"):
+            return float(_finite_sum(self.density.sum() * self.grid.cell_weight))
 
 
 def _check_length(ell):
@@ -221,7 +223,8 @@ def _captured(gather, m, model):
 
 def _unexplained(F, model, bits=None):
     """Per-channel energy the model leaves out of F, or with the bits of a
-    band mask out of project_pw(F, mask)."""
+    band mask out of project_pw(F, mask).  Both energies are checked
+    finite, with their sum, and the captured part is no larger."""
     energy = F.energy() if bits is None else _band_energy(F, bits)
     return energy - _captured(_gather(F, bits), F.m, model)
 

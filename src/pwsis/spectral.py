@@ -41,6 +41,22 @@ _VALUE_CAP = 1 << 24
 _MAGNITUDE_CAP = 2.0 ** 511
 
 
+class SumOverflow(ValueError):
+    """A sum of |v|^2 over samples below _MAGNITUDE_CAP is not finite.  Each
+    |v|^2 is, but a sum over many samples or channels may not be; the
+    command line names the input file the samples came from."""
+
+
+def _finite_sum(x):
+    """x, the float or array of energies just summed under np.errstate;
+    SumOverflow unless its own sum is finite, so also every entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(x)
+    if not np.isfinite(total):
+        raise SumOverflow("energy of the samples exceeds the float64 range")
+    return x
+
+
 def _within_cap(x):
     """Whether every real and imaginary part in the float or complex array x
     is below _MAGNITUDE_CAP in magnitude (so also finite), read from its
@@ -341,12 +357,12 @@ class SpectralDataset:
     def energy(self, i=None):
         """Squared norms per channel (Plancherel is exact on the grid)."""
         if i is not None:
-            v = self.values[i]
-            return float(_abs2(v).sum() * self.grid.cell_weight)
+            with np.errstate(over="ignore"):
+                return float(_finite_sum(_abs2(self.values[i]).sum() * self.grid.cell_weight))
         out = np.empty(self.m)
         for ch in range(self.m):
             out[ch] = self.energy(ch)
-        return out
+        return _finite_sum(out)
 
     def select_channels(self, indices):
         return SpectralDataset(
@@ -459,11 +475,12 @@ def _band_energy(F, bits):
     """Per-channel energy of F where bits is set: |value|^2 times the bits,
     summed whole as energy sums it, so in a band it is project_pw's."""
     out = np.empty(F.m)
-    for i in range(F.m):
-        a = _abs2(F.values[i])
-        a *= bits
-        out[i] = a.sum() * F.grid.cell_weight
-    return out
+    with np.errstate(over="ignore"):
+        for i in range(F.m):
+            a = _abs2(F.values[i])
+            a *= bits
+            out[i] = a.sum() * F.grid.cell_weight
+    return _finite_sum(out)
 
 
 def residual_energy(F, mask):

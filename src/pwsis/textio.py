@@ -6,12 +6,13 @@ write/parse round trip is byte-exact).  Scenes, lattices, groups, and offset
 lists are human formats: blank lines and '#' comments are skipped.
 
 A dataset or mask in the writers' layout is read in array passes over
-pieces of the file: numpy's C parser reads the values of a piece that holds
-only the bytes of such numbers, and must give two per line.  Any departure
-sends the whole text to the line walk, the one reporter of errors.  The
-writers format each distinct value of a chunk once.  Dataset values and
-scene numbers must be below _MAGNITUDE_CAP (2^511) in magnitude, so every
-|v|^2 is finite.
+pieces of the file.  A piece that holds only the bytes of such numbers, two
+per line, is read as integer mantissas by numpy's C parser, each divided
+once by its power of ten in extended precision; numpy's float parser reads
+the pieces that route does not suit.  Any departure sends the whole text to
+the line walk, the one reporter of errors.  The writers format each
+distinct value of a chunk once.  Dataset values and scene numbers must be
+below _MAGNITUDE_CAP (2^511) in magnitude, so every |v|^2 is finite.
 """
 
 import io
@@ -306,12 +307,16 @@ def _parse_floats(piece):
 def _array_values(lines, m, grid, perm):
     """The value block as the writers lay it out, in array passes: exactly
     m*|K|*r^d lines 'RE IM\\n', one space apart, nothing else, every number
-    below _MAGNITUDE_CAP in magnitude.  Each piece is parsed by numpy's C
-    parser and written straight into the rows of its offsets.  numpy may
-    read spellings float() refuses (such as '1-2' as two numbers), so a
-    piece reaches it only if it holds no byte but those of the writers'
-    numbers, and its k lines must give exactly 2k numbers, one per token.
-    Raises _Walk on any departure."""
+    below _MAGNITUDE_CAP in magnitude.  Each piece is parsed by
+    decimals.parse, or else numpy's float parser, and written straight into
+    the rows of its offsets.  numpy may read spellings float() refuses (such
+    as '1-2' as two numbers), so a piece reaches it only if it holds no byte
+    but those of the writers' numbers, and its k lines must give exactly 2k
+    numbers, one per token.  Raises _Walk on any departure."""
+    # imported on the first dataset read: a verb that reads none neither
+    # loads it nor touches numpy's long double code
+    from . import decimals
+
     n_off, nc = grid.n_offsets, grid.n_cells
     n = m * n_off * nc
     if lines.left() < 4 * n:  # a value line takes at least 4 characters
@@ -333,7 +338,12 @@ def _array_values(lines, m, grid, perm):
         if (len(sep) % 2 or done + k > n or sep[0] == 0 or np.any(b[sep[0::2]] != 32)
                 or np.any(b[sep[1::2]] != 10) or np.any(np.diff(sep) == 1)):
             raise _Walk
-        part = _parse_floats(piece)
+        try:
+            part = decimals.parse(piece, b, sep)
+        except ValueError:  # a token float() refuses
+            raise _Walk
+        if part is None:
+            part = _parse_floats(piece)
         if len(part) != 2 * k or not _within_cap(part):
             raise _Walk
         at = np.arange(done, done + k)

@@ -439,6 +439,10 @@ _SYNTH_2D = ["synth", "--lattice", "lat2.txt", "--offsets", "offs2.txt", "--out"
 _CAP_HEADER = "dim 2\nlattice 1.0 0.0 0.0 1.0\nresolution %s\noffsets 1\n0 0\n"
 _CAP_LINE = "line 4: header promises %s at this resolution; at most 16777216 are supported"
 
+_OVERFLOW_DATASET = ("pwsis-dataset v1\ndim 1\nlattice 1.0\nresolution 4\noffsets 1\n0\n"
+                     "channels 1\n" + "6e153 6e153\n" * 4)
+_OVERFLOW = "energy of the samples exceeds the float64 range"
+
 # Bad inputs, each (files written into the work directory, argv, the error
 # line expected on stderr after "error: ").  A file's text is a string or a
 # function of the work directory.  Lines 6-10 of data2.txt and gband.txt
@@ -534,6 +538,17 @@ _BAD_INPUTS = {
                           "--ell", "1"],
                          "latd.txt line 2: lattice out of range: a basis entry or "
                          "|det basis| is not finite"),
+    # every |v|^2 is finite, but their sums are not
+    "solve-sum-overflow": ({"ovf.dataset": _OVERFLOW_DATASET},
+                           ["solve", "--data", "ovf.dataset", "--ell", "1"],
+                           "ovf.dataset: " + _OVERFLOW),
+    "synth-sum-overflow": ({"ovf.txt": "channel 0 coeff 6e153 6e153 interval 0 1\n"},
+                           ["synth", "--scene", "ovf.txt", "--lattice", "lat.txt",
+                            "--offsets", "offs.txt", "--resolution", "4", "--out", "x.txt"],
+                           "ovf.txt: " + _OVERFLOW),
+    "omega-sum-overflow": ({"ovf.dataset": _OVERFLOW_DATASET},
+                           ["omega-opt", "--data", "ovf.dataset", "--measure", "0.5"],
+                           "ovf.dataset: " + _OVERFLOW),
     "band-not-invariant": ({"unfixed.txt": _line_replaced("gband.txt", 11, "1")},
                            ["solve", "--data", "data2.txt", "--group", "d4.txt", "--ell", "1",
                             "--mask", "unfixed.txt"],

@@ -9,7 +9,7 @@ from pwsis.fibers import gramian_field
 from pwsis.lattice import make_lattice
 from pwsis.solver import best_sis, generators
 from pwsis.spectral import PWMask, SpectralDataset, make_grid
-from pwsis import textio
+from pwsis import decimals, textio
 from pwsis.textio import (format_dataset, format_mask, parse_dataset,
                           parse_group_file, parse_lattice, parse_lattice_list,
                           parse_mask, parse_offsets, parse_scene, read_dataset,
@@ -656,57 +656,244 @@ def test_array_parse_rounds_as_float_does(monkeypatch, tmp_path):
 _GUARDED = ["1_0", "1-2", "1.2.3", "0x10", "inf", "nan", "1e400", ".5", "1.", "+1", "1E5"]
 
 
-def _lenient_fromstring(piece, sep):
-    """A parser that also reads integer literals such as '0x10' (as 16):
-    the byte guard must keep such tokens from any parser numpy may have."""
+def _lenient_fromstring(piece, sep, dtype=float):
+    """A parser, of floats or of integers, that also reads integer literals
+    such as '0x10' (as 16): the byte guard must keep such tokens from any
+    parser numpy may have."""
     vals = []
     for t in piece.split():
         try:
-            vals.append(float(t))
+            vals.append(dtype(t))
         except ValueError:
-            vals.append(float(int(t, 0)))
-    return np.array(vals)
+            vals.append(dtype(int(t, 0)))
+    return np.array(vals, dtype=dtype)
+
+
+# Where np.longdouble is x87 extended precision the platform check must pass,
+# so a fault that makes it fail is seen, not skipped
+_X87 = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+_needs_x87 = pytest.mark.skipif(not _X87, reason="np.longdouble is not x87 extended precision")
+
+
+def _routes(monkeypatch):
+    """Each route a piece may take, as a context in which every piece takes
+    it: numpy's integer parser first ("int", even for a piece whose odd
+    tokens would send it to the float parser; only where np.longdouble is
+    x87 extended precision), and numpy's float parser alone ("float", as
+    on a platform without it)."""
+    for route in ("int", "float"):
+        if route == "int" and not _X87:
+            continue
+        with monkeypatch.context() as mp:
+            if route == "int":
+                mp.setattr(decimals, "_ODD_SHARE", 1)
+            else:
+                mp.setattr(decimals, "_powers_of_ten", lambda: None)
+            yield route, mp
 
 
 @pytest.mark.parametrize("lenient", [False, True])
 @pytest.mark.parametrize("token", _GUARDED)
 def test_guarded_spellings_give_the_line_code_outcome(monkeypatch, tmp_path, token, lenient):
     text = _odd_body("1.0 -0.0\n2.5 %s\n4.0 5e-324\n-6.0 7.0\n" % token)
-    if token in (".5", "1.", "+1", "1E5"):  # float() spellings: no walk needed
-        def no_walk(*args):
-            raise AssertionError("the line walk read %r" % token)
 
-        monkeypatch.setattr(textio, "_walk_values", no_walk)
-    if lenient:
-        monkeypatch.setattr(np, "fromstring", _lenient_fromstring)
-    _same_outcome(parse_dataset, _ref_parse_dataset, text)
-    _same_file_outcome(read_dataset, _ref_parse_dataset, text, tmp_path / "f.txt")
+    def no_walk(*args):
+        raise AssertionError("the line walk read %r" % token)
+
+    for _, mp in _routes(monkeypatch):
+        if token in (".5", "1.", "+1", "1E5"):  # float() spellings: no walk needed
+            mp.setattr(textio, "_walk_values", no_walk)
+        if lenient:
+            mp.setattr(np, "fromstring", _lenient_fromstring)
+        _same_outcome(parse_dataset, _ref_parse_dataset, text)
+        _same_file_outcome(read_dataset, _ref_parse_dataset, text, tmp_path / "f.txt")
 
 
 @pytest.mark.parametrize("how", ["warns", "miscounts"])
 def test_a_parse_that_warns_or_miscounts_falls_back_to_the_walk(monkeypatch, how):
     # numpy 1.x warns and returns what it read before a bad token instead of
-    # raising, and may read one token as two numbers: the warning must send
-    # the file to the walk, not escape, and so must a wrong count
+    # raising, and may read one token as two numbers: the warning must not
+    # escape, and neither it nor a wrong count may give a value.  The
+    # integer parse sends its piece on to the float parse; the float parse
+    # sends the file to the walk
     import warnings
 
     want = parse_dataset(_BASE)
     real = np.fromstring
-    walked = []
     walk = textio._walk_values
+    for route, mp in _routes(monkeypatch):
+        calls, walked = [], []
+        bad = np.int64 if route == "int" else float
 
-    def parse(piece, sep):
-        if how == "warns":
-            warnings.warn("string or file could not be read to its end", DeprecationWarning)
-            return real(piece, sep=sep)[:-1]
-        return np.append(real(piece, sep=sep), 2.0)
+        def parse(piece, sep, dtype=float):
+            got = real(piece, dtype=dtype, sep=sep)
+            calls.append(dtype)
+            if dtype is not bad:
+                return got
+            if how == "warns":
+                warnings.warn("string or file could not be read to its end", DeprecationWarning)
+                return got[:-1]
+            return np.append(got, 2)
 
-    monkeypatch.setattr(np, "fromstring", parse)
-    monkeypatch.setattr(textio, "_walk_values", lambda *a: walked.append(1) or walk(*a))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = parse_dataset(_BASE)
-    assert walked and np.array_equal(_bits_of(got.values), _bits_of(want.values))
+        mp.setattr(np, "fromstring", parse)
+        mp.setattr(textio, "_walk_values", lambda *a: walked.append(1) or walk(*a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = parse_dataset(_BASE)
+        assert np.array_equal(_bits_of(got.values), _bits_of(want.values))
+        assert bad in calls and bool(walked) == (route == "float")
+        if route == "int":
+            assert calls == [np.int64, float]
+
+
+# ---------------------------------------------------------------------------
+# the integer route against float(), bit for bit
+
+
+def _decimals(toks):
+    """decimals.parse over the tokens, two a line; None if it leaves the
+    piece to numpy's float parser."""
+    if len(toks) % 2:
+        toks = toks + ["1.5"]
+    piece = "".join("%s %s\n" % (toks[i], toks[i + 1]) for i in range(0, len(toks), 2))
+    piece = piece.encode("ascii")
+    b = np.frombuffer(piece, np.uint8)
+    return decimals.parse(piece, b, np.flatnonzero(b <= 32))
+
+
+def _as_float(toks):
+    return _bits_of(np.array([float(t) for t in toks + ["1.5"] * (len(toks) % 2)]))
+
+
+def _near_midpoints(rng, n):
+    """18-significant-digit decimals at, and one unit of the last digit
+    either side of, the midpoints of neighbouring doubles, some with leading
+    zeros; the 64-bit quotient of some of them lands on the midpoint."""
+    import decimal
+
+    x = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-9, 17, size=n)
+    ctx = decimal.Context(prec=60)
+    toks = []
+    for v in x.tolist():
+        mid = ctx.divide(ctx.add(decimal.Decimal(v), decimal.Decimal(
+            np.nextafter(v, np.inf).item())), 2)
+        unit = decimal.Decimal(1).scaleb(mid.adjusted() - 17)
+        q = mid.quantize(unit, context=ctx)
+        for t in (format(d, "f") for d in (q, q + unit, q - unit)):
+            toks.append(t if "." in t else t + ".")
+    return toks
+
+
+@_needs_x87
+def test_integer_route_rounds_as_float_does(monkeypatch):
+    assert decimals._powers_of_ten() is not None
+    monkeypatch.setattr(decimals, "_ODD_SHARE", 1)  # however many odd tokens
+    rng = np.random.default_rng(18)
+    # the hard tokens; an integer spelling gets a dot, as the route takes
+    # only tokens with one
+    hard = [t if "." in t or "e" in t.lower() else t + "." for t in _hard_tokens(rng, 6000)]
+    near = _near_midpoints(rng, 4000)
+    # 18 digits; 19 and 25, which the route leaves to float(); 19 to 28
+    # with enough leading zeros, which it reads, and with one too few
+    digits = ["123456789012345678.", "-.123456789012345678", "1234567890123456789.",
+              "-1.234567890123456789", "9223372036854775807.0", "9223372036854775808.0",
+              "99999999999999999999.9", "1234567890123456789012345.",
+              "0.123456789012345678901234", "0.0123456789012345678", "-0.0123456789012345678",
+              "-0.000000000123456789012345678", ".0000000000123456789012345678",
+              "0.000000000012345678901234567", "0.00123456789012345678"]
+    edges = ["9007199254740993.0", "18014398509481990.0", "9007199254740995.0",
+             "+1.5", "-0.0", "5.", "-.5", ".5", "0.0", "+0.", "-0.", "1.", "0.00"]
+    probes = list(decimals._PROBES)
+    for toks in hard, near, digits, edges, probes:
+        got = _decimals(toks)
+        assert got is not None
+        assert np.array_equal(_bits_of(got), _as_float(toks))
+    # the first three probes of the platform check sit halfway after the
+    # 64-bit division, and rounding on from there misses float()
+    q = np.array([int(t.replace(".", "")) for t in probes[:3]]).astype(np.longdouble)
+    f = np.array([len(t) - t.index(".") - 1 for t in probes[:3]])
+    x, halfway = decimals._quotients(q, f, decimals._powers_of_ten())
+    assert halfway.all() and not np.any(x == [float(t) for t in probes[:3]])
+
+
+@_needs_x87
+def test_odd_tokens_mixed_in_and_all_of_a_piece(monkeypatch, tmp_path):
+    rng = np.random.default_rng(19)
+    plain = [repr(v) for v in rng.standard_normal(4000).tolist()]
+    plain = [t for t in plain if "e" not in t]
+    expo = ["1e-5", "-2.5E+3", "3.0e0", "1.0000000000000002e-300", "-4e-320", "6.5e15",
+            "+7.25e-1", "9.999999999999999e22"]
+    mixed = list(plain)
+    for i, t in enumerate(expo):
+        mixed.insert(37 * i + 5, t)
+    got = _decimals(mixed)  # few odd tokens: the integer route takes them
+    assert got is not None and np.array_equal(_bits_of(got), _as_float(mixed))
+    every = [t for t in _hard_tokens(rng, 400) if "e" in t]
+    assert _decimals(every) is None  # all odd: numpy's float parser reads them
+    for toks in mixed, every:
+        toks = [t for t in toks if abs(float(t)) < 2.0 ** 511]
+        toks = toks[:len(toks) // 2 * 2]
+        path = tmp_path / "odd.dataset"
+        path.write_text("pwsis-dataset v1\ndim 1\nlattice 1.0\nresolution %d\noffsets 1\n0\n"
+                        "channels 1\n" % (len(toks) // 2)
+                        + "".join("%s %s\n" % (toks[i], toks[i + 1])
+                                  for i in range(0, len(toks), 2)))
+        monkeypatch.setattr(textio, "_walk_values", None)  # the array route reads it
+        assert np.array_equal(_bits_of(read_dataset(path).values.ravel()), _as_float(toks))
+        monkeypatch.undo()
+
+
+def _benchmark_shaped(tmp_path):
+    """A dense dataset of standard normal samples written by repr, as the
+    benchmark writes them: 3 channels, r = 16, 25 offsets (38,400 floats)."""
+    grid = make_grid(make_lattice(np.eye(2)), 16,
+                     [[a, b] for a in range(-2, 3) for b in range(-2, 3)])
+    rng = np.random.default_rng([11, 2])
+    shape = (3, grid.n_offsets, grid.n_cells)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    path = tmp_path / "bench.dataset"
+    path.write_text(_ref_format_dataset(SpectralDataset(grid.lattice, grid, vals)))
+    return path, vals
+
+
+@pytest.mark.parametrize("extended", [True, False])
+def test_benchmark_shaped_files_read_by_each_parser(monkeypatch, tmp_path, extended):
+    # without 64-bit extended precision every piece goes to numpy's float
+    # parser; with it none does.  Both give the written bits
+    if extended and not _X87:
+        pytest.skip("np.longdouble is not x87 extended precision here")
+    if not extended:
+        monkeypatch.setattr(decimals, "_powers_of_ten", lambda: None)
+    monkeypatch.setattr(textio, "_CHUNK", 1 << 14)
+    path, vals = _benchmark_shaped(tmp_path)
+    floats = []
+    parse_floats = textio._parse_floats
+    monkeypatch.setattr(textio, "_parse_floats", lambda p: floats.append(1) or parse_floats(p))
+    pieces = []
+    parse = decimals.parse
+    monkeypatch.setattr(decimals, "parse", lambda *a: pieces.append(1) or parse(*a))
+    F = read_dataset(path)
+    assert np.array_equal(_bits_of(F.values), _bits_of(vals))
+    assert len(pieces) > 40 and len(floats) == (0 if extended else len(pieces))
+
+
+@_needs_x87
+@pytest.mark.parametrize("fault", ["no halfway flags", "53-bit division"])
+def test_the_platform_check_refuses_a_wrong_division(monkeypatch, fault):
+    # a platform whose np.longdouble divides otherwise keeps the float parser
+    check = decimals._powers_of_ten.__wrapped__  # the check itself, not its cached outcome
+    assert check() is not None
+    quotients = decimals._quotients
+
+    def wrong(q, f, P):
+        if fault == "53-bit division":
+            q = (q.astype(np.float64) / P[f].astype(np.float64)).astype(np.longdouble)
+            return quotients(q, np.zeros_like(f), np.ones_like(P))
+        x, halfway = quotients(q, f, P)
+        return x, np.zeros_like(halfway)
+
+    monkeypatch.setattr(decimals, "_quotients", wrong)
+    assert check() is None
 
 
 def _ref_pairs(z):
