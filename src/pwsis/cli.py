@@ -56,8 +56,9 @@ def _cmd_synth(args):
                          "supported bound %d" % (count, spectral._VALUE_CAP))
     grid = spectral.make_grid(lat, r, offsets)
     F = spectral.synthesize(scene, lat, grid)
-    # coefficients below the bound can sum, or turn by a phase, past it
-    if not spectral._within_cap(F.values):
+    # coefficients below the bound can sum, or turn by a phase, past it;
+    # the samples not stored are zero
+    if not spectral._within_cap(F._stored):
         raise ValueError("%s: synthesized samples reach 2^511 or more in magnitude"
                          % args.scene)
     energy = F.energy().sum() if F.m else 0.0

@@ -5,7 +5,6 @@ solvers, and compares against closed-form values.  These are the
 end-to-end checks behind `pwsis examples`.
 """
 
-import gc
 import math
 import time
 
@@ -125,15 +124,10 @@ def _ex_refine_gain(r):
 
 def _one_generator(scene, lat, r, offsets):
     """(error, length) of the one-generator optimum for the scene sampled on
-    the lattice; the dataset and its eigen cut are freed before return,
-    so the next lattice's synthesis does not run next to them.  The full
-    collection finds no cycle to free, but it empties the interpreter's
-    free lists, and `pwsis examples` peaks up to 0.7 MB lower with it."""
+    the lattice; the dataset and its eigen cut are freed on return, so the
+    next lattice's synthesis does not run next to them."""
     ef = _dataset_cut(synthesize(scene, lat, make_grid(lat, r, offsets)), 1)
-    out = ef.error, ef.length
-    del ef
-    gc.collect()
-    return out
+    return ef.error, ef.length
 
 
 def _ex_incommensurate_shift(r, h=377.0 / 610.0):

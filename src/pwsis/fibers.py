@@ -142,14 +142,31 @@ def _gramian_mats(va):
     return np.einsum("ikc,jkc->cij", va, other)
 
 
+def _pair_fibers(F, c):
+    """F's (m, |K|, len(c)) fibers at the ascending cells c, filled from its
+    (offset, cell) pairs by one searchsorted of the |K| * len(c) keys."""
+    keys, pairs = F._pairs
+    want = (np.arange(F.grid.n_offsets)[:, None] * F.grid.n_cells + c).ravel()
+    pos = np.searchsorted(keys, want)
+    found = pos < keys.size
+    found[found] = keys[pos[found]] == want[found]
+    v = np.zeros((pairs.shape[0], want.size), dtype=np.complex128)
+    v[:, found] = pairs[:, pos[found]]
+    return v.reshape(pairs.shape[0], F.grid.n_offsets, len(c))
+
+
 def _gather(F, bits=None):
     """gather(c): F's (m, |K|, len(c)) fibers at the ascending cells c, read
-    in place for a contiguous run and taken otherwise; with the bits of a
-    band mask, those of project_pw(F, mask), taken and zeroed off the band."""
+    in place for a contiguous run and taken otherwise, or filled from F's
+    pairs when it is stored as pairs; with the bits of a band mask, those of
+    project_pw(F, mask), zeroed off the band."""
     def gather(c):
-        if bits is None and c[-1] - c[0] == len(c) - 1:
+        if F._pairs is not None:
+            v = _pair_fibers(F, c)
+        elif bits is None and c[-1] - c[0] == len(c) - 1:
             return F.values[:, :, c[0]:c[-1] + 1]
-        v = F.values.take(c, axis=2)
+        else:
+            v = F.values.take(c, axis=2)
         if bits is not None:
             np.copyto(v, 0.0, where=~bits.take(c, axis=1))
         return v

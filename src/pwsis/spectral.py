@@ -271,11 +271,17 @@ def _cell_bounds(hull, grid, k):
     return lo, hi
 
 
+def _candidate_counts(hull, grid):
+    """Number of _candidate_cells of hull at each grid offset, as floats,
+    from the bounds of every offset in one pass."""
+    lo, hi = _cell_bounds(hull, grid, grid.offsets)
+    return np.prod(np.maximum(hi - lo + 1.0, 0.0), axis=1)
+
+
 def _reached_offsets(hull, grid):
     """Indices of the grid offsets where _candidate_cells of hull is not
-    empty, from the bounds of every offset in one pass."""
-    lo, hi = _cell_bounds(hull, grid, grid.offsets)
-    return np.flatnonzero(np.all(lo <= hi, axis=1))
+    empty."""
+    return np.flatnonzero(_candidate_counts(hull, grid))
 
 
 def _candidate_cells(hull, grid, k):
@@ -329,6 +335,10 @@ class SpectralDataset:
     support, when known, is a read-only ascending array of flat cell indices
     that holds every cell with a nonzero value in any channel and offset;
     None means unknown.  Per-cell work may then skip the other cells.
+
+    A synthesized dataset may be stored as its nonzero (offset, cell) pairs
+    instead (see _from_pairs); values is then built on first access and
+    kept, and fibers._gather reads the pairs without building it.
     """
 
     def __init__(self, lattice, grid, values, check_finite=True, support=None):
@@ -341,8 +351,9 @@ class SpectralDataset:
             raise ValueError("dataset contains non-finite values")
         self.lattice = lattice
         self.grid = grid
-        self.values = values
-        self.values.setflags(write=False)
+        self._values = values
+        self._values.setflags(write=False)
+        self._pairs = None
         if support is not None:
             support = np.array(support, dtype=np.int64)
             if support.ndim != 1:
@@ -350,9 +361,45 @@ class SpectralDataset:
             support.setflags(write=False)
         self.support = support
 
+    @classmethod
+    def _from_pairs(cls, lattice, grid, keys, pairs):
+        """The dataset whose sample at the flat key k * n_cells + cell of
+        channel i is pairs[i, p] where keys[p] is that key, zero off the
+        keys: keys ascending, pairs of shape (m, len(keys)).  Its support is
+        the keys' cells."""
+        F = cls.__new__(cls)
+        F.lattice = lattice
+        F.grid = grid
+        F._values = None
+        for a in (keys, pairs):
+            a.setflags(write=False)
+        F._pairs = keys, pairs
+        F.support = _unique(keys % grid.n_cells)
+        F.support.setflags(write=False)
+        return F
+
+    @property
+    def values(self):
+        """The dense samples, built from the pairs on first access."""
+        if self._values is None:
+            keys, pairs = self._pairs
+            values = np.zeros((pairs.shape[0], self.grid.n_offsets * self.grid.n_cells),
+                              dtype=np.complex128)
+            values[:, keys] = pairs
+            values = values.reshape(pairs.shape[0], self.grid.n_offsets, self.grid.n_cells)
+            values.setflags(write=False)
+            self._values = values
+        return self._values
+
+    @property
+    def _stored(self):
+        """The array the samples are held in: the (m, P) pair values, or
+        values."""
+        return self.values if self._pairs is None else self._pairs[1]
+
     @property
     def m(self):
-        return self.values.shape[0]
+        return self._stored.shape[0]
 
     def energy(self, i=None):
         """Squared norms per channel (Plancherel is exact on the grid)."""
@@ -374,6 +421,24 @@ class SpectralDataset:
         return "SpectralDataset(m=%d, grid=%r)" % (self.m, self.grid)
 
 
+def _term_samples(scene, hulls, grid):
+    """(channel, ki, hit, add) in scene order: for each term, with its
+    lattice-coordinate hull in hulls, and each offset ki where it hits a
+    cell, ascending, the ascending cells hit and what the term adds to
+    them: its coefficient, or the coefficient times each cell's phase."""
+    for (channel, coeff, prim, h), hull in zip(scene.terms, hulls):
+        for ki in _reached_offsets(hull, grid):
+            cells, pts = _candidate_cells(hull, grid, grid.offsets[ki])
+            inside = prim.contains(pts)
+            hit = cells[inside]
+            if hit.size == 0:
+                continue
+            if h is None:
+                yield channel, ki, hit, coeff
+            else:
+                yield channel, ki, hit, coeff * np.exp(-2j * np.pi * (pts[inside] @ h))
+
+
 def synthesize(scene, lattice, grid):
     """Sample a scene on the grid.
 
@@ -384,6 +449,11 @@ def synthesize(scene, lattice, grid):
     at the offsets and on the cells its bounding box can reach, and the
     dataset's support is the union of the cells some primitive hit.  Terms
     are added in scene order at every sample.
+
+    The dataset is stored as its nonzero (offset, cell) pairs unless a bound
+    taken before anything is allocated, every candidate sample a key and m
+    values, shows the pairs would not be smaller than the dense array.  Both
+    take the same additions in the same order, so values is the same.
     """
     if scene.d != grid.d:
         raise ValueError("scene dimension %d does not match grid" % scene.d)
@@ -391,24 +461,25 @@ def synthesize(scene, lattice, grid):
         raise ValueError("mismatched grid: lattice differs from grid lattice")
     _validate_band([t[2] for t in scene.terms], lattice, grid)
     m = scene.n_channels
-    values = np.zeros((m, grid.n_offsets, grid.n_cells), dtype=np.complex128)
-    touched = np.zeros(grid.n_cells, dtype=bool)
-    for channel, coeff, prim, h in scene.terms:
-        hull = _offset_hull(prim, lattice)
-        for ki in _reached_offsets(hull, grid):
-            cells, pts = _candidate_cells(hull, grid, grid.offsets[ki])
-            inside = prim.contains(pts)
-            hit = cells[inside]
-            if hit.size == 0:
-                continue
+    n_cells = grid.n_cells
+    hulls = [_offset_hull(t[2], lattice) for t in scene.terms]
+    candidates = sum(_candidate_counts(hull, grid).sum() for hull in hulls)
+    samples = _term_samples(scene, hulls, grid)
+    if candidates * (8 + 16 * m) >= 16 * m * grid.n_offsets * n_cells:
+        values = np.zeros((m, grid.n_offsets, n_cells), dtype=np.complex128)
+        touched = np.zeros(n_cells, dtype=bool)
+        for channel, ki, hit, add in samples:
             touched[hit] = True
-            if h is None:
-                values[channel, ki, hit] += coeff
-            else:
-                phase = np.exp(-2j * np.pi * (pts[inside] @ h))
-                values[channel, ki, hit] += coeff * phase
-    return SpectralDataset(lattice, grid, values, check_finite=False,
-                           support=np.flatnonzero(touched))
+            values[channel, ki, hit] += add
+        return SpectralDataset(lattice, grid, values, check_finite=False,
+                               support=np.flatnonzero(touched))
+    samples = list(samples)
+    keys = _unique(np.concatenate([np.zeros(0, dtype=np.int64)]
+                                  + [ki * n_cells + hit for _, ki, hit, _ in samples]))
+    pairs = np.zeros((m, keys.size), dtype=np.complex128)
+    for channel, ki, hit, add in samples:
+        pairs[channel, np.searchsorted(keys, ki * n_cells + hit)] += add
+    return SpectralDataset._from_pairs(lattice, grid, keys, pairs)
 
 
 class PWMask:

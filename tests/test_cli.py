@@ -33,11 +33,11 @@ channel 2 coeff 1.5 0.0 box 0.0 -1.0 0.75 -0.25
 D4_GENS = [np.array([[0, -1], [1, 0]]), np.array([[1, 0], [0, -1]])]
 
 
-def _run(args, cwd, env=None):
+def _run(args, cwd, env=None, **kw):
     """Runs `python -m pwsis.cli` on this checkout's src in `cwd`.
 
     PWSIS_* settings of the calling shell are dropped; a test that needs one
-    passes it in `env`.
+    passes it in `env`.  Other keywords go to subprocess.run.
     """
     full_env = {k: v for k, v in os.environ.items()
                 if not k.startswith("PWSIS_")}
@@ -46,7 +46,7 @@ def _run(args, cwd, env=None):
     if env:
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "pwsis.cli"] + args,
-                          cwd=cwd, env=full_env, capture_output=True, text=True)
+                          cwd=cwd, env=full_env, capture_output=True, text=True, **kw)
 
 
 def _write_inputs(tmp_path):
@@ -778,3 +778,22 @@ def test_cli_output_matches_the_recording(tmp_path):
         for name in files:
             got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert got == digests[name], (key, name)
+
+
+def test_example_6_5_runs_in_a_1_5_gb_address_space(tmp_path):
+    # its two datasets hold 5 x 25 x 10^6 samples each, 1.9 GiB dense; stored
+    # as their nonzero (offset, cell) pairs the run fits, with the output of
+    # the recording
+    import resource
+
+    limit = 1536 * 2 ** 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    res = _run(["examples", "--id", "6.5"], tmp_path, env={"PWSIS_THREADS": "1"},
+               preexec_fn=cap)
+    recorded = [line for line in RECORDED["examples"][0].splitlines(True)
+                if line.startswith("6.5")]
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == "".join(recorded) + "examples: 1/1 passed\n"

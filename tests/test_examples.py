@@ -48,3 +48,19 @@ def test_length_rows_are_integers():
     assert by_label["subspace length, square lattice"].computed == 1
     assert by_label["subspace length, rotated lattice"].computed == 2
     assert by_label["subspace length, square lattice"].kind == "int"
+
+
+def test_example_6_5_synthesis_and_cut_stay_small():
+    # both lattices' scenes at r = 1000, 5 x 25 x 10^6 samples each, are
+    # stored as their nonzero (offset, cell) pairs and cut from them: the
+    # traced peak is a few MB, where the dense array alone took 1.9 GiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        report = reproduce_example("6.5")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 8 * 2 ** 20

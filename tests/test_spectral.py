@@ -403,3 +403,150 @@ def test_overlapping_modulated_terms_add_in_scene_order():
     prims = [t[2] for t in scene.terms]
     assert np.array_equal(pw_mask(prims, lat, grid).bits,
                           _all_offsets_mask_bits(prims, lat, grid))
+
+
+def _dense_synthesize(scene, lattice, grid):
+    """synthesize as it was before pair storage: every term's additions
+    applied in scene order to the dense array.  Returns (values, support)."""
+    from pwsis.spectral import _candidate_cells, _offset_hull, _reached_offsets
+
+    values = np.zeros((scene.n_channels, grid.n_offsets, grid.n_cells), dtype=np.complex128)
+    touched = np.zeros(grid.n_cells, dtype=bool)
+    for channel, coeff, prim, h in scene.terms:
+        hull = _offset_hull(prim, lattice)
+        for ki in _reached_offsets(hull, grid):
+            cells, pts = _candidate_cells(hull, grid, grid.offsets[ki])
+            inside = prim.contains(pts)
+            hit = cells[inside]
+            if hit.size == 0:
+                continue
+            touched[hit] = True
+            if h is None:
+                values[channel, ki, hit] += coeff
+            else:
+                phase = np.exp(-2j * np.pi * (pts[inside] @ h))
+                values[channel, ki, hit] += coeff * phase
+    return values, np.flatnonzero(touched)
+
+
+def _small_primitive(rng, lat, d):
+    """A small ball or box inside the band of offsets -2..2."""
+    center = lat.dual_basis @ rng.uniform(-1.0, 2.0, d)
+    if rng.random() < 0.5:
+        return Ball(center, rng.uniform(0.01, 0.2))
+    half = rng.uniform(0.005, 0.15, d)
+    return Box(center - half, center + half)
+
+
+def _rotated(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def _sparse_scene(rng, d, rotated):
+    """A scene of a few small modulated and plain terms on a fine grid, so
+    that synthesize stores it as pairs: d = 1 on a unit or scaled step, d = 2
+    on the identity or a rotated lattice."""
+    if d == 1:
+        lat = make_lattice([[1.0]] if not rotated else [[rng.uniform(0.6, 1.4)]])
+        r = int(rng.integers(150, 400))
+    else:
+        lat = make_lattice(_rotated(rng.uniform(0.1, 1.4) if rotated else 0.0))
+        r = int(rng.integers(40, 72))
+    side = np.arange(-2, 3)
+    offsets = np.stack([m.ravel() for m in np.meshgrid(*([side] * d), indexing="ij")], axis=1)
+    grid = make_grid(lat, r, offsets)
+    scene = Scene(d)
+    for _ in range(int(rng.integers(1, 6))):
+        mod = rng.uniform(-3.0, 3.0, d) if rng.random() < 0.5 else None
+        coeff = complex(rng.standard_normal(), rng.standard_normal())
+        scene.add(int(rng.integers(3)), coeff, _small_primitive(rng, lat, d), mod=mod)
+    return lat, grid, scene
+
+
+def _assert_pairs_match_dense(F, lat, grid, scene, rng):
+    """F, stored as pairs, against the dense reference: its fibers (on its
+    support, a contiguous run and scattered cells, with and without band
+    bits), its Gramians and cut, and then its values and support."""
+    from pwsis.fibers import _gather, gramian_field
+    from pwsis.solver import _dataset_cut
+
+    values, support = _dense_synthesize(scene, lat, grid)
+    D = SpectralDataset(lat, grid, values, check_finite=False, support=support)
+    assert F._pairs is not None and F.m == D.m
+    assert np.array_equal(F.support, support)
+    start = int(support[0]) if len(support) else 0
+    runs = [support, np.arange(start, min(start + 40, grid.n_cells)),
+            np.flatnonzero(rng.random(grid.n_cells) < 0.3)]
+    region = [_small_primitive(rng, lat, grid.d) for _ in range(2)]
+    for bits in (None, pw_mask(region, lat, grid).bits):
+        for c in runs:
+            if len(c):
+                assert np.array_equal(_bits(_gather(F, bits)(c)), _bits(_gather(D, bits)(c)))
+    G, H = gramian_field(F), gramian_field(D)
+    assert np.array_equal(G.active_idx, H.active_idx)
+    assert np.array_equal(_bits(G.mats), _bits(H.mats))
+    assert np.array_equal(_bits(G.trace), _bits(H.trace))
+    cut, ref = _dataset_cut(F, 1), _dataset_cut(D, 1)
+    assert np.array_equal(_bits(cut.eigenvalues), _bits(ref.eigenvalues))
+    assert np.array_equal(_bits(cut.vectors), _bits(ref.vectors))
+    # the solve read the pairs; values is built only now
+    assert F._values is None
+    assert np.array_equal(_bits(F.values), _bits(values))
+    assert not F.values.flags.writeable and F.values is F.values
+
+
+@pytest.mark.parametrize("d, rotated", [(1, False), (1, True), (2, False), (2, True)])
+def test_pair_storage_matches_dense_synthesis(d, rotated):
+    rng = np.random.default_rng([4200, d, rotated])
+    for _ in range(12):
+        lat, grid, scene = _sparse_scene(rng, d, rotated)
+        _assert_pairs_match_dense(synthesize(scene, lat, grid), lat, grid, scene, rng)
+
+
+def test_pair_storage_keeps_the_order_of_many_overlapping_terms():
+    # twelve modulated terms of very different sizes on nested balls of one
+    # channel, and a box: most samples take more than 8 additions, where a
+    # sum of them by np.add.reduceat (pairwise) changes bits
+    from pwsis.spectral import _offset_hull, _term_samples
+
+    rng = np.random.default_rng(4300)
+    R = _rotated(0.4)
+    lat = make_lattice(R)
+    grid = make_grid(lat, 64, [[a, b] for a in range(-1, 2) for b in range(-1, 2)])
+    scene = Scene(2)
+    center = R @ np.array([0.5, 0.5])
+    for j in range(12):
+        coeff = complex(rng.standard_normal(), rng.standard_normal()) * 10.0 ** rng.integers(-8, 9)
+        scene.add(0, coeff, Ball(center, 0.3 - 0.005 * j), mod=rng.uniform(-3.0, 3.0, 2))
+    scene.add(0, 1.0, Box(center - 0.05, center + 0.05))
+    scene.add(1, 2.0, Ball(center, 0.1))
+    F = synthesize(scene, lat, grid)
+    _assert_pairs_match_dense(F, lat, grid, scene, rng)
+
+    hulls = [_offset_hull(t[2], lat) for t in scene.terms]
+    keys, adds = [], []
+    for channel, ki, hit, add in _term_samples(scene, hulls, grid):
+        if channel == 0:
+            keys.append(ki * grid.n_cells + hit)
+            adds.append(np.broadcast_to(add, hit.shape))
+    keys, adds = np.concatenate(keys), np.concatenate(adds)
+    order = np.argsort(keys, kind="stable")
+    uniq, first, count = np.unique(keys[order], return_index=True, return_counts=True)
+    assert np.count_nonzero(count > 8) > 100
+    chained = F._stored[0, np.searchsorted(F._pairs[0], uniq)]
+    assert np.array_equal(_bits(chained), _bits(F.values[0].ravel()[uniq]))
+    regrouped = np.add.reduceat(adds[order], first)
+    assert not np.array_equal(_bits(regrouped), _bits(chained))
+
+
+def test_dense_storage_where_pairs_are_not_smaller():
+    # a band mostly covered: the bound keeps the dense array, today's route
+    grid = make_grid(LAT_Z, 8, K3)
+    F = synthesize(Scene(1).add(0, 1.0, interval(-1.0, 2.0)), LAT_Z, grid)
+    assert F._pairs is None and F._stored is F.values
+    sparse = make_grid(LAT_Z, 1000, K3)
+    G = synthesize(Scene(1).add(0, 1.0, interval(0.25, 0.26)), LAT_Z, sparse)
+    assert G._pairs is not None and G._stored.shape == (1, 10)
+    assert G.support.tolist() == list(range(250, 260))
+    empty = synthesize(Scene(1), LAT_Z, sparse)
+    assert empty.m == 0 and empty.values.shape == (0, 3, 1000)
