@@ -9,9 +9,8 @@ the command line front end) take effect before numpy loads.
 _SUBMODULE_OF = {}
 for _mod, _names in {
     "lattice": (
-        "Lattice", "PointGroup", "OrbitPartition", "make_lattice",
-        "dilate_lattice", "reduce_to_fundamental", "make_group",
-        "orbit_partition", "offset_permutations", "pair_permutations",
+        "Lattice", "PointGroup", "OrbitPartition", "make_lattice", "dilate_lattice",
+        "reduce_to_fundamental", "make_group", "orbit_partition", "offset_permutations",
     ),
     "spectral": (
         "FrequencyGrid", "make_grid", "Box", "Ball", "interval", "Scene",
@@ -40,7 +39,7 @@ for _mod, _names in {
         "write_mask", "read_scene", "read_lattice", "read_lattice_list",
         "read_group_file", "read_offsets", "write_model", "write_gramian",
     ),
-    "examples": ("EXAMPLE_IDS", "ExampleReport", "reproduce_example"),
+    "examples": ("EXAMPLE_IDS", "ExampleReport", "Row", "reproduce_example"),
     "suites": ("SUITE_NAMES", "SuiteResult", "run_property_suites"),
 }.items():
     for _n in _names:

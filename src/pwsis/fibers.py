@@ -60,10 +60,14 @@ def _flat_cell(grid, cell):
     return cell
 
 
-def fiber(F, i, cell):
-    """Fiber of channel i at a cell (flat index or d-tuple of cell indices)."""
+def _check_channel(F, i):
     if i < 0 or i >= F.m:
         raise IndexError("channel index %d out of range" % i)
+
+
+def fiber(F, i, cell):
+    """Fiber of channel i at a cell (flat index or d-tuple of cell indices)."""
+    _check_channel(F, i)
     c = _flat_cell(F.grid, cell)
     return FiberVector(c, F.values[i, :, c].copy())
 
@@ -264,6 +268,8 @@ def membership_test(F, i, Psi, j, tol=1e-9):
     """
     if not F.grid.compatible(Psi.grid):
         raise ValueError("mismatched grid between datasets")
+    _check_channel(F, i)
+    _check_channel(Psi, j)
     a = F.values[i]
     b = Psi.values[j]
     na2 = _abs2(a).sum(axis=0)

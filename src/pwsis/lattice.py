@@ -27,7 +27,6 @@ __all__ = [
     "make_group",
     "orbit_partition",
     "offset_permutations",
-    "pair_permutations",
 ]
 
 _SINGULAR_TOL = 1e-12
@@ -150,13 +149,13 @@ def _check_unimodular(mat):
         raise ValueError("does not preserve lattice: non-integer entries")
     if not np.all(np.abs(mf) < 2.0 ** 63):  # before the cast to int64
         raise ValueError("group element entry outside the int64 range")
-    mi = np.rint(mf).astype(np.int64)
-    det = round(float(np.linalg.det(mf)))
-    if abs(float(np.linalg.det(mf)) - det) > 1e-9 or abs(det) != 1:
-        raise ValueError(
-            "does not preserve lattice: |det| = %g, must be 1" % abs(np.linalg.det(mf))
-        )
-    return mi
+    # the determinant and dual checks below read the entries as floats
+    if not np.all(np.abs(mf) < 2.0 ** 53):
+        raise ValueError("group element entry of magnitude 2^53 or more")
+    det = float(np.linalg.det(mf))
+    if abs(det - round(det)) > 1e-9 or abs(round(det)) != 1:
+        raise ValueError("does not preserve lattice: |det| = %g, must be 1" % abs(det))
+    return np.rint(mf).astype(np.int64)
 
 
 def _integer_dual(mat):
@@ -218,22 +217,27 @@ def make_group(mats, max_order=48):
 class OrbitPartition:
     """Partition of flat grid indices into orbits of the dual group action.
 
-    perms[g][i] is the image of index i under group element g, the table
-    the partition is labelled from.  Orbit ids number the orbits by their
-    minimum member, which is the lexicographic minimum because flat indices
-    enumerate (offset, cell) pairs in lexicographic order: orbit_index maps
-    every index to its id, representatives[i] is the minimum of orbit i and
-    sizes[i] its member count.  orbits lists each orbit's members, sorted.
+    Element g maps flat index k * n + c (n cells) to off_perms[g][k] * n +
+    cell_perms[g][c]; the partition is labelled from these two factors.
+    Orbit ids number the orbits by their minimum member, which is the
+    lexicographic minimum because flat indices enumerate (offset, cell)
+    pairs in lexicographic order: orbit_index maps every index to its id,
+    representatives[i] is the minimum of orbit i and sizes[i] its member
+    count.  orbits lists each orbit's members, sorted.
     """
 
-    def __init__(self, perms):
-        self.perms = perms
-        # a group's table holds the identity and its images of i are i's
-        # whole orbit, so every member's column minimum is the orbit minimum
+    def __init__(self, off_perms, cell_perms):
+        self.off_perms, self.cell_perms = off_perms, cell_perms
+        n = cell_perms.shape[1]
+        # a group's action holds the identity and its images of i are i's
+        # whole orbit, so every member's minimum image is the orbit minimum;
+        # taken one element at a time: no |G| x |K| n table
+        low = np.full((off_perms.shape[1], n), np.iinfo(np.int64).max)
+        for op, cp in zip(off_perms, cell_perms):
+            np.minimum(low, op[:, None] * n + cp, out=low)
         self.representatives, self.orbit_index, self.sizes = np.unique(
-            perms.min(axis=0), return_inverse=True, return_counts=True)
-        # one group element's row at a time: no |G| x n table of orbit ids
-        if any(np.any(self.orbit_index[p] != self.orbit_index) for p in perms):
+            low.ravel(), return_inverse=True, return_counts=True)
+        if not _invariant(self.orbit_index.reshape(low.shape), off_perms, cell_perms):
             raise RuntimeError("orbit enumeration produced overlapping orbits")
 
     def __len__(self):
@@ -245,6 +249,12 @@ class OrbitPartition:
         return np.split(members, np.cumsum(self.sizes)[:-1])
 
 
+def _invariant(table, off_perms, cell_perms):
+    """Whether each group element maps table (offsets x cells) onto itself."""
+    return all(np.array_equal(table[np.ix_(op, cp)], table)
+               for op, cp in zip(off_perms, cell_perms))
+
+
 def _check_dimension(grid, group):
     if group.d != grid.d:
         raise ValueError("group dimension %d does not match grid dimension %d" % (group.d, grid.d))
@@ -253,25 +263,27 @@ def _check_dimension(grid, group):
 def _cell_permutations(grid, group):
     """Flat cell index permutations for every dual matrix: j -> Ghat j mod r.
 
-    perms[g][c] is the image cell of c under group element g.
+    perms[g][c] is the image cell of c under group element g.  Each dual is
+    reduced mod r before the product, so no int64 sum wraps.
     """
     J = grid.cell_vectors()
     r = grid.r
     shape = (r,) * grid.d
     perms = np.empty((len(group), grid.n_cells), dtype=np.int64)
     for gi in range(len(group)):
-        img = (J @ group.duals[gi].T) % r
+        img = (J @ (group.duals[gi] % r).T) % r
         perms[gi] = np.ravel_multi_index(img.T, shape)
     return perms
 
 
 def offset_permutations(grid, group):
-    """Offset index maps k -> Ghat k, or an error if K is not closed."""
+    """Offset index maps k -> Ghat k, or an error if K is not closed.  The
+    images are exact Python integers, so none wraps onto a listed offset."""
     _check_dimension(grid, group)
     lookup = {tuple(k): i for i, k in enumerate(grid.offsets)}
     perms = np.empty((len(group), grid.offsets.shape[0]), dtype=np.int64)
     for gi in range(len(group)):
-        img = grid.offsets @ group.duals[gi].T
+        img = grid.offsets.astype(object) @ group.duals[gi].T
         for ki, row in enumerate(img):
             t = tuple(int(v) for v in row)
             if t not in lookup:
@@ -283,16 +295,6 @@ def offset_permutations(grid, group):
     return perms
 
 
-def pair_permutations(grid, group):
-    """Flat (offset, cell) index maps for every dual matrix, offset-major as
-    the dataset samples are laid out: perms[g][k * n_cells + c] is the flat
-    index of (Ghat k, Ghat c mod r)."""
-    off_perms = offset_permutations(grid, group)
-    cell_perms = _cell_permutations(grid, group)
-    pair_perms = off_perms[:, :, None] * grid.n_cells + cell_perms[:, None, :]
-    return pair_perms.reshape(len(group), -1)
-
-
 def orbit_partition(grid, group, cells_only=False):
     """Partition grid indices into orbits of the dual group action.
 
@@ -300,7 +302,7 @@ def orbit_partition(grid, group, cells_only=False):
     matching the dataset sample layout.  cells_only=True partitions just the
     torus cells, which is what per-fiber solvers need.
     """
-    if cells_only:
-        _check_dimension(grid, group)
-        return OrbitPartition(_cell_permutations(grid, group))
-    return OrbitPartition(pair_permutations(grid, group))
+    _check_dimension(grid, group)
+    off_perms = (np.zeros((len(group), 1), dtype=np.int64) if cells_only
+                 else offset_permutations(grid, group))
+    return OrbitPartition(off_perms, _cell_permutations(grid, group))

@@ -196,15 +196,14 @@ def omega_duality_check(F, group, measure):
     left = float(phi[np.flatnonzero(mask.bits.ravel())].sum() * grid.cell_weight)
 
     n = _box_count(grid, measure)
-    n_group = len(group)
-    sizes = part.sizes
     # orbit-summed density at the representative, counted with stabilizer
     # multiplicity: sum of phi over all group images of the rep box
-    phi_orbit = phi[part.perms[:, part.representatives]].sum(axis=0)
+    k, c = np.divmod(part.representatives, grid.n_cells)
+    phi_orbit = phi[part.off_perms[:, k] * grid.n_cells + part.cell_perms[:, c]].sum(axis=0)
     # a representative box occupies measure size * w / |G| of the quotient,
     # so its captured energy is the multiplicity-weighted density times that
-    values = phi_orbit * sizes * (grid.cell_weight / n_group)
-    best, _ = _exact_fill_knapsack(values, sizes, n)
+    values = phi_orbit * part.sizes * (grid.cell_weight / len(group))
+    best, _ = _exact_fill_knapsack(values, part.sizes, n)
     if best is None:
         raise RuntimeError("the orbit-representative knapsack found no exact fill "
                            "of %d boxes that the direct route reached" % n)

@@ -10,7 +10,7 @@ the cut splits a tie, and transport the basis along the group action.
 
 import numpy as np
 
-from .lattice import Lattice, offset_permutations, orbit_partition
+from .lattice import Lattice, _invariant, offset_permutations, orbit_partition
 from .omega import _exact_fill_knapsack
 from .fibers import (_block_cells, _dataset_blocks, _fiber_blocks, _gather,
                      _lattice_blocks, _regrid_layout, _symmetrized, dilation_transport)
@@ -263,13 +263,18 @@ def best_sis(F, ell):
     return _best_sis(F, ell)
 
 
-def _best_sis(F, ell, bits=None):
-    """best_sis of F, or with the bits of a band mask best_sis of
-    project_pw(F, mask), with every fiber read from F through the band."""
+def _sis_model(F, ell, bits=None):
+    """_best_sis's model and the rank cut it is built from, with no error measured."""
     ell = _check_length(ell)
     ef = _dataset_cut(F, ell, bits)
     basis, dims = _build_basis(_gather(F, bits), ef, ell)
-    model = SubspaceModel(F.lattice, F.grid, ell, ef.active_idx, basis, dims)
+    return SubspaceModel(F.lattice, F.grid, ell, ef.active_idx, basis, dims), ef
+
+
+def _best_sis(F, ell, bits=None):
+    """best_sis of F, or with the bits of a band mask best_sis of
+    project_pw(F, mask), with every fiber read from F through the band."""
+    model, ef = _sis_model(F, ell, bits)
     per_channel = _unexplained(F, model, bits)
     report = ApproxReport(ef.error, per_channel, active_idx=ef.active_idx,
                           density=ef.density)
@@ -396,12 +401,9 @@ def _best_gamma(F, group, ell, bits=None):
     ell = _check_length(ell)
     n_group, m, nK = len(group), F.m, F.grid.n_offsets
     part = orbit_partition(F.grid, group, cells_only=True)
-    reps = part.representatives
-    cell_perms = part.perms
+    reps, cell_perms = part.representatives, part.cell_perms
     off_perms = offset_permutations(F.grid, group)
-    # the band maps onto itself: checked one group element at a time
-    if bits is not None and any(np.any(bits[np.ix_(op, cp)] != bits)
-                                for op, cp in zip(off_perms, cell_perms)):
+    if bits is not None and not _invariant(bits, off_perms, cell_perms):
         raise ValueError("mask is not invariant under the group")
     gather = _symmetrized(F, group, cell_perms, off_perms, bits)
 
@@ -512,17 +514,13 @@ def solve_then_project(F, mask, ell):
     project_then_solve."""
     if not F.grid.compatible(mask.grid):
         raise ValueError("mismatched grid between dataset and mask")
-    model, _ = best_sis(F, ell)
-    basis = model.basis.copy()
-    dims = np.empty_like(model.dims)
+    model, _ = _sis_model(F, ell)
     # about _BLOCK_BYTES of the few cells x |K| temporaries a row's step holds
     step = _block_cells(4, F.grid.n_offsets)
     for s in range(0, len(model.active_idx), step):
-        dims[s:s + step] = _clip_orthonormalize(
-            basis[s:s + step], mask.bits[:, model.active_idx[s:s + step]])
-    out = SubspaceModel(F.lattice, F.grid, ell, model.active_idx, basis, dims)
-    del model  # the unclipped basis is not needed to measure the error
-    return out, error_against(F, out)
+        model.dims[s:s + step] = _clip_orthonormalize(
+            model.basis[s:s + step], mask.bits[:, model.active_idx[s:s + step]])
+    return model, error_against(F, model)
 
 
 def dilation_equivalence(F, A, ell):

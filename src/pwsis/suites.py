@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .lattice import (Lattice, _cell_permutations, make_group, make_lattice,
+from .lattice import (Lattice, _cell_permutations, _invariant, make_group, make_lattice,
                       offset_permutations, orbit_partition, reduce_to_fundamental)
 from .spectral import (PWMask, SpectralDataset, _abs2, make_grid, project_pw,
                        residual_energy)
@@ -553,11 +553,8 @@ def _suite_omega(rng, k, res):
     n_inv = int(sum(part.sizes[oi] for oi in pick))
     wg = FG.grid.cell_weight
     gmask, gattained = best_omega_invariant(FG, group, n_inv * wg)
-    cell_perms = _cell_permutations(FG.grid, group)
-    off_perms = offset_permutations(FG.grid, group)
-    for gi in range(len(group)):
-        _check(np.array_equal(gmask.bits[np.ix_(off_perms[gi], cell_perms[gi])], gmask.bits),
-               "invariant mask is not group-fixed", FG)
+    _check(_invariant(gmask.bits, part.off_perms, part.cell_perms),
+           "invariant mask is not group-fixed", FG)
     phi_g = energy_density(FG).phi.ravel()
     if len(part.orbits) <= 12:
         osum = [math.fsum(phi_g[o]) for o in part.orbits]

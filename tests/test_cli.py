@@ -176,6 +176,24 @@ def test_group_file_of_wrong_dimension_exits_two(workdir):
     assert not (workdir / "g3band.txt").exists()
 
 
+def test_group_entry_of_2_53_or_more_exits_two(tmp_path):
+    # the boxes of SCENE_2D that the offsets (0, 0) and (+-1, 0) reach
+    (tmp_path / "scene2.txt").write_text("".join(SCENE_2D.splitlines(True)[:3]))
+    (tmp_path / "lat2.txt").write_text("1 0\n0 1\n")
+    (tmp_path / "offs.txt").write_text("0 0\n1 0\n-1 0\n")
+    res = _run(["synth", "--scene", "scene2.txt", "--lattice", "lat2.txt",
+                "--resolution", "3", "--offsets", "offs.txt", "--out", "d.txt"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    # 2^62 is 1 mod 3: as a float entry it is exact, but its products wrap
+    (tmp_path / "wide.txt").write_text("1 0\n4611686018427387904 -1\n")
+    (tmp_path / "mod3.txt").write_text("1 0\n1 -1\n")
+    res = _run(["solve", "--data", "d.txt", "--group", "wide.txt", "--ell", "1"], tmp_path)
+    assert (res.returncode, res.stdout, res.stderr) == (
+        2, "", "error: wide.txt: group element entry of magnitude 2^53 or more\n")
+    res = _run(["solve", "--data", "d.txt", "--group", "mod3.txt", "--ell", "1"], tmp_path)
+    assert res.returncode == 0, res.stderr
+
+
 def test_solve_reports_optimum(workdir):
     res = _run(["solve", "--data", "data.txt", "--ell", "1"], workdir)
     assert res.returncode == 0

@@ -259,6 +259,17 @@ def test_membership_rejects_independent_and_unsupported():
         membership_test(F, 0, other, 0)
 
 
+def test_membership_checks_channel_indices():
+    grid = make_grid(LAT_Z, 1, K3)
+    vals = np.zeros((2, 3, 1), dtype=complex)
+    vals[0, :, 0] = [1.0, 0.0, 2.0]
+    F = SpectralDataset(LAT_Z, grid, vals)
+    # -1 would read the last channel, which is zero and so a member
+    for i, j, bad in ((-1, 0, -1), (2, 0, 2), (0, -1, -1), (0, 2, 2)):
+        with pytest.raises(IndexError, match="^channel index %d out of range$" % bad):
+            membership_test(F, i, F, j)
+
+
 def test_symmetrize_expands_channels():
     rng = np.random.default_rng(7)
     lat = make_lattice(np.eye(2))

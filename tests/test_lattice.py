@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from pwsis.lattice import (Lattice, OrbitPartition, _cell_permutations, dilate_lattice,
                            make_group, make_lattice, offset_permutations, orbit_partition,
-                           pair_permutations, reduce_to_fundamental)
+                           reduce_to_fundamental)
 from pwsis.spectral import make_grid
 
 RECOMPOSE_TOL = 1e-9
@@ -201,11 +201,15 @@ def test_orbit_partition_matches_loop_labelling(name, basis, gens, seeds):
         off = offset_permutations(grid, group)
         pairs = np.stack([(off[g][:, None] * grid.n_cells + cells[g][None, :]).ravel()
                           for g in range(len(group))])
-        assert np.array_equal(pair_permutations(grid, group), pairs)
-        for part, perms in ((orbit_partition(grid, group, cells_only=True), cells),
-                            (orbit_partition(grid, group), pairs)):
+        fixed = np.zeros((len(group), 1), dtype=np.int64)
+        for part, perms, off_perms in (
+                (orbit_partition(grid, group, cells_only=True), cells, fixed),
+                (orbit_partition(grid, group), pairs, off)):
             orbits, orbit_index = _loop_orbits(perms, perms.shape[1])
-            assert np.array_equal(part.perms, perms)
+            assert np.array_equal(part.off_perms, off_perms)
+            assert np.array_equal(part.cell_perms, cells)
+            assert part.representatives.dtype == np.int64
+            assert part.orbit_index.dtype == part.sizes.dtype == np.intp
             assert np.array_equal(part.orbit_index, orbit_index)
             assert np.array_equal(part.representatives, [o[0] for o in orbits])
             assert np.array_equal(part.sizes, [len(o) for o in orbits])
@@ -221,15 +225,58 @@ def test_orbit_partition_rejects_a_table_that_is_not_a_group():
     perms = np.array([[0, 1, 2], [1, 2, 0]], dtype=np.int64)
     with pytest.raises(RuntimeError, match="overlapping orbits"):
         _loop_orbits(perms, 3)
+    # as the cell factor of an action with one fixed offset
+    fixed = np.zeros((3, 1), dtype=np.int64)
     with pytest.raises(RuntimeError, match="overlapping orbits"):
-        OrbitPartition(perms)
-    OrbitPartition(np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int64))
+        OrbitPartition(fixed[:2], perms)
+    OrbitPartition(fixed, np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int64))
 
 
 def test_group_action_rejects_wrong_dimension():
     grid = make_grid(make_lattice(np.eye(2)), 2, [[0, 0]])
     group = make_group([-np.eye(3, dtype=int)])
-    for build in (offset_permutations, pair_permutations, orbit_partition,
+    for build in (offset_permutations, orbit_partition,
                   lambda g, G: orbit_partition(g, G, cells_only=True)):
         with pytest.raises(ValueError, match="group dimension 3 does not match grid dimension 2"):
             build(grid, group)
+
+
+def test_pair_partition_holds_no_pair_table():
+    import tracemalloc
+
+    # D4 on 3 x 3 offsets at r = 128: the |G| x |K| r^d int64 table of
+    # (offset, cell) index maps alone is 9.4 MB
+    group = make_group([C4, MIRROR])
+    grid = make_grid(make_lattice(np.eye(2)), 128,
+                     [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    tracemalloc.start()
+    try:
+        part = orbit_partition(grid, group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(part) and peak < 12e6
+
+
+def test_make_group_rejects_entries_of_2_53_or_more():
+    # 2^62 + 1 would be read as the float 2^62
+    for entry in (2 ** 53, -2 ** 53, 2 ** 62 + 1):
+        with pytest.raises(ValueError, match="^group element entry of magnitude 2\\^53 or more$"):
+            make_group([np.array([[1, 0], [entry, -1]])])
+    assert len(make_group([np.array([[1, 0], [2 ** 53 - 1, -1]])])) == 2
+
+
+def test_cell_permutations_are_exact_for_large_entries():
+    # the dual of the involution [[1, 0], [N, -1]] maps cell (j0, j1) to
+    # (j0 + N j1, -j1) mod r; at r = 1026 the int64 product N j1 wraps
+    N, r = 2 ** 53 - 1, 1026
+    group = make_group([np.array([[1, 0], [N, -1]])])
+    grid = make_grid(make_lattice(np.eye(2)), r, [[0, 0]])
+    perms = _cell_permutations(grid, group)
+    rng = np.random.default_rng(5)
+    for c in np.concatenate([np.arange(r * (r - 1), r * r), rng.integers(r * r, size=200)]):
+        j = [int(v) for v in grid.cell_vectors()[c]]
+        for g in range(len(group)):
+            img = [sum(int(group.duals[g][a, b]) * j[b] for b in range(2)) % r
+                   for a in range(2)]
+            assert perms[g, c] == img[0] * r + img[1]

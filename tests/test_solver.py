@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from pwsis import fibers, solver
 from pwsis.fibers import GramianField, gramian_field, regrid_to_lattice, symmetrize
-from pwsis.lattice import (Lattice, _cell_permutations, make_group, make_lattice,
-                           offset_permutations, orbit_partition, pair_permutations)
+from pwsis.lattice import (Lattice, _cell_permutations, _invariant, make_group, make_lattice,
+                           offset_permutations, orbit_partition)
 from pwsis.solver import (_RANK_CUT, _TIE_GAP, _block_cells, ApproxReport, SubspaceModel,
                           best_gamma, best_sis,
                           dilation_equivalence, eigen_field, error_against,
@@ -526,7 +526,7 @@ def _materialized_best_gamma(F, group, ell):
     n_group, m = len(group), F.m
     part = orbit_partition(F.grid, group, cells_only=True)
     reps = part.representatives
-    cell_perms = part.perms
+    cell_perms = part.cell_perms
     off_perms = offset_permutations(F.grid, group)
     sym = np.empty((m * n_group, F.grid.n_offsets, len(reps)), dtype=np.complex128)
     for gi in range(n_group):
@@ -709,7 +709,7 @@ def test_best_gamma_attains_the_invariant_optimum_on_tiny_grids():
                             c = orbit[0]
                             S = sym.values[:, :, c].T
                             T = S @ S.conj().T
-                            stab = off_perms[part.perms[:, c] == c]
+                            stab = off_perms[part.cell_perms[:, c] == c]
                             pieces = _irreducible_pieces(T, stab, rng)
                             best = max(sum(p[1] for p in pick)
                                        for k in range(len(pieces) + 1)
@@ -1135,10 +1135,9 @@ def _reference_project_then_solve(F, mask, ell, group=None):
     """project_then_solve before it read the band through a gather: the
     solve of the whole band-limited copy project_pw(F, mask)."""
     if group is not None:
-        # the band check before it ran inside the solve: the whole |G| x n
-        # table of (offset, cell) index maps
-        flat = mask.bits.ravel()
-        if np.any(flat[pair_permutations(mask.grid, group)] != flat):
+        # the band check before it ran inside the solve
+        if not _invariant(mask.bits, offset_permutations(mask.grid, group),
+                          _cell_permutations(mask.grid, group)):
             raise ValueError("mask is not invariant under the group")
     PF = project_pw(F, mask)
     model, rep = best_gamma(PF, group, ell) if group is not None else best_sis(PF, ell)
@@ -1233,8 +1232,8 @@ def test_non_invariant_band_is_refused():
         F = SpectralDataset(lat, grid, rng.standard_normal(shape)
                             + 1j * rng.standard_normal(shape))
         # bands invariant under a subgroup H, tried under H and under D4;
-        # the solve refuses them exactly where the pair table shows a box
-        # and its image on opposite sides of the band
+        # the solve refuses them exactly where some element maps a box and
+        # its image to opposite sides of the band
         for gens in ([rot], [flip], [rot @ rot], [rot, flip]):
             sub = make_group(gens)
             for trial in range(6):
@@ -1245,8 +1244,9 @@ def test_non_invariant_band_is_refused():
                     bits[rng.integers(len(bits))] ^= True
                 mask = PWMask(lat, grid, bits.reshape(grid.n_offsets, grid.n_cells))
                 for group in (sub, d4):
-                    fixed = np.array_equal(bits[pair_permutations(grid, group)],
-                                           np.broadcast_to(bits, (len(group), len(bits))))
+                    fixed = _invariant(bits.reshape(grid.n_offsets, grid.n_cells),
+                                       offset_permutations(grid, group),
+                                       _cell_permutations(grid, group))
                     seen.add(fixed)
                     if fixed:
                         project_then_solve(F, mask, 1, group=group)
@@ -1367,8 +1367,8 @@ def test_solve_then_project_clips_one_cell_at_a_time(monkeypatch):
     mask = PWMask(F.lattice, F.grid, np.random.default_rng(78).random(
         (F.grid.n_offsets, F.grid.n_cells)) < 0.5)
     want, _ = solve_then_project(F, mask, 2)
-    solved = best_sis(F, 2)
-    monkeypatch.setattr(solver, "best_sis", lambda F, ell: solved)
+    solved = solver._sis_model(F, 2)
+    monkeypatch.setattr(solver, "_sis_model", lambda F, ell: solved)
     monkeypatch.setattr(solver, "error_against", lambda F, model: None)
     tracemalloc.start()
     try:
@@ -1378,6 +1378,24 @@ def test_solve_then_project_clips_one_cell_at_a_time(monkeypatch):
         tracemalloc.stop()
     assert np.array_equal(model.basis, want.basis)
     assert peak < 1.25 * model.basis.nbytes
+
+
+def test_solve_then_project_measures_one_error(monkeypatch):
+    from pwsis.spectral import PWMask
+
+    # the clipped model's error, and not the unclipped one's as well
+    F = _files_layout(79).select_channels([0, 1])
+    mask = PWMask(F.lattice, F.grid, np.random.default_rng(80).random(
+        (F.grid.n_offsets, F.grid.n_cells)) < 0.5)
+    want = solve_then_project(F, mask, 2)
+    calls = []
+    unexplained = solver._unexplained
+    monkeypatch.setattr(solver, "_unexplained",
+                        lambda *a: calls.append(a[1]) or unexplained(*a))
+    model, rep = solve_then_project(F, mask, 2)
+    assert calls == [model]
+    assert np.array_equal(model.basis, want[0].basis)
+    assert rep.total_error == want[1].total_error
 
 
 def _orthonormalize_rows(rows, drop=1e-12):
