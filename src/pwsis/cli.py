@@ -83,12 +83,14 @@ def _cmd_solve(args):
         from .fibers import gramian_field
 
         textio.write_gramian(gramian_field(F), args.dump_gramian)
+    # only the errors and the model's dims are printed: no basis is kept
     if mask is not None:
-        model, rep = solver.project_then_solve(F, mask, args.ell, group=group)
+        model, rep = solver.project_then_solve(F, mask, args.ell, group=group,
+                                               _store=False)
     elif group is not None:
-        model, rep = solver.best_gamma(F, group, args.ell)
+        model, rep = solver.best_gamma(F, group, args.ell, _store=False)
     else:
-        model, rep = solver.best_sis(F, args.ell)
+        model, rep = solver.best_sis(F, args.ell, _store=False)
     print("length %d" % _model_length(model))
     print("total error %s" % _g(rep.total_error))
     if rep.projected_error is not None:
@@ -104,10 +106,13 @@ def _cmd_project(args):
 
     F = textio.read_dataset(args.data)
     mask = textio.read_mask(args.mask)
-    PF = spectral.project_pw(F, mask)
-    textio.write_dataset(PF, args.out)
-    print("inside-band energy %s" % _g(PF.energy().sum() if PF.m else 0.0))
-    print("outside-band energy %s" % _g(spectral.residual_energy(F, mask).sum()))
+    # both energies are checked before the output is opened; the projected
+    # samples are written as they are zeroed, with no projected copy
+    outside = spectral.residual_energy(F, mask)
+    inside = spectral._band_energy(F, mask.bits)
+    textio.write_dataset(F, args.out, _bits=mask.bits)
+    print("inside-band energy %s" % _g(inside.sum() if F.m else 0.0))
+    print("outside-band energy %s" % _g(outside.sum()))
     return 0
 
 
@@ -134,8 +139,8 @@ def _cmd_pipeline(args):
 
     F = textio.read_dataset(args.data)
     mask = textio.read_mask(args.mask)
-    _, first = solver.project_then_solve(F, mask, args.ell)
-    _, second = solver.solve_then_project(F, mask, args.ell)
+    _, first = solver.project_then_solve(F, mask, args.ell, _store=False)
+    _, second = solver.solve_then_project(F, mask, args.ell, _store=False)
     print("project-then-solve %s" % _g(first.total_error))
     print("solve-then-project %s" % _g(second.total_error))
     print("gap %s" % _g(second.total_error - first.total_error))

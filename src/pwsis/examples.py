@@ -126,7 +126,7 @@ def _one_generator(scene, lat, r, offsets):
     """(error, length) of the one-generator optimum for the scene sampled on
     the lattice; the dataset and its eigen cut are freed on return, so the
     next lattice's synthesis does not run next to them."""
-    ef = _dataset_cut(synthesize(scene, lat, make_grid(lat, r, offsets)), 1)
+    ef = _dataset_cut(synthesize(scene, lat, make_grid(lat, r, offsets)), 1, vectors=False)
     return ef.error, ef.length
 
 

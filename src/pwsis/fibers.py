@@ -103,6 +103,9 @@ class GramianField:
 # bytes of a block: of the fibers a gather returns, of the operators an eigh
 # call takes.  A block's fibers are held only until its products are taken,
 # its operators and full eigenvectors only until their top rows are kept.
+# Beside its fibers a block holds their conjugate while the products are
+# taken, and a copy of them where its gather cannot return a view of the
+# samples (a band, scattered cells, a regrid map).
 _BLOCK_BYTES = 1 << 20
 
 
@@ -178,17 +181,18 @@ def _gather(F, bits=None):
     return gather
 
 
-def _fiber_blocks(grid, m, cells, gather, fiber_side=False):
+def _fiber_blocks(grid, m, cells, gather, fiber_side=False, copies=1):
     """The one route from the m-channel fibers gather(c) at the ascending
     cells to their n x n operators: (grid, n, active, trace, block, step),
     solver._eigen_cut's arguments but the rank.  The trace pass reads step
     cells at a time; block(s, e) gathers the active cells s..e-1 once and
     returns their Gramians (n = m) or, on the fiber side, the Gramians
     across channels (n = |K|).  A block of the larger of the two shapes
-    sizes each gather and each eigh."""
+    sizes each gather and each eigh; the fibers count copies times, 2 for a
+    gather that always takes a copy beside the conjugate."""
     nK = grid.n_offsets
     n = nK if fiber_side else m
-    step = min(_block_cells(m, nK), _block_cells(n, n))
+    step = min(_block_cells(copies * m, nK), _block_cells(n, n))
     keep, trace = _active_cells(cells, gather, step)
     active = cells[keep]
 
@@ -201,9 +205,11 @@ def _fiber_blocks(grid, m, cells, gather, fiber_side=False):
 
 def _dataset_blocks(F, bits=None):
     """_fiber_blocks of _gather(F, bits) over F's support, off which every
-    cell is zero and so inactive, or over its whole grid."""
+    cell is zero and so inactive, or over its whole grid.  A band's gather
+    always takes a copy."""
     cells = np.arange(F.grid.n_cells) if F.support is None else F.support
-    return _fiber_blocks(F.grid, F.m, cells, _gather(F, bits))
+    return _fiber_blocks(F.grid, F.m, cells, _gather(F, bits),
+                         copies=1 if bits is None else 2)
 
 
 def gramian_field(F):
@@ -433,7 +439,7 @@ def _lattice_blocks(F, layout):
         return _dataset_blocks(F)
     grid2 = layout[0]
     return _fiber_blocks(grid2, F.m, np.arange(grid2.n_cells),
-                         _map_gather(F, _regrid_map(F, layout)))
+                         _map_gather(F, _regrid_map(F, layout)), copies=2)
 
 
 def gramian_covariance_check(F, A):

@@ -15,6 +15,9 @@ Conventions used by every other module:
   under the action whenever Ghat(K) = K.
 """
 
+import operator
+from itertools import chain
+
 import numpy as np
 
 __all__ = [
@@ -140,6 +143,33 @@ class PointGroup:
         return int(self.inverses[i])
 
 
+# Bound on the magnitude of every entry of a group element, generator or
+# product: below it an entry is exact as a float and as int64.  The product
+# of two elements of the closed group is an element, so its int64 product
+# (PointGroup's inverse table) comes out exact, even where a partial sum
+# wraps.
+_ENTRY_CAP = 2 ** 53
+
+
+def _det(rows):
+    """Exact determinant of a square matrix given as rows of Python ints,
+    by fraction-free (Bareiss) elimination: every division is exact."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
 def _check_unimodular(mat):
     m = np.asarray(mat)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -149,22 +179,37 @@ def _check_unimodular(mat):
         raise ValueError("does not preserve lattice: non-integer entries")
     if not np.all(np.abs(mf) < 2.0 ** 63):  # before the cast to int64
         raise ValueError("group element entry outside the int64 range")
-    # the determinant and dual checks below read the entries as floats
-    if not np.all(np.abs(mf) < 2.0 ** 53):
+    # entries of 2^53 or more may have been rounded on the way to floats
+    if not np.all(np.abs(mf) < _ENTRY_CAP):
         raise ValueError("group element entry of magnitude 2^53 or more")
-    det = float(np.linalg.det(mf))
-    if abs(det - round(det)) > 1e-9 or abs(round(det)) != 1:
+    ints = np.rint(mf).astype(np.int64)
+    det = _det(ints.tolist())
+    if abs(det) != 1:
         raise ValueError("does not preserve lattice: |det| = %g, must be 1" % abs(det))
-    return np.rint(mf).astype(np.int64)
+    return ints
+
+
+def _product(a, b):
+    """a @ b of two matrices given as tuples of rows of Python ints, formed
+    exactly; ValueError if an entry is of magnitude _ENTRY_CAP or more."""
+    cols = list(zip(*b))
+    prod = tuple([tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in a])
+    if max(map(abs, chain.from_iterable(prod))) >= _ENTRY_CAP:
+        raise ValueError("group element entry of magnitude 2^53 or more")
+    return prod
 
 
 def _integer_dual(mat):
-    # (M^T)^-1 of an integer unimodular matrix is integer unimodular
-    inv = np.linalg.inv(mat.T.astype(float))
-    dual = np.rint(inv).astype(np.int64)
-    if not np.array_equal(mat.T @ dual, np.eye(mat.shape[0], dtype=np.int64)):
+    """(M^T)^-1 of an integer unimodular matrix, integer unimodular: the
+    adjugate of M^T times its determinant +-1, over Python ints."""
+    mt = mat.T.tolist()
+    n = len(mt)
+    det = _det(mt)
+    minor = lambda i, j: [row[:j] + row[j + 1:] for k, row in enumerate(mt) if k != i]
+    dual = [[(-1) ** (i + j) * _det(minor(j, i)) * det for j in range(n)] for i in range(n)]
+    if _product(mt, dual) != tuple(tuple(int(i == j) for j in range(n)) for i in range(n)):
         raise RuntimeError("dual of unimodular matrix failed integrality check")
-    return dual
+    return np.array(dual, dtype=np.int64)
 
 
 def make_group(mats, max_order=48):
@@ -172,7 +217,8 @@ def make_group(mats, max_order=48):
 
     Fails with "group not finite under bound" if the closure exceeds
     max_order (48 covers the crystallographic point groups in 2 and 3
-    dimensions).
+    dimensions).  Determinants, duals and the closure's products are exact,
+    and every element's entries are below 2^53 in magnitude.
     """
     mats = [_check_unimodular(m) for m in mats]
     if not mats:
@@ -181,35 +227,29 @@ def make_group(mats, max_order=48):
     for m in mats:
         if m.shape != (d, d):
             raise ValueError("group elements must share one dimension")
-    ident = np.eye(d, dtype=np.int64)
-    seen = {ident.tobytes(): ident}
+    # every word in the generators, found by multiplying each new element by
+    # each generator; inverses come for free in a finite closed monoid of
+    # invertible elements.  Elements are tuples of rows of Python ints, so no
+    # product wraps.
+    gens = [tuple(map(tuple, m.tolist())) for m in mats]
+    ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    seen = {ident: None}
     frontier = [ident]
-    for m in mats:
-        key = m.tobytes()
-        if key not in seen:
-            seen[key] = m
-            frontier.append(m)
-    # product closure; inverses come for free in a finite closed monoid of
-    # invertible elements
     while frontier:
         nxt = []
         for a in frontier:
-            for b in list(seen.values()):
-                for prod in (a @ b, b @ a):
-                    key = prod.tobytes()
-                    if key not in seen:
-                        if len(seen) >= max_order:
-                            raise ValueError(
-                                "group not finite under bound (max order %d)" % max_order
-                            )
-                        seen[key] = prod
-                        nxt.append(prod)
+            for g in gens:
+                prod = _product(a, g)
+                if prod not in seen:
+                    if len(seen) >= max_order:
+                        raise ValueError(
+                            "group not finite under bound (max order %d)" % max_order
+                        )
+                    seen[prod] = None
+                    nxt.append(prod)
         frontier = nxt
-    others = sorted(
-        (m for m in seen.values() if not np.array_equal(m, ident)),
-        key=lambda m: tuple(m.ravel()),
-    )
-    elements = np.stack([ident] + others) if others else ident[None]
+    others = sorted((m for m in seen if m != ident), key=lambda m: sum(m, ()))
+    elements = np.array([ident] + others, dtype=np.int64)
     duals = np.stack([_integer_dual(m) for m in elements])
     return PointGroup(elements, duals)
 

@@ -105,15 +105,19 @@ def _order_ties(w, Y, tie):
     w[cells] = w[cells].ravel()[order].reshape(n, m)
 
 
-def _eigen_cut(grid, m, active_idx, trace, block, step, ell):
+def _eigen_cut(grid, m, active_idx, trace, block, step, ell, vectors=True):
     """The rank-ell cut of the m x m operators that block(s, e) returns for
     the active cells s..e-1, taken step cells at a time (see EigenField).
     eigh treats each matrix on its own, so the result does not depend on
-    how the cells are split."""
+    how the cells are split.  Each block's discarded mass and ranks are
+    taken as it is cut; with vectors False neither the eigenvalues nor the
+    eigenvectors are kept (EigenField's are None)."""
     n = active_idx.shape[0]
     rows = min(ell, m)
-    w = np.empty((n, m))
-    Y = np.empty((n, rows, m), dtype=np.complex128)
+    w = np.empty((n, m)) if vectors else None
+    Y = np.empty((n, rows, m), dtype=np.complex128) if vectors else None
+    density = np.zeros(n)
+    length = 0
     for s in range(0, n, step):
         try:
             wb, vb = np.linalg.eigh(block(s, s + step))
@@ -123,14 +127,19 @@ def _eigen_cut(grid, m, active_idx, trace, block, step, ell):
         np.maximum(wb, 0.0, out=wb)
         # eigh returns eigenvectors as columns; view them as rows, descending
         Yb = vb.transpose(0, 2, 1)[:, ::-1, :]
-        # ties are ordered whole before the cut, so the kept rows do not
-        # depend on where the cut falls
+        # ties are ordered whole before the cut, so the kept rows and the
+        # discarded mass do not depend on where the cut falls
+        tb = trace[s:s + step, None]
         if m > 1:
-            _order_ties(wb, Yb, -np.diff(wb, axis=1) < _TIE_GAP * trace[s:s + step, None])
-        w[s:s + step] = wb
-        Y[s:s + step] = Yb[:, :rows]
+            _order_ties(wb, Yb, -np.diff(wb, axis=1) < _TIE_GAP * tb)
+        if ell < m:
+            density[s:s + step] = wb[:, ell:].sum(axis=1)
+        length = max(length, int((wb > _LENGTH_CUT * tb).sum(axis=1).max()))
+        if vectors:
+            w[s:s + step] = wb
+            Y[s:s + step] = Yb[:, :rows]
 
-    if Y.size:
+    if vectors and Y.size:
         flat = Y.reshape(-1, m)
         big = np.abs(flat) > 1e-12
         piv_idx = np.argmax(big, axis=1)
@@ -138,8 +147,6 @@ def _eigen_cut(grid, m, active_idx, trace, block, step, ell):
         mag = np.abs(piv)
         safe = np.where(mag > 0.0, mag, 1.0)
         flat *= (piv.conj() / safe)[:, None]
-    density = w[:, ell:].sum(axis=1) if ell < m else np.zeros(n)
-    length = int((w > _LENGTH_CUT * trace[:, None]).sum(axis=1).max()) if n else 0
     return EigenField(grid, m, active_idx, w, Y, trace, density, length)
 
 
@@ -151,18 +158,20 @@ def eigen_field(G, ell):
                       _block_cells(G.m, G.m), _check_length(ell))
 
 
-def _dataset_cut(F, ell, bits=None):
+def _dataset_cut(F, ell, bits=None, vectors=True):
     """eigen_field(gramian_field(F), ell), with band bits of project_pw(F,
-    mask), built a block at a time: no Gramian field is held."""
-    return _eigen_cut(*_dataset_blocks(F, bits), ell)
+    mask), built a block at a time: no Gramian field is held.  With vectors
+    False only its error, density and length are kept."""
+    return _eigen_cut(*_dataset_blocks(F, bits), ell, vectors)
 
 
 def _lattice_cut(F, lat):
     """Check lat against F, as regrid_to_lattice does, and return cut(ell):
-    the rank-ell cut of F regridded onto lat, with neither the regridded
-    dataset nor its Gramian field held."""
+    the rank-ell cut of F regridded onto lat, its error, density and length
+    only, with neither the regridded dataset nor its Gramian field held."""
     layout = _regrid_layout(F, lat)
-    return lambda ell: _eigen_cut(*_lattice_blocks(F, layout), _check_length(ell))
+    return lambda ell: _eigen_cut(*_lattice_blocks(F, layout), _check_length(ell),
+                                  vectors=False)
 
 
 class SubspaceModel:
@@ -207,84 +216,130 @@ class ApproxReport:
         self.band_residual = band_residual
 
 
-def _captured(gather, m, model):
-    """Per-channel energy captured by the model's orthonormal fibers, where
-    gather(c) returns the m-channel fibers at the cells c (see _gather).  The
-    amplitudes are taken a block of fibers at a time; each cell's products
-    are its own, so the blocks give the bits of one whole pass."""
-    na, rows, nK = model.basis.shape
-    amp = np.empty((na, m, rows), dtype=np.complex128)
-    step = _block_cells(m, nK)
-    for s in range(0, na, step):
-        amp[s:s + step] = np.einsum("cjk,ikc->cij", model.basis[s:s + step].conj(),
-                                    gather(model.active_idx[s:s + step]))
-    return _abs2(amp).sum(axis=(0, 2)) * model.grid.cell_weight
+def _fiber_pass(F, cells, rows, rows_of, bits=None, clip=None, store=True):
+    """The one pass that builds a model's basis rows at the ascending cells
+    and measures them, a block of cells at a time.  Each block gathers F's
+    fibers once, takes its rows rows_of(s, e, fibers) of cells s..e-1 --
+    from the band's fibers, F's zeroed off the bits of a band mask, when
+    bits is given -- clips them to the band bits clip when given
+    (_clip_orthonormalize), and takes their amplitudes against F's fibers
+    and, with bits, the band's; then the block is dropped.
+
+    Returns (basis, dims, captured, band_captured): the (cells, rows, |K|)
+    basis if store, else None; the rows kept per cell if clipped, else None;
+    and the per-channel energy the rows capture of F and of the band (None
+    without bits).  The amplitudes the report reads -- F's without bits,
+    the band's with them -- are kept whole and summed as one array, and
+    each cell's products are its own, so the blocks give the bits of one
+    whole pass.  With bits, F's own capture only feeds project_then_solve's
+    self-check, and is summed a block at a time instead."""
+    m, nK = F.m, F.grid.n_offsets
+    n = len(cells)
+    gather = _gather(F)
+    amp = np.empty((n, m, rows), dtype=np.complex128)
+    own = None if bits is None else np.zeros(m)
+    basis = np.empty((n, rows, nK), dtype=np.complex128) if store else None
+    dims = None if clip is None else np.empty(n, dtype=np.int64)
+    # a block holds its fibers and, with bits, the band's copy of them; a
+    # clipped block also the few cells x |K| temporaries of a Gram-Schmidt
+    # step
+    size = m if bits is None else 2 * m
+    step = _block_cells(size if clip is None else max(size, 4), nK)
+
+    def take(s, e):
+        # a call per block: its arrays are freed before the next is built
+        c = cells[s:e]
+        v = gather(c)
+        if bits is not None:
+            band = v.copy()
+            np.copyto(band, 0.0, where=~bits.take(c, axis=1))
+        b = rows_of(s, e, v if bits is None else band)
+        if clip is not None:
+            dims[s:e] = _clip_orthonormalize(b, clip[:, c])
+        if store:
+            basis[s:e] = b
+            b = basis[s:e]
+        conj = b.conj()
+        if bits is None:
+            amp[s:e] = np.einsum("cjk,ikc->cij", conj, v)
+        else:
+            own[:] += _abs2(np.einsum("cjk,ikc->cij", conj, v)).sum(axis=(0, 2))
+            amp[s:e] = np.einsum("cjk,ikc->cij", conj, band)
+
+    for s in range(0, n, step):
+        take(s, s + step)
+    w = F.grid.cell_weight
+    total = _abs2(amp).sum(axis=(0, 2)) * w
+    if bits is None:
+        return basis, dims, total, None
+    return basis, dims, own * w, total
 
 
-def _unexplained(F, model, bits=None):
-    """Per-channel energy the model leaves out of F, or with the bits of a
-    band mask out of project_pw(F, mask).  Both energies are checked
-    finite, with their sum, and the captured part is no larger."""
-    energy = F.energy() if bits is None else _band_energy(F, bits)
-    return energy - _captured(_gather(F, bits), F.m, model)
-
-
-def _build_basis(gather, ef, ell):
-    """Generator fibers b_j = lambda_j^(-1/2) sum_i conj(y_j)_i fiber_i for
-    the top-ell eigenpairs, zero rows where the eigenvalue is negligible.
-    gather(c) returns the (m, |K|, len(c)) fibers at the cells c; ef's
-    active cells are taken a block at a time."""
+def _sis_rows(ef, ell):
+    """rows_of for _fiber_pass over ef's active cells, and the rows kept per
+    cell: the generator fibers b_j = lambda_j^(-1/2) sum_i conj(y_j)_i
+    fiber_i of the top-ell eigenpairs, zero rows where the eigenvalue is
+    negligible."""
     rows = min(ell, ef.m)
-    na = ef.n_active
-    nK = ef.grid.n_offsets
-    if rows == 0 or na == 0:
-        return np.zeros((na, rows, nK), dtype=np.complex128), np.zeros(na, dtype=np.int64)
     lam = ef.eigenvalues[:, :rows]
-    cut = _RANK_CUT * ef.trace
-    keep = lam > cut[:, None]
-    dims = keep.sum(axis=1).astype(np.int64)
+    keep = lam > (_RANK_CUT * ef.trace)[:, None]
     inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, lam, 1.0)), 0.0)
     scaled = ef.vectors[:, :rows, :].conj() * inv_sqrt[:, :, None]
-    basis = np.empty((na, rows, nK), dtype=np.complex128)
-    step = _block_cells(ef.m, nK)
-    for s in range(0, na, step):
-        basis[s:s + step] = np.einsum("cji,ikc->cjk", scaled[s:s + step],
-                                      gather(ef.active_idx[s:s + step]))
-    basis[~keep] = 0.0
-    return basis, dims
+
+    def rows_of(s, e, v):
+        b = np.einsum("cji,ikc->cjk", scaled[s:e], v)
+        b[~keep[s:e]] = 0.0
+        return b
+
+    return rows_of, keep.sum(axis=1).astype(np.int64)
 
 
-def best_sis(F, ell):
+def _solve(F, ell, group=None, bits=None, clip=None, store=True):
+    """best_sis of F, or with a group best_gamma, or either with the bits of
+    a band mask of project_pw(F, mask), with every fiber read from F
+    through the band; with clip, best_sis's rows clipped to those band bits
+    (solve_then_project).  Returns (model, report, energy, captured): F's
+    own per-channel energy and the part of it the model's rows capture,
+    taken in the same pass as the report's.  The model holds its basis
+    only if store: the command line reads only its dims.  The energies are
+    checked finite before the pass, so no amplitude sum overflows.  With
+    bits, F's captured energy is summed a block at a time: it only feeds
+    project_then_solve's self-check."""
+    ell = _check_length(ell)
+    if group is None:
+        ef = _dataset_cut(F, ell, bits)
+        cells, density = ef.active_idx, ef.density
+        rows_of, dims = _sis_rows(ef, ell)
+        rows = min(ell, ef.m)
+    else:
+        cells, density, rows, rows_of, dims = _gamma_rows(F, group, ell, bits)
+    band = None if bits is None else _band_energy(F, bits)
+    energy = F.energy()
+    basis, clipped, captured, band_captured = _fiber_pass(F, cells, rows, rows_of, bits,
+                                                          clip, store)
+    model = SubspaceModel(F.lattice, F.grid, ell, cells, basis,
+                          dims if clip is None else clipped, group=group)
+    per_channel = energy - captured if bits is None else band - band_captured
+    total = ef.error if group is None else float(per_channel.sum())
+    report = ApproxReport(total, per_channel, active_idx=cells, density=density)
+    return model, report, energy, captured
+
+
+def best_sis(F, ell, *, _store=True):
     """Optimal lattice-invariant subspace of length at most ell.
 
     Returns (model, report); the report's total is the infimum of the
-    aggregate squared approximation error over all such subspaces.
+    aggregate squared approximation error over all such subspaces.  With
+    _store False the model keeps no basis (model.basis is None): the
+    command line prints only its dims.
     """
-    return _best_sis(F, ell)
-
-
-def _sis_model(F, ell, bits=None):
-    """_best_sis's model and the rank cut it is built from, with no error measured."""
-    ell = _check_length(ell)
-    ef = _dataset_cut(F, ell, bits)
-    basis, dims = _build_basis(_gather(F, bits), ef, ell)
-    return SubspaceModel(F.lattice, F.grid, ell, ef.active_idx, basis, dims), ef
-
-
-def _best_sis(F, ell, bits=None):
-    """best_sis of F, or with the bits of a band mask best_sis of
-    project_pw(F, mask), with every fiber read from F through the band."""
-    model, ef = _sis_model(F, ell, bits)
-    per_channel = _unexplained(F, model, bits)
-    report = ApproxReport(ef.error, per_channel, active_idx=ef.active_idx,
-                          density=ef.density)
-    return model, report
+    return _solve(F, ell, store=_store)[:2]
 
 
 def subspace_length(F):
     """Smallest length of an invariant subspace containing all channels:
     the max over cells of the fiber Gramian rank at relative threshold 1e-9."""
-    return _dataset_cut(F, 0).length
+    return _dataset_cut(F, 0, vectors=False).length
 
 
 def error_against(F, model):
@@ -292,7 +347,11 @@ def error_against(F, model):
     already-built model (whose basis rows must be orthonormal per cell)."""
     if not F.grid.compatible(model.grid):
         raise ValueError("mismatched grid between dataset and model")
-    per_channel = _unexplained(F, model)
+    energy = F.energy()
+    basis = model.basis
+    captured = _fiber_pass(F, model.active_idx, basis.shape[1], lambda s, e, v: basis[s:e],
+                           store=False)[2]
+    per_channel = energy - captured
     return ApproxReport(float(per_channel.sum()), per_channel)
 
 
@@ -366,7 +425,7 @@ def _invariant_cut(T, trace, perms, ell):
     return rows, max(trace - captured, 0.0)
 
 
-def best_gamma(F, group, ell):
+def best_gamma(F, group, ell, *, _store=True):
     """Optimal group-invariant subspace of length at most ell.
 
     Solves the per-cell problem at one representative cell c per orbit on
@@ -389,16 +448,20 @@ def best_gamma(F, group, ell):
     kept (_invariant_cut), so the model is invariant everywhere.  Returns
     (model, report); the report carries the measured error of the returned
     model, and report.density times cell_weight (already divided by the
-    group order) is the per-orbit optimum, which the model attains.
+    group order) is the per-orbit optimum, which the model attains.  With
+    _store False the model keeps no basis, as in best_sis.
     """
-    return _best_gamma(F, group, ell)
+    return _solve(F, ell, group, store=_store)[:2]
 
 
-def _best_gamma(F, group, ell, bits=None):
-    """best_gamma of F, or with the bits of a group-invariant band mask
-    best_gamma of project_pw(F, mask): the band zeroes the symmetrized
-    fibers where it zeroes the fibers, since it maps onto itself."""
-    ell = _check_length(ell)
+def _gamma_rows(F, group, ell, bits=None):
+    """best_gamma's cut, with the bits of a group-invariant band mask that of
+    project_pw(F, mask): the band zeroes the symmetrized fibers where it
+    zeroes the fibers, since it maps onto itself.  Returns (cells, density,
+    rows, rows_of, dims) for _fiber_pass: every active cell, its share of
+    the per-orbit optimum, the rows per cell, the rows of cells s..e-1 --
+    each its representative's carried by the smallest group element that
+    maps the representative there -- and the rows kept per cell."""
     n_group, m, nK = len(group), F.m, F.grid.n_offsets
     part = orbit_partition(F.grid, group, cells_only=True)
     reps, cell_perms = part.representatives, part.cell_perms
@@ -435,45 +498,42 @@ def _best_gamma(F, group, ell, bits=None):
     cell_rep = rep_pos[part.orbit_index]
     all_active = np.flatnonzero(cell_rep >= 0)
     src = cell_rep[all_active]
-    # group element g carries each representative's basis to the cell g
-    # maps it to: written in descending order, the smallest such g stays
-    pos = np.searchsorted(all_active, cell_perms[:, ef.active_idx])
-    basis = np.empty((len(all_active),) + rep_basis.shape[1:], dtype=np.complex128)
+    # the inverse of the group element that carries each cell's
+    # representative there: written in descending order, the smallest stays
+    pos = np.searchsorted(all_active, cell_perms[:, active])
+    carry = np.empty(len(all_active), dtype=np.int64)
     for gi in range(n_group - 1, -1, -1):
-        basis[pos[gi]] = rep_basis[:, :, off_perms[group.inverses[gi]]]
-    dims = rep_dims[src]
-    density = ef.density[src] / n_group
+        carry[pos[gi]] = group.inverses[gi]
 
-    model = SubspaceModel(F.lattice, F.grid, ell, all_active, basis, dims, group=group)
-    per_channel = _unexplained(F, model, bits)
-    report = ApproxReport(float(per_channel.sum()), per_channel,
-                          active_idx=all_active, density=density)
-    return model, report
+    def rows_of(s, e, v):
+        return np.take_along_axis(rep_basis[src[s:e]], off_perms[carry[s:e], None, :], axis=2)
+
+    return all_active, ef.density[src] / n_group, rows, rows_of, rep_dims[src]
 
 
-def project_then_solve(F, mask, ell, group=None):
+def project_then_solve(F, mask, ell, group=None, *, _store=True):
     """Project the data onto the band mask, then solve for the optimal
     subspace inside it.
 
     The report's total is the projected optimum plus the out-of-band energy;
     its generators vanish outside the mask by construction.  The projected
     data is never built: the solve reads F's fibers zeroed outside the band.
+    The self-check measures the model against F's own fibers in the pass
+    that builds it.  With _store False the model keeps no basis, as in
+    best_sis.
     """
     if not F.grid.compatible(mask.grid):
         raise ValueError("mismatched grid between dataset and mask")
     outside = residual_energy(F, mask)
-    if group is not None:
-        model, rep = _best_gamma(F, group, ell, mask.bits)
-    else:
-        model, rep = _best_sis(F, ell, mask.bits)
+    model, rep, energy, captured = _solve(F, ell, group, mask.bits, store=_store)
     total = rep.total_error + float(outside.sum())
     per_channel = rep.per_channel + outside
-    direct = error_against(F, model)
-    scale = 1.0 + float(F.energy().sum())
-    if not abs(direct.total_error - total) <= 1e-9 * scale:
+    direct = float((energy - captured).sum())
+    scale = 1.0 + float(energy.sum())
+    if not abs(direct - total) <= 1e-9 * scale:
         raise RuntimeError(
             "project-then-solve total %r differs from the measured error %r of "
-            "its own model" % (total, direct.total_error))
+            "its own model" % (total, direct))
     report = ApproxReport(total, per_channel, active_idx=rep.active_idx,
                           density=rep.density, projected_error=rep.total_error,
                           band_residual=float(outside.sum()))
@@ -508,19 +568,16 @@ def _clip_orthonormalize(basis, bits, drop=1e-12):
     return out
 
 
-def solve_then_project(F, mask, ell):
+def solve_then_project(F, mask, ell, *, _store=True):
     """Solve for the optimal subspace first, then intersect its generators
     with the band mask.  Generally suboptimal; returned for comparison with
-    project_then_solve."""
+    project_then_solve.  Each block's rows are clipped in the pass that
+    builds them, and only the clipped model's error is measured.  With
+    _store False the model keeps no basis, as in best_sis."""
     if not F.grid.compatible(mask.grid):
         raise ValueError("mismatched grid between dataset and mask")
-    model, _ = _sis_model(F, ell)
-    # about _BLOCK_BYTES of the few cells x |K| temporaries a row's step holds
-    step = _block_cells(4, F.grid.n_offsets)
-    for s in range(0, len(model.active_idx), step):
-        model.dims[s:s + step] = _clip_orthonormalize(
-            model.basis[s:s + step], mask.bits[:, model.active_idx[s:s + step]])
-    return model, error_against(F, model)
+    model, rep = _solve(F, ell, clip=mask.bits, store=_store)[:2]
+    return model, ApproxReport(float(rep.per_channel.sum()), rep.per_channel)
 
 
 def dilation_equivalence(F, A, ell):

@@ -250,12 +250,18 @@ def _pairs(z):
     return line * rows % tuple(words[inv.ravel()].tolist())
 
 
-def _dataset_chunks(F):
+def _dataset_chunks(F, bits=None):
+    """The text of F in chunks, or with the bits of a band mask the text of
+    project_pw(F, mask): each chunk of a channel's samples zeroed off the
+    band as it is written, so no projected copy is made."""
     yield _grid_header("pwsis-dataset v1", F.lattice, F.grid) + "channels %d\n" % F.m
-    z = F.values.reshape(-1, 1)
+    keep = None if bits is None else bits.reshape(-1, 1)
     step = max(1, _CHUNK // _PAIR_BYTES)
-    for a in range(0, len(z), step):
-        yield _pairs(z[a:a + step])
+    for v in F.values:
+        z = v.reshape(-1, 1)
+        for a in range(0, len(z), step):
+            chunk = z[a:a + step]
+            yield _pairs(chunk if keep is None else np.where(keep[a:a + step], chunk, 0.0))
 
 
 def format_dataset(F):
@@ -669,9 +675,11 @@ def read_dataset(path):
     return _read_array(path, _array_dataset, parse_dataset)
 
 
-def write_dataset(F, path):
+def write_dataset(F, path, *, _bits=None):
+    """Write F to path; with _bits, the bits of a band mask, write
+    project_pw(F, mask) without making the projected copy."""
     with open(path, "w") as fh:
-        fh.writelines(_dataset_chunks(F))
+        fh.writelines(_dataset_chunks(F, _bits))
 
 
 def read_mask(path):

@@ -7,8 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import traced_peak
+from pwsis.lattice import make_lattice
+from pwsis.spectral import PWMask, SpectralDataset, make_grid
 from pwsis.suites import SUITE_NAMES
-from pwsis.textio import read_mask
+from pwsis.textio import read_mask, write_dataset, write_mask
 
 # The checkout's package directory, absolute so that it still resolves from
 # the temporary working directory each CLI run uses.
@@ -240,6 +243,64 @@ def test_project_and_pipeline(workdir):
     assert "project-then-solve 8" in lines
     assert "solve-then-project 10" in lines
     assert "gap 2" in lines
+
+
+@pytest.mark.parametrize("mask_bits", [True, False])
+def test_project_checks_both_energies_before_writing(tmp_path, mask_bits):
+    # eight samples of 1.9 * 2^510: each |v|^2 is finite, their sum is not.
+    # Inside the full band or outside the empty one, project exits 2 and
+    # leaves no output file
+    lat = make_lattice([[1.0]])
+    grid = make_grid(lat, 8, [[0]])
+    F = SpectralDataset(lat, grid, np.full((1, 1, 8), 1.9 * 2.0 ** 510, dtype=complex))
+    write_dataset(F, tmp_path / "big.dataset")
+    write_mask(PWMask(lat, grid, np.full((1, 8), mask_bits)), tmp_path / "band.mask")
+    res = _run(["project", "--data", "big.dataset", "--mask", "band.mask",
+                "--out", "out.dataset"], tmp_path)
+    assert (res.returncode, res.stdout, res.stderr) == (
+        2, "", "error: big.dataset: energy of the samples exceeds the float64 range\n")
+    assert not (tmp_path / "out.dataset").exists()
+
+
+@pytest.fixture(scope="module")
+def files_layout(tmp_path_factory):
+    """The files benchmark's inputs: d = 2, r = 64, offsets {-2..2}^2, three
+    complex normal channels, the band of samples within 1.6 of (0.5, 0.5)
+    and three lattices; returns the directory and the values' bytes."""
+    work = tmp_path_factory.mktemp("files_layout")
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 64, [[a, b] for a in range(-2, 3) for b in range(-2, 3)])
+    rng = np.random.default_rng(5)
+    shape = (3, grid.n_offsets, grid.n_cells)
+    F = SpectralDataset(lat, grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    write_dataset(F, work / "data.dataset")
+    xi = np.stack([grid.sample_points(grid.cell_vectors(), k) for k in grid.offsets])
+    write_mask(PWMask(lat, grid, ((xi - 0.5) ** 2).sum(axis=2) < 1.6 ** 2), work / "band.mask")
+    (work / "lattices.txt").write_text("1 0 0 1\n1 1 0 1\n0.5 0 0 0.5\n")
+    return work, F.values.nbytes
+
+
+_DATA_ELL = ["--data", "data.dataset", "--ell", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"] + _DATA_ELL,
+    ["solve"] + _DATA_ELL + ["--mask", "band.mask"],
+    ["pipeline"] + _DATA_ELL + ["--mask", "band.mask"],
+    ["project", "--data", "data.dataset", "--mask", "band.mask", "--out", "proj.dataset"],
+    ["compare-lattices"] + _DATA_ELL + ["--lattices", "lattices.txt"],
+], ids=["solve", "solve-mask", "pipeline", "project", "compare-lattices"])
+def test_files_verbs_hold_the_dataset_and_one_block(files_layout, monkeypatch, capsys, argv):
+    # after the read a verb holds its dataset, arrays of one value per cell
+    # and one block: no model basis, projected copy, array-sized |v|^2
+    # temporaries or eigenvectors
+    from pwsis import cli
+
+    work, nbytes = files_layout
+    monkeypatch.chdir(work)
+    rc, peak = traced_peak(lambda: cli.main(argv))
+    assert rc == 0 and capsys.readouterr().out
+    assert peak < nbytes + 3 * 2 ** 20
 
 
 def test_omega_opt_output(workdir):

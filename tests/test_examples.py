@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import traced_peak
 from pwsis.examples import EXAMPLE_IDS, reproduce_example
 
 ABS_TOL = 1e-10
@@ -54,13 +55,6 @@ def test_example_6_5_synthesis_and_cut_stay_small():
     # both lattices' scenes at r = 1000, 5 x 25 x 10^6 samples each, are
     # stored as their nonzero (offset, cell) pairs and cut from them: the
     # traced peak is a few MB, where the dense array alone took 1.9 GiB
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        report = reproduce_example("6.5")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: reproduce_example("6.5"))
     assert report.passed
     assert peak < 8 * 2 ** 20

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from pwsis import fibers
 from pwsis.fibers import (dilation_transport, fiber, gramian_covariance_check,
                           gramian_field, membership_test, regrid_to_lattice,
@@ -175,8 +176,6 @@ def test_blocked_gramian_field_matches_the_whole_array_route(monkeypatch):
 
 
 def test_gramian_field_never_copies_a_dense_dataset():
-    import tracemalloc
-
     # m = 3 on 5 x 5 offsets at r = 64, every cell active: 4.9 MB of
     # values against about 1 MB per block of fibers
     lat = make_lattice(np.eye(2))
@@ -185,19 +184,12 @@ def test_gramian_field_never_copies_a_dense_dataset():
     shape = (3, grid.n_offsets, grid.n_cells)
     F = SpectralDataset(lat, grid, rng.standard_normal(shape)
                         + 1j * rng.standard_normal(shape))
-    tracemalloc.start()
-    try:
-        G = gramian_field(F)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    G, peak = traced_peak(lambda: gramian_field(F))
     assert G.n_active == grid.n_cells
     assert peak < F.values.nbytes
 
 
 def test_gramian_field_reads_the_trace_a_block_at_a_time():
-    import tracemalloc
-
     # one channel on K = {0} at r = 1024, every cell active: the field's own
     # arrays (cells, traces and 1 x 1 Gramians) take 33.6 MB; a trace pass
     # over the whole grid at once held 40 MB
@@ -207,12 +199,7 @@ def test_gramian_field_reads_the_trace_a_block_at_a_time():
     shape = (1, grid.n_offsets, grid.n_cells)
     F = SpectralDataset(lat, grid, rng.standard_normal(shape)
                         + 1j * rng.standard_normal(shape))
-    tracemalloc.start()
-    try:
-        G = gramian_field(F)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    G, peak = traced_peak(lambda: gramian_field(F))
     assert G.n_active == grid.n_cells
     assert peak < 36e6
 
@@ -414,8 +401,6 @@ def test_regrid_round_trip_keeps_error():
 
 
 def test_regrid_holds_fewer_than_two_index_tables():
-    import tracemalloc
-
     # m = 3 on 5 x 5 offsets at r = 64: each (|K| r^2, d) int64 table of
     # sample coordinates is 1.6 MB; the re-basis and the half-step lattice
     lat = make_lattice(np.eye(2))
@@ -426,12 +411,7 @@ def test_regrid_holds_fewer_than_two_index_tables():
                         + 1j * rng.standard_normal(shape))
     table = grid.n_offsets * grid.n_cells * grid.d * 8
     for basis in ([[1.0, 1.0], [0.0, 1.0]], [[0.5, 0.0], [0.0, 0.5]]):
-        tracemalloc.start()
-        try:
-            R = regrid_to_lattice(F, make_lattice(basis))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        R, peak = traced_peak(lambda: regrid_to_lattice(F, make_lattice(basis)))
         assert peak < R.values.nbytes + 2 * table
 
 

@@ -4,6 +4,7 @@ from hypothesis import assume, given, seed
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import traced_peak
 from pwsis.lattice import (Lattice, OrbitPartition, _cell_permutations, dilate_lattice,
                            make_group, make_lattice, offset_permutations, orbit_partition,
                            reduce_to_fundamental)
@@ -242,19 +243,12 @@ def test_group_action_rejects_wrong_dimension():
 
 
 def test_pair_partition_holds_no_pair_table():
-    import tracemalloc
-
     # D4 on 3 x 3 offsets at r = 128: the |G| x |K| r^d int64 table of
     # (offset, cell) index maps alone is 9.4 MB
     group = make_group([C4, MIRROR])
     grid = make_grid(make_lattice(np.eye(2)), 128,
                      [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])
-    tracemalloc.start()
-    try:
-        part = orbit_partition(grid, group)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    part, peak = traced_peak(lambda: orbit_partition(grid, group))
     assert len(part) and peak < 12e6
 
 
@@ -280,3 +274,30 @@ def test_cell_permutations_are_exact_for_large_entries():
             img = [sum(int(group.duals[g][a, b]) * j[b] for b in range(2)) % r
                    for a in range(2)]
             assert perms[g, c] == img[0] * r + img[1]
+
+
+@pytest.mark.parametrize("p", [2 ** 20, 2 ** 26, 2 ** 30, 2 ** 40, 2 ** 52 - 2])
+def test_make_group_is_exact_for_large_entries(p):
+    # the involution [[p, 1 - p], [p + 1, -p]] has determinant -1; a float
+    # determinant read it as 1 at 2^20 and 0 at 2^30, and refused it
+    M = np.array([[p, 1 - p], [p + 1, -p]])
+    group = make_group([M])
+    assert len(group) == 2
+    assert np.array_equal(group.elements[1], M)
+    eye = np.eye(2, dtype=object)
+    for g, dual in zip(group.elements, group.duals):
+        assert np.array_equal(g.T.astype(object) @ dual.astype(object), eye)
+    # determinants other than +-1 are still refused, however large
+    for bad in ([[p, 1 - p], [p + 1, 1 - p]], [[p, 3], [5, p + 2]]):
+        with pytest.raises(ValueError, match="^does not preserve lattice: \\|det\\| = "):
+            make_group([np.array(bad)])
+
+
+def test_make_group_refuses_products_of_2_53_or_more():
+    # each generator's entries are below 2^53, a product's are not: refused
+    # before an int64 product can wrap
+    shear = np.array([[1, 2 ** 52], [0, 1]])
+    with pytest.raises(ValueError, match="^group element entry of magnitude 2\\^53 or more$"):
+        make_group([shear])
+    with pytest.raises(ValueError, match="^group element entry of magnitude 2\\^53 or more$"):
+        make_group([np.array([[1, 2 ** 51], [0, 1]]), np.array([[1, 0], [2 ** 51, 1]])])

@@ -7,6 +7,7 @@ from hypothesis import given, seed
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import traced_peak
 from pwsis import fibers, solver
 from pwsis.fibers import GramianField, gramian_field, regrid_to_lattice, symmetrize
 from pwsis.lattice import (Lattice, _cell_permutations, _invariant, make_group, make_lattice,
@@ -17,8 +18,9 @@ from pwsis.solver import (_RANK_CUT, _TIE_GAP, _block_cells, ApproxReport, Subsp
                           generators, project_then_solve,
                           refinement_inequality_check, solve_then_project,
                           subspace_length)
-from pwsis.spectral import (FrequencyGrid, Scene, SpectralDataset, _abs2, interval,
-                            make_grid, project_pw, pw_mask, residual_energy, synthesize)
+from pwsis.spectral import (Box, FrequencyGrid, Scene, SpectralDataset, _abs2, _band_energy,
+                            interval, make_grid, project_pw, pw_mask, residual_energy,
+                            synthesize)
 from pwsis.suites import run_property_suites
 from test_fibers import _whole_array_gramian
 
@@ -589,9 +591,9 @@ def test_blocked_best_gamma_matches_materialized_field(monkeypatch):
 
 
 def test_fiber_blocks_ending_in_a_single_cell_match_the_whole_array_route(monkeypatch):
-    # _BLOCK_BYTES is set so that the fiber blocks of _build_basis and
-    # _captured hold n - 1 of the n active cells: the last block is a
-    # single cell, whose einsum must give the bits of the whole-array pass
+    # _BLOCK_BYTES is set so that the blocks of the pass that builds and
+    # measures the basis hold n - 1 of the n active cells: the last block is
+    # a single cell, whose einsums must give the bits of the whole-array pass
     lat = make_lattice(np.eye(2))
     group = make_group([_ROT4, _FLIP])
     grid = make_grid(lat, 6, _closed_offsets(group, [[0, 0], [1, 0]]))
@@ -778,8 +780,6 @@ def test_gramian_fault_reaches_best_gamma_blocks(monkeypatch):
 
 
 def test_best_gamma_never_holds_the_whole_gramian_field():
-    import tracemalloc
-
     # D4 with m = 6 on 3 x 3 offsets: the representatives' field is
     # n_reps 48 x 48 complex matrices
     lat = make_lattice(np.eye(2))
@@ -790,18 +790,11 @@ def test_best_gamma_never_holds_the_whole_gramian_field():
     shape = (6, grid.n_offsets, grid.n_cells)
     F = SpectralDataset(lat, grid, rng.standard_normal(shape)
                         + 1j * rng.standard_normal(shape))
-    tracemalloc.start()
-    try:
-        best_gamma(F, group, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: best_gamma(F, group, 1))
     assert peak < n_reps * 48 * 48 * 16
 
 
 def test_best_gamma_never_holds_the_representatives_fibers():
-    import tracemalloc
-
     # D4 with m = 6 on 5 x 5 offsets: the representatives' symmetrized
     # fibers are m|G| x |K| x n_reps complex samples, 6.2 MB here, against
     # about 1 MB per gathered or eigh block
@@ -814,12 +807,7 @@ def test_best_gamma_never_holds_the_representatives_fibers():
     shape = (m, grid.n_offsets, grid.n_cells)
     F = SpectralDataset(lat, grid, rng.standard_normal(shape)
                         + 1j * rng.standard_normal(shape))
-    tracemalloc.start()
-    try:
-        best_gamma(F, group, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: best_gamma(F, group, 1))
     assert peak < m * len(group) * grid.n_offsets * n_reps * 16
 
 
@@ -1117,10 +1105,12 @@ def test_lattice_gramian_matches_the_regridded_dataset_route(monkeypatch):
     # the trace pass, of the active cells for the Gramians
     R = _reference_regrid(dead, lats[2])
     for n in (R.grid.n_cells, gramian_field(R).n_active):
-        monkeypatch.setattr(fibers, "_BLOCK_BYTES", 16 * 3 * R.grid.n_offsets * (n - 1))
-        assert n % fibers._block_cells(3, R.grid.n_offsets) == 1
+        # the route's gather takes a copy, which its block counts beside
+        # the conjugate: 2 m fibers per cell
+        monkeypatch.setattr(fibers, "_BLOCK_BYTES", 16 * 6 * R.grid.n_offsets * (n - 1))
+        assert n % fibers._block_cells(6, R.grid.n_offsets) == 1
         step = fibers._lattice_blocks(dead, fibers._regrid_layout(dead, lats[2]))[5]
-        assert step == fibers._block_cells(3, R.grid.n_offsets)
+        assert step == fibers._block_cells(6, R.grid.n_offsets)
         for F in (dense, dead):
             _assert_lattice_field(F, lats[2])
     monkeypatch.undo()
@@ -1258,7 +1248,6 @@ def test_non_invariant_band_is_refused():
 
 
 def test_group_band_solve_holds_no_pair_table():
-    import tracemalloc
     from pwsis.spectral import PWMask
 
     # D4 with m = 3 on 3 x 3 offsets at r = 256: 28.3 MB of values; the
@@ -1272,34 +1261,22 @@ def test_group_band_solve_holds_no_pair_table():
     F = SpectralDataset(lat, grid, rng.standard_normal(shape)
                         + 1j * rng.standard_normal(shape))
     table = 8 * len(group) * grid.n_offsets * grid.n_cells
-    tracemalloc.start()
-    try:
-        project_then_solve(F, PWMask.full(lat, grid), 1, group=group)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: project_then_solve(F, PWMask.full(lat, grid), 1,
+                                                     group=group))
     assert peak < table
 
 
 def test_compare_lattices_route_never_holds_the_target():
-    import tracemalloc
-
     F = _files_layout(73)
     for basis in _FILES_LATTICES[1:]:
         lat = make_lattice(basis)
         target = fibers._regrid_layout(F, lat)[0]
         nbytes = 16 * F.m * target.n_offsets * target.n_cells
-        tracemalloc.start()
-        try:
-            solver._lattice_cut(F, lat)(1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: solver._lattice_cut(F, lat)(1))
         assert peak < nbytes
 
 
 def test_no_solve_holds_its_gramian_field():
-    import tracemalloc
     from pwsis.spectral import PWMask
 
     # m = 8 channels on K = {0} at r = 128: the Gramian field is 16,384
@@ -1318,17 +1295,11 @@ def test_no_solve_holds_its_gramian_field():
     for solve in (lambda: best_sis(F, 1), lambda: project_then_solve(F, mask, 1),
                   lambda: subspace_length(F), lambda: refinement_inequality_check(F, 2, 1),
                   lambda: solver._lattice_cut(F, make_lattice(_FILES_LATTICES[1]))(1)):
-        tracemalloc.start()
-        try:
-            solve()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(solve)
         assert peak < field
 
 
 def test_band_solves_never_copy_the_dataset():
-    import tracemalloc
     from pwsis.spectral import PWMask
 
     # the files layout, 4.9 MB of values, and D4 with m = 6 on 5 x 5
@@ -1347,55 +1318,51 @@ def test_band_solves_never_copy_the_dataset():
         bits[o] = rng.random() < 0.25
     gmask = PWMask(F.lattice, grid, bits.reshape(grid.n_offsets, grid.n_cells))
     for data, band, g in ((F, mask, None), (Fg, gmask, group)):
-        tracemalloc.start()
-        try:
-            project_then_solve(data, band, 1, group=g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: project_then_solve(data, band, 1, group=g))
         assert peak < data.values.nbytes
 
 
 def test_solve_then_project_clips_one_cell_at_a_time(monkeypatch):
-    import tracemalloc
     from pwsis.spectral import PWMask
 
     # m = 2, ell = 2 on 5 x 5 offsets at r = 64: the basis is 3.3 MB; with
-    # the solve done beforehand and the error not measured, the clipping
-    # holds only the clipped basis it returns
+    # the rank cut taken beforehand, the pass that builds, clips and
+    # measures the rows holds the clipped basis it returns and one block,
+    # not a second basis: clipping adds less than a quarter of the basis
+    # to the peak of the same pass unclipped
     F = _files_layout(77).select_channels([0, 1])
     mask = PWMask(F.lattice, F.grid, np.random.default_rng(78).random(
         (F.grid.n_offsets, F.grid.n_cells)) < 0.5)
     want, _ = solve_then_project(F, mask, 2)
-    solved = solver._sis_model(F, 2)
-    monkeypatch.setattr(solver, "_sis_model", lambda F, ell: solved)
-    monkeypatch.setattr(solver, "error_against", lambda F, model: None)
-    tracemalloc.start()
-    try:
-        model, _ = solve_then_project(F, mask, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cut = solver._dataset_cut(F, 2)
+    monkeypatch.setattr(solver, "_dataset_cut", lambda *a: cut)
+    (model, _, _, _), clipped = traced_peak(lambda: solver._solve(F, 2, clip=mask.bits))
+    _, plain = traced_peak(lambda: solver._solve(F, 2))
     assert np.array_equal(model.basis, want.basis)
-    assert peak < 1.25 * model.basis.nbytes
+    assert clipped - plain < 0.25 * model.basis.nbytes
 
 
 def test_solve_then_project_measures_one_error(monkeypatch):
     from pwsis.spectral import PWMask
 
-    # the clipped model's error, and not the unclipped one's as well
+    # the clipped model's error, and not the unclipped one's as well: one
+    # pass over the fibers builds, clips and measures the rows
     F = _files_layout(79).select_channels([0, 1])
     mask = PWMask(F.lattice, F.grid, np.random.default_rng(80).random(
         (F.grid.n_offsets, F.grid.n_cells)) < 0.5)
     want = solve_then_project(F, mask, 2)
     calls = []
-    unexplained = solver._unexplained
-    monkeypatch.setattr(solver, "_unexplained",
-                        lambda *a: calls.append(a[1]) or unexplained(*a))
+    fiber_pass = solver._fiber_pass
+    monkeypatch.setattr(solver, "_fiber_pass",
+                        lambda *a, **k: calls.append(a[5]) or fiber_pass(*a, **k))
     model, rep = solve_then_project(F, mask, 2)
-    assert calls == [model]
+    assert len(calls) == 1 and calls[0] is mask.bits
+    monkeypatch.undo()
     assert np.array_equal(model.basis, want[0].basis)
     assert rep.total_error == want[1].total_error
+    direct = error_against(F, model)
+    assert rep.total_error == direct.total_error
+    assert np.array_equal(rep.per_channel, direct.per_channel)
 
 
 def _orthonormalize_rows(rows, drop=1e-12):
@@ -1455,3 +1422,263 @@ def test_block_gram_schmidt_matches_the_per_cell_loop(ell):
     if ell >= 2:  # rows were dropped at the cut where one or two offsets stay
         few = np.isin(solved.active_idx, np.flatnonzero(kind >= 2))
         assert np.any(dims[few] < solved.dims[few]) and np.any(dims[few] > 0)
+
+
+# The basis and error routes as they were before one pass built, clipped
+# and measured the rows: _build_basis took the basis whole, a block of
+# fibers at a time, and _captured gathered every fiber again to measure it.
+
+def _two_pass_build_basis(gather, ef, ell):
+    rows = min(ell, ef.m)
+    na = ef.n_active
+    nK = ef.grid.n_offsets
+    if rows == 0 or na == 0:
+        return np.zeros((na, rows, nK), dtype=np.complex128), np.zeros(na, dtype=np.int64)
+    lam = ef.eigenvalues[:, :rows]
+    cut = _RANK_CUT * ef.trace
+    keep = lam > cut[:, None]
+    dims = keep.sum(axis=1).astype(np.int64)
+    inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, lam, 1.0)), 0.0)
+    scaled = ef.vectors[:, :rows, :].conj() * inv_sqrt[:, :, None]
+    basis = np.empty((na, rows, nK), dtype=np.complex128)
+    step = _block_cells(ef.m, nK)
+    for s in range(0, na, step):
+        basis[s:s + step] = np.einsum("cji,ikc->cjk", scaled[s:s + step],
+                                      gather(ef.active_idx[s:s + step]))
+    basis[~keep] = 0.0
+    return basis, dims
+
+
+def _two_pass_captured(gather, m, model):
+    na, rows, nK = model.basis.shape
+    amp = np.empty((na, m, rows), dtype=np.complex128)
+    step = _block_cells(m, nK)
+    for s in range(0, na, step):
+        amp[s:s + step] = np.einsum("cjk,ikc->cij", model.basis[s:s + step].conj(),
+                                    gather(model.active_idx[s:s + step]))
+    return _abs2(amp).sum(axis=(0, 2)) * model.grid.cell_weight
+
+
+def _two_pass_unexplained(F, model, bits=None):
+    energy = F.energy() if bits is None else _band_energy(F, bits)
+    return energy - _two_pass_captured(fibers._gather(F, bits), F.m, model)
+
+
+def _two_pass_sis_model(F, ell, bits=None):
+    ef = solver._dataset_cut(F, ell, bits)
+    basis, dims = _two_pass_build_basis(fibers._gather(F, bits), ef, ell)
+    return SubspaceModel(F.lattice, F.grid, ell, ef.active_idx, basis, dims), ef
+
+
+def _two_pass_best_sis(F, ell, bits=None):
+    model, ef = _two_pass_sis_model(F, ell, bits)
+    per_channel = _two_pass_unexplained(F, model, bits)
+    return model, ApproxReport(ef.error, per_channel, active_idx=ef.active_idx,
+                               density=ef.density)
+
+
+def _two_pass_best_gamma(F, group, ell, bits=None):
+    n_group, m, nK = len(group), F.m, F.grid.n_offsets
+    part = orbit_partition(F.grid, group, cells_only=True)
+    reps, cell_perms = part.representatives, part.cell_perms
+    off_perms = offset_permutations(F.grid, group)
+    gather = fibers._symmetrized(F, group, cell_perms, off_perms, bits)
+    route = fibers._fiber_blocks(F.grid, m * n_group, reps, gather, fiber_side=True)
+    _, _, active, trace, fiber_ops, _ = route
+    ef = solver._eigen_cut(*route, ell)
+    rows = min(ell, m * n_group)
+    kept = min(rows, nK)
+    live = ef.eigenvalues[:, :kept] > _RANK_CUT * trace[:, None]
+    rep_basis = np.zeros((len(active), rows, nK), dtype=np.complex128)
+    rep_basis[:, :kept] = ef.vectors[:, :kept] * live[:, :, None]
+    rep_dims = live.sum(axis=1).astype(np.int64)
+    if 0 < ell < nK:
+        w = ef.eigenvalues
+        for i in np.flatnonzero(w[:, ell - 1] - w[:, ell] < _TIE_GAP * trace):
+            c = active[i]
+            stab = off_perms[cell_perms[:, c] == c]
+            if len(stab) > 1:
+                vecs, ef.density[i] = solver._invariant_cut(fiber_ops(i, i + 1)[0], trace[i],
+                                                            stab, rows)
+                rep_basis[i] = 0.0
+                rep_basis[i, :len(vecs)] = vecs
+                rep_dims[i] = len(vecs)
+    rep_pos = np.full(len(reps), -1, dtype=np.int64)
+    rep_pos[np.searchsorted(reps, active)] = np.arange(len(active))
+    cell_rep = rep_pos[part.orbit_index]
+    all_active = np.flatnonzero(cell_rep >= 0)
+    src = cell_rep[all_active]
+    pos = np.searchsorted(all_active, cell_perms[:, ef.active_idx])
+    basis = np.empty((len(all_active),) + rep_basis.shape[1:], dtype=np.complex128)
+    for gi in range(n_group - 1, -1, -1):
+        basis[pos[gi]] = rep_basis[:, :, off_perms[group.inverses[gi]]]
+    model = SubspaceModel(F.lattice, F.grid, ell, all_active, basis, rep_dims[src],
+                          group=group)
+    per_channel = _two_pass_unexplained(F, model, bits)
+    return model, ApproxReport(float(per_channel.sum()), per_channel, active_idx=all_active,
+                               density=ef.density[src] / n_group)
+
+
+def _two_pass_error_against(F, model):
+    per_channel = _two_pass_unexplained(F, model)
+    return ApproxReport(float(per_channel.sum()), per_channel)
+
+
+def _two_pass_project_then_solve(F, mask, ell, group=None):
+    outside = residual_energy(F, mask)
+    if group is not None:
+        model, rep = _two_pass_best_gamma(F, group, ell, mask.bits)
+    else:
+        model, rep = _two_pass_best_sis(F, ell, mask.bits)
+    total = rep.total_error + float(outside.sum())
+    direct = _two_pass_error_against(F, model)
+    assert abs(direct.total_error - total) <= 1e-9 * (1.0 + float(F.energy().sum()))
+    return model, ApproxReport(total, rep.per_channel + outside, active_idx=rep.active_idx,
+                               density=rep.density, projected_error=rep.total_error,
+                               band_residual=float(outside.sum()))
+
+
+def _two_pass_solve_then_project(F, mask, ell):
+    model, _ = _two_pass_sis_model(F, ell)
+    step = _block_cells(4, F.grid.n_offsets)
+    for s in range(0, len(model.active_idx), step):
+        model.dims[s:s + step] = solver._clip_orthonormalize(
+            model.basis[s:s + step], mask.bits[:, model.active_idx[s:s + step]])
+    return model, _two_pass_error_against(F, model)
+
+
+def _assert_same_solution(got, want):
+    (model, rep), (ref_model, ref) = got, want
+    for field in ("active_idx", "dims", "basis"):
+        a, b = getattr(model, field), getattr(ref_model, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert rep.total_error == ref.total_error
+    assert rep.per_channel.tobytes() == ref.per_channel.tobytes()
+    for field in ("active_idx", "density"):
+        a, b = getattr(rep, field), getattr(ref, field)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    assert rep.projected_error == ref.projected_error
+    assert rep.band_residual == ref.band_residual
+
+
+def _bit_cases():
+    """Datasets with and without dead cells and a support, a synthesized
+    one stored as pairs, and no channels at all."""
+    rng = np.random.default_rng(97)
+    lat = make_lattice(np.eye(2))
+    cases = [_files_layout(98, dead=True).select_channels([0, 1])]
+    for m, r, offs in ((3, 12, [[0, 0], [1, 0], [0, 1]]), (1, 8, [[0, 0]]),
+                       (0, 4, [[0, 0], [1, 0]])):
+        grid = make_grid(lat, r, offs)
+        shape = (m, grid.n_offsets, grid.n_cells)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vals[:, :, rng.random(grid.n_cells) < 0.3] = 0.0
+        support = np.flatnonzero(np.abs(vals).sum(axis=(0, 1)))
+        cases.append(SpectralDataset(lat, grid, vals, support=support))
+    scene = Scene(2)
+    scene.add(0, 1.0, Box([0.1, 0.2], [0.7, 0.9]))
+    scene.add(1, 0.5 - 0.25j, Box([-0.5, 0.0], [0.3, 0.4]), mod=[0.3, -0.7])
+    scene.add(1, 2.0, Box([0.0, 0.0], [0.25, 0.25]))
+    F = synthesize(scene, lat, make_grid(lat, 32, [[a, b] for a in (-1, 0, 1)
+                                                   for b in (-1, 0, 1)]))
+    assert F._pairs is not None
+    cases.append(F)
+    return cases
+
+
+@pytest.mark.parametrize("block_bytes", [None, 16 * 3 * 25 * 7])
+def test_solves_match_the_two_pass_basis_and_error_routes(monkeypatch, block_bytes):
+    # every public solve returns the model and report the separate basis
+    # and error passes gave, bit for bit, with default and with small blocks
+    from pwsis.spectral import PWMask
+
+    if block_bytes is not None:
+        monkeypatch.setattr(fibers, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(99)
+    for F in _bit_cases():
+        mask = PWMask(F.lattice, F.grid, rng.random((F.grid.n_offsets, F.grid.n_cells)) < 0.5)
+        for ell in (0, 1, 2, 4):
+            _assert_same_solution(best_sis(F, ell), _two_pass_best_sis(F, ell))
+            _assert_same_solution(project_then_solve(F, mask, ell),
+                                  _two_pass_project_then_solve(F, mask, ell))
+            _assert_same_solution(solve_then_project(F, mask, ell),
+                                  _two_pass_solve_then_project(F, mask, ell))
+        model, _ = best_sis(F, 2)
+        _assert_same_solution((model, error_against(F, model)),
+                              (model, _two_pass_error_against(F, model)))
+    lat = make_lattice(np.eye(2))
+    for gens in ([_ROT4], [_ROT4, _FLIP]):
+        group = make_group(gens)
+        grid = make_grid(lat, 10, _closed_offsets(group, [[0, 0], [1, 0], [1, 1]]))
+        part = orbit_partition(grid, group, cells_only=True)
+        shape = (3, grid.n_offsets, grid.n_cells)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for o in part.orbits[::4]:
+            vals[:, :, o] = 0.0
+        F = SpectralDataset(lat, grid, vals)
+        bits = np.zeros(grid.n_offsets * grid.n_cells, dtype=bool)
+        for o in orbit_partition(grid, group).orbits:
+            bits[o] = rng.random() < 0.5
+        mask = PWMask(lat, grid, bits.reshape(grid.n_offsets, grid.n_cells))
+        for ell in (0, 1, 2, 5):
+            _assert_same_solution(best_gamma(F, group, ell), _two_pass_best_gamma(F, group, ell))
+            _assert_same_solution(project_then_solve(F, mask, ell, group=group),
+                                  _two_pass_project_then_solve(F, mask, ell, group))
+
+
+def test_command_line_solves_hold_no_basis():
+    # the command line's solves print the same reports from models that
+    # keep only their cells and dims
+    from pwsis.spectral import PWMask
+
+    F = _files_layout(100, dead=True)
+    mask = PWMask(F.lattice, F.grid, np.random.default_rng(101).random(
+        (F.grid.n_offsets, F.grid.n_cells)) < 0.5)
+    group = make_group([_ROT4, _FLIP])
+    grid = make_grid(F.lattice, 8, F.grid.offsets)
+    Fg = SpectralDataset(F.lattice, grid, np.random.default_rng(102).standard_normal(
+        (2, grid.n_offsets, grid.n_cells)) + 0j)
+    runs = [(lambda s: best_sis(F, 2, _store=s), best_sis(F, 2)),
+            (lambda s: best_gamma(Fg, group, 1, _store=s), best_gamma(Fg, group, 1)),
+            (lambda s: project_then_solve(F, mask, 2, _store=s),
+             project_then_solve(F, mask, 2)),
+            (lambda s: solve_then_project(F, mask, 2, _store=s),
+             solve_then_project(F, mask, 2))]
+    for run, (want_model, want) in runs:
+        model, rep = run(False)
+        assert model.basis is None
+        assert np.array_equal(model.dims, want_model.dims)
+        assert np.array_equal(model.active_idx, want_model.active_idx)
+        assert rep.total_error == want.total_error
+        assert np.array_equal(rep.per_channel, want.per_channel)
+
+
+def test_lattice_cut_keeps_no_eigenvectors(monkeypatch):
+    # compare-lattices reads only the error and length: the cut keeps
+    # neither eigenvalues nor eigenvectors, and still orders ties per block,
+    # so its density has the bits of the cut that keeps them.  m = 12
+    # discards up to 11 eigenvalues, which numpy sums pairwise
+    rng = np.random.default_rng(103)
+    m = 12
+    G = _tied_field(rng, 2 * _block_cells(m, m) + 37, m)
+    for ell in (0, 1, 5, m - 1, m):
+        args = (None, m, G.active_idx, G.trace, lambda s, e: G.mats[s:e],
+                _block_cells(m, m), ell)
+        full = solver._eigen_cut(*args)
+        bare = solver._eigen_cut(*args, vectors=False)
+        assert bare.eigenvalues is None and bare.vectors is None
+        density = full.eigenvalues[:, ell:].sum(axis=1) if ell < m else np.zeros(G.n_active)
+        assert bare.density.tobytes() == density.tobytes() == full.density.tobytes()
+        assert bare.length == full.length
+    F = _files_layout(104, dead=True)
+    for basis in _FILES_LATTICES:
+        layout = fibers._regrid_layout(F, make_lattice(basis))
+        for block_bytes in (None, 16 * 6 * 9 * 97):
+            if block_bytes is not None:
+                monkeypatch.setattr(fibers, "_BLOCK_BYTES", block_bytes)
+            full = solver._eigen_cut(*fibers._lattice_blocks(F, layout), 1)
+            bare = solver._lattice_cut(F, make_lattice(basis))(1)
+            monkeypatch.undo()
+            assert bare.vectors is None
+            assert bare.error == full.error and bare.length == full.length
+            assert bare.density.tobytes() == full.density.tobytes()

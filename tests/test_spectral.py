@@ -4,7 +4,9 @@ from hypothesis import given, seed
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import traced_peak
 from pwsis.lattice import make_lattice
+from pwsis.spectral import (_abs2, _band_energy, _channel_abs2)
 from pwsis.spectral import (Ball, Box, PWMask, Scene, SpectralDataset,
                             interval, make_grid, project_pw, pw_mask,
                             residual_energy, synthesize)
@@ -550,3 +552,50 @@ def test_dense_storage_where_pairs_are_not_smaller():
     assert G.support.tolist() == list(range(250, 260))
     empty = synthesize(Scene(1), LAT_Z, sparse)
     assert empty.m == 0 and empty.values.shape == (0, 3, 1000)
+
+
+def _energy_cases():
+    """Datasets whose channels span less than, exactly and more than one
+    slice of _channel_abs2, with masks empty, full and random."""
+    rng = np.random.default_rng(31)
+    lat = make_lattice(np.eye(2))
+    for m, r, n_off in ((2, 5, 3), (1, 64, 2), (3, 48, 5)):
+        offsets = [[k, 0] for k in range(n_off)]
+        grid = make_grid(lat, r, offsets)
+        shape = (m, grid.n_offsets, grid.n_cells)
+        F = SpectralDataset(lat, grid, rng.standard_normal(shape) * 10.0 ** rng.integers(
+            -3, 4, size=shape) + 1j * rng.standard_normal(shape))
+        for bits in (np.zeros(shape[1:], dtype=bool), np.ones(shape[1:], dtype=bool),
+                     rng.random(shape[1:]) < 0.5):
+            yield F, PWMask(lat, grid, bits)
+
+
+def test_energies_keep_the_bits_of_the_whole_array_sums():
+    # each channel's |v|^2 is built into one array, the squared imaginary
+    # parts added a slice at a time, and summed whole: the bits of
+    # _abs2(values[i]).sum(), and in a band those of project_pw's energy
+    for F, mask in _energy_cases():
+        w = F.grid.cell_weight
+        for i in range(F.m):
+            v = F.values[i]
+            assert _channel_abs2(v).tobytes() == _abs2(v).tobytes()
+            assert F.energy(i) == _abs2(v).sum() * w
+        band = _band_energy(F, mask.bits)
+        assert band.tobytes() == project_pw(F, mask).energy().tobytes()
+        assert residual_energy(F, mask).tobytes() == project_pw(
+            F, mask.complement()).energy().tobytes()
+
+
+def test_energies_hold_one_channel_array():
+    # one channel of 2 x 128^2 samples: its |v|^2 is 256 KiB; energy held
+    # two arrays of that size and the band energy three
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 128, [[0, 0], [1, 0]])
+    rng = np.random.default_rng(32)
+    shape = (3, grid.n_offsets, grid.n_cells)
+    F = SpectralDataset(lat, grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    bits = rng.random(shape[1:]) < 0.5
+    channel = 8 * grid.n_offsets * grid.n_cells
+    for energy in (F.energy, lambda: _band_energy(F, bits)):
+        _, peak = traced_peak(energy)
+        assert peak < 1.5 * channel

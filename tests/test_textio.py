@@ -1,10 +1,10 @@
 import os
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from pwsis.fibers import gramian_field
 from pwsis.lattice import make_lattice
 from pwsis.solver import best_sis, generators
@@ -571,12 +571,7 @@ def test_read_dataset_never_holds_the_whole_text(tmp_path):
     path = tmp_path / "big.dataset"
     write_dataset(F, path)
     assert path.stat().st_size > F.values.nbytes + 8 * textio._CHUNK
-    tracemalloc.start()
-    try:
-        back = read_dataset(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, peak = traced_peak(lambda: read_dataset(path))
     assert np.array_equal(back.values, F.values)
     assert peak < F.values.nbytes + 8 * textio._CHUNK
 
@@ -946,11 +941,6 @@ def test_read_dataset_fills_the_rows_of_offsets_listed_out_of_order(tmp_path):
         for block in blocks:
             fh.writelines(block)
     del lines, body, blocks
-    tracemalloc.start()
-    try:
-        back = read_dataset(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, peak = traced_peak(lambda: read_dataset(path))
     assert np.array_equal(_bits_of(back.values), _bits_of(F.values))
     assert peak < F.values.nbytes + 8 * textio._CHUNK
