@@ -56,16 +56,29 @@ def _cmd_synth(args):
                          "supported bound %d" % (count, spectral._VALUE_CAP))
     grid = spectral.make_grid(lat, r, offsets)
     F = spectral.synthesize(scene, lat, grid)
-    # coefficients below the bound can sum, or turn by a phase, past it;
-    # the samples not stored are zero
-    if not spectral._within_cap(F._stored):
-        raise ValueError("%s: synthesized samples reach 2^511 or more in magnitude"
-                         % args.scene)
     energy = F.energy().sum() if F.m else 0.0
     textio.write_dataset(F, args.out)
     print("channels %d" % F.m)
     print("energy %s" % _g(energy))
     return 0
+
+
+def _read_mask(args, F):
+    """The mask file args.mask, checked against F, read from args.data: an
+    error naming both files and the first field of the grids that differs."""
+    import numpy as np
+
+    from . import textio
+
+    mask = textio.read_mask(args.mask)
+    a, b = F.grid, mask.grid
+    for field, same in (("dimension", a.d == b.d), ("resolution", a.r == b.r),
+                        ("lattice", a.lattice.same_as(b.lattice)),
+                        ("offsets", np.array_equal(a.offsets, b.offsets))):
+        if not same:
+            raise ValueError("%s: grid differs from the dataset %s in its %s"
+                             % (args.mask, args.data, field))
+    return mask
 
 
 def _model_length(model):
@@ -78,7 +91,7 @@ def _cmd_solve(args):
 
     F = textio.read_dataset(args.data)
     group = textio.read_group_file(args.group, F.grid.d) if args.group else None
-    mask = textio.read_mask(args.mask) if args.mask else None
+    mask = _read_mask(args, F) if args.mask else None
     if args.dump_gramian:
         from .fibers import gramian_field
 
@@ -105,7 +118,7 @@ def _cmd_project(args):
     from . import spectral, textio
 
     F = textio.read_dataset(args.data)
-    mask = textio.read_mask(args.mask)
+    mask = _read_mask(args, F)
     # both energies are checked before the output is opened; the projected
     # samples are written as they are zeroed, with no projected copy
     outside = spectral.residual_energy(F, mask)
@@ -123,6 +136,7 @@ def _cmd_omega_opt(args):
     density = omega.energy_density(F)
     total = density.total()  # finite, so is every sum of boxes below
     if args.group:
+        density = None  # best_omega_invariant builds its own
         group = textio.read_group_file(args.group, F.grid.d)
         mask, captured = omega.best_omega_invariant(F, group, args.measure)
     else:
@@ -138,7 +152,7 @@ def _cmd_pipeline(args):
     from . import solver, textio
 
     F = textio.read_dataset(args.data)
-    mask = textio.read_mask(args.mask)
+    mask = _read_mask(args, F)
     _, first = solver.project_then_solve(F, mask, args.ell, _store=False)
     _, second = solver.solve_then_project(F, mask, args.ell, _store=False)
     print("project-then-solve %s" % _g(first.total_error))

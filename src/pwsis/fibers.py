@@ -69,7 +69,7 @@ def fiber(F, i, cell):
     """Fiber of channel i at a cell (flat index or d-tuple of cell indices)."""
     _check_channel(F, i)
     c = _flat_cell(F.grid, cell)
-    return FiberVector(c, F.values[i, :, c].copy())
+    return FiberVector(c, F._take(np.arange(F.grid.n_offsets) * F.grid.n_cells + c)[i])
 
 
 class GramianField:
@@ -117,15 +117,15 @@ def _block_cells(m, k):
 
 def _cell_trace(values):
     """Sum of |value|^2 per cell: each channel's offsets in ascending order,
-    then the channels in order, one row at a time to bound temporaries.  The
+    then the channels in order, one channel's |v|^2 held at a time.  The
     explicit row loop keeps that order for any number of cells (numpy sums a
     single column pairwise), so a subset of cells gets the grid's sums."""
     out = np.zeros(values.shape[2])
     for i in range(values.shape[0]):
-        s = _abs2(values[i, 0])
+        s = _abs2(values[i])
         for k in range(1, values.shape[1]):
-            s += _abs2(values[i, k])
-        out += s
+            s[0] += s[k]
+        out += s[0]
     return out
 
 
@@ -149,34 +149,17 @@ def _gramian_mats(va):
     return np.einsum("ikc,jkc->cij", va, other)
 
 
-def _pair_fibers(F, c):
-    """F's (m, |K|, len(c)) fibers at the ascending cells c, filled from its
-    (offset, cell) pairs by one searchsorted of the |K| * len(c) keys."""
-    keys, pairs = F._pairs
-    want = (np.arange(F.grid.n_offsets)[:, None] * F.grid.n_cells + c).ravel()
-    pos = np.searchsorted(keys, want)
-    found = pos < keys.size
-    found[found] = keys[pos[found]] == want[found]
-    v = np.zeros((pairs.shape[0], want.size), dtype=np.complex128)
-    v[:, found] = pairs[:, pos[found]]
-    return v.reshape(pairs.shape[0], F.grid.n_offsets, len(c))
-
-
 def _gather(F, bits=None):
-    """gather(c): F's (m, |K|, len(c)) fibers at the ascending cells c, read
-    in place for a contiguous run and taken otherwise, or filled from F's
-    pairs when it is stored as pairs; with the bits of a band mask, those of
-    project_pw(F, mask), zeroed off the band."""
+    """gather(c): F's (m, |K|, len(c)) fibers at the ascending cells c
+    (SpectralDataset._fibers); with the bits of a band mask, those of
+    project_pw(F, mask): the positions off the band read as -1, so zero."""
+    if bits is None:
+        return F._fibers
+
     def gather(c):
-        if F._pairs is not None:
-            v = _pair_fibers(F, c)
-        elif bits is None and c[-1] - c[0] == len(c) - 1:
-            return F.values[:, :, c[0]:c[-1] + 1]
-        else:
-            v = F.values.take(c, axis=2)
-        if bits is not None:
-            np.copyto(v, 0.0, where=~bits.take(c, axis=1))
-        return v
+        idx = np.arange(F.grid.n_offsets)[:, None] * F.grid.n_cells + c
+        idx[~bits.take(c, axis=1)] = -1
+        return F._take(idx)
 
     return gather
 
@@ -227,19 +210,18 @@ def gramian_field(F):
 def _symmetrized(F, group, cell_perms, off_perms, bits=None):
     """gather(c): symmetrize(F, group)'s fibers at the cells c, channel (g, i)
     at (k, c) taken from f_i at the inverse image, one group element's
-    channels at a time; with the bits of an invariant band, zeroed off it as
-    _gather zeroes them."""
+    channels at a time; with the bits of an invariant band, the positions
+    off it read as -1, as in _gather."""
     m, n = F.m, F.grid.n_cells
-    flat = F.values.reshape(m, F.grid.n_offsets * n)
 
     def gather(c):
         out = np.empty((m * len(group), F.grid.n_offsets, len(c)), dtype=np.complex128)
+        hole = None if bits is None else ~bits.take(c, axis=1)
         for g, inv in enumerate(group.inverses):
             src = off_perms[inv][:, None] * n + cell_perms[inv, c]
-            # every index is in range; mode "raise" would buffer out whole
-            flat.take(src, axis=1, out=out[g * m:(g + 1) * m], mode="clip")
-        if bits is not None:
-            np.copyto(out, 0.0, where=~bits.take(c, axis=1))
+            if hole is not None:
+                src[hole] = -1
+            out[g * m:(g + 1) * m] = F._take(src)
         return out
 
     return gather
@@ -381,9 +363,9 @@ def _sample_coords(grid, C):
 
 def _regrid_map(F, layout):
     """For each sample of the regridded grid of layout = _regrid_layout(F,
-    lat), the flat position in F.values[i] of the source sample there: an
-    int32 table of shape (|K'|, r'^d) holding -1 where no sample lands.  With
-    a channel, the size cap keeps every position below 2^24."""
+    lat), the flat position k * n_cells + cell of the source sample there:
+    an int32 table of shape (|K'|, r'^d) holding -1 where no sample lands.
+    With a channel, the size cap keeps every position below 2^24."""
     grid2, C = layout
     K2 = grid2.offsets
     lo = K2.min(axis=0)
@@ -397,20 +379,6 @@ def _regrid_map(F, layout):
         rows = np.searchsorted(keys, np.ravel_multi_index((k2 - lo).T, box))
         src[rows, np.ravel_multi_index(j2.T, (grid2.r,) * grid2.d)] = pos + ki * n
     return src
-
-
-def _map_gather(F, src):
-    """gather(c): the regridded fibers at target cells c, read from F
-    through the regrid map src; zero where no sample lands."""
-    flat = F.values.reshape(F.m, F.grid.n_offsets * F.grid.n_cells)
-
-    def gather(c):
-        idx = src[:, c]
-        v = flat.take(idx, axis=1)
-        np.copyto(v, 0.0, where=idx < 0)
-        return v
-
-    return gather
 
 
 def regrid_to_lattice(F, lat):
@@ -427,9 +395,8 @@ def regrid_to_lattice(F, lat):
     layout = _regrid_layout(F, lat)
     if layout is None:
         return F
-    grid2 = layout[0]
-    vals = _map_gather(F, _regrid_map(F, layout))(np.arange(grid2.n_cells))
-    return SpectralDataset(lat, grid2, vals, check_finite=False)
+    return SpectralDataset(lat, layout[0], F._take(_regrid_map(F, layout)),
+                           check_finite=False)
 
 
 def _lattice_blocks(F, layout):
@@ -438,8 +405,9 @@ def _lattice_blocks(F, layout):
     if layout is None:
         return _dataset_blocks(F)
     grid2 = layout[0]
+    src = _regrid_map(F, layout)
     return _fiber_blocks(grid2, F.m, np.arange(grid2.n_cells),
-                         _map_gather(F, _regrid_map(F, layout)), copies=2)
+                         lambda c: F._take(src[:, c]), copies=2)
 
 
 def gramian_covariance_check(F, A):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .lattice import orbit_partition
-from .spectral import PWMask, _abs2, _finite_sum, _unique
+from .spectral import PWMask, _finite_sum, _unique
 
 __all__ = [
     "DensityField",
@@ -43,7 +43,7 @@ def energy_density(F):
     phi = np.zeros((F.grid.n_offsets, F.grid.n_cells))
     with np.errstate(over="ignore"):
         for i in range(F.m):
-            phi += _abs2(F.values[i])
+            phi += F._squares(i)
     return DensityField(F.lattice, F.grid, phi)
 
 
@@ -69,15 +69,22 @@ def _box_count(grid, measure):
 def best_omega(density, measure):
     """Mask of the n highest-density boxes (ties broken toward the smaller
     flat index) and the captured energy; the mask maximizes captured energy
-    among all masks of the given measure."""
+    among all masks of the given measure.
+
+    The n-th largest density t is found by one partition: every box above
+    t is taken, then the boxes at t in ascending flat order until n are,
+    the set a stable descending sort would give first."""
     grid = density.grid
     n = _box_count(grid, measure)
     flat = density.phi.ravel()
-    order = np.argsort(-flat, kind="stable")
-    sel = np.sort(order[:n])
-    bits = np.zeros(flat.shape[0], dtype=bool)
-    bits[sel] = True
-    attained = float(flat[sel].sum() * grid.cell_weight)
+    if n:
+        t = np.partition(flat, flat.size - n)[flat.size - n]
+        bits = flat > t
+        tied = np.flatnonzero(flat == t)
+        bits[tied[:n - np.count_nonzero(bits)]] = True
+    else:
+        bits = np.zeros(flat.size, dtype=bool)
+    attained = float(flat[bits].sum() * grid.cell_weight)
     return PWMask(density.lattice, grid, bits.reshape(density.phi.shape)), attained
 
 

@@ -235,7 +235,7 @@ def _fiber_pass(F, cells, rows, rows_of, bits=None, clip=None, store=True):
     self-check, and is summed a block at a time instead."""
     m, nK = F.m, F.grid.n_offsets
     n = len(cells)
-    gather = _gather(F)
+    gather, band_gather = _gather(F), _gather(F, bits)
     amp = np.empty((n, m, rows), dtype=np.complex128)
     own = None if bits is None else np.zeros(m)
     basis = np.empty((n, rows, nK), dtype=np.complex128) if store else None
@@ -250,10 +250,8 @@ def _fiber_pass(F, cells, rows, rows_of, bits=None, clip=None, store=True):
         # a call per block: its arrays are freed before the next is built
         c = cells[s:e]
         v = gather(c)
-        if bits is not None:
-            band = v.copy()
-            np.copyto(band, 0.0, where=~bits.take(c, axis=1))
-        b = rows_of(s, e, v if bits is None else band)
+        band = v if bits is None else band_gather(c)
+        b = rows_of(s, e, band)
         if clip is not None:
             dims[s:e] = _clip_orthonormalize(b, clip[:, c])
         if store:

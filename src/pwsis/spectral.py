@@ -42,9 +42,9 @@ _MAGNITUDE_CAP = 2.0 ** 511
 
 
 class SumOverflow(ValueError):
-    """A sum of |v|^2 over samples below _MAGNITUDE_CAP is not finite.  Each
-    |v|^2 is, but a sum over many samples or channels may not be; the
-    command line names the input file the samples came from."""
+    """A sum of |v|^2 over samples below _MAGNITUDE_CAP, or a synthesized
+    sum of scene terms below it, exceeds its range; the command line names
+    the input file the samples came from."""
 
 
 def _finite_sum(x):
@@ -322,22 +322,16 @@ def _validate_band(primitives, lattice, grid):
                 )
 
 
-def _abs2(v):
-    """Elementwise |v|^2 of a complex array, the one form every energy,
-    trace and residual in the package is summed from."""
-    return v.real ** 2 + v.imag ** 2
-
-
-# samples whose squared imaginary parts _channel_abs2 adds at once
+# samples whose squared imaginary parts _abs2 adds at once
 _SLICE = 1 << 13
 
 
-def _channel_abs2(v):
-    """_abs2(v) of one channel's samples v, a new array of v's shape and
-    layout built without a second one: the squared real parts, to which
-    the squared imaginary parts are added a slice at a time.  Each entry
-    takes _abs2's two squares and one sum, so the bits are _abs2's."""
-    out = v.real ** 2
+def _abs2(v):
+    """Elementwise |v|^2 of a complex array, the one form every energy,
+    trace and residual in the package is summed from: a new C-ordered array
+    of the squared real parts, to which the squared imaginary parts are
+    added a slice at a time, so its bits are v.real ** 2 + v.imag ** 2's."""
+    out = np.square(v.real, out=np.empty(v.shape))
     flat, imag = out.reshape(-1), v.imag.reshape(-1)
     for a in range(0, flat.size, _SLICE):
         flat[a:a + _SLICE] += imag[a:a + _SLICE] ** 2
@@ -354,7 +348,8 @@ class SpectralDataset:
 
     A synthesized dataset may be stored as its nonzero (offset, cell) pairs
     instead (see _from_pairs); values is then built on first access and
-    kept, and fibers._gather reads the pairs without building it.
+    kept.  Only this class knows the storage: _take, _fibers and _squares
+    read the pairs without building values.
     """
 
     def __init__(self, lattice, grid, values, check_finite=True, support=None):
@@ -417,12 +412,48 @@ class SpectralDataset:
     def m(self):
         return self._stored.shape[0]
 
+    def _take(self, idx):
+        """Every channel's samples at the flat positions idx = k * n_cells +
+        cell, an int array of any shape, as a new (m,) + idx.shape array; a
+        negative position reads 0, the one way a gather reads a zero."""
+        if self._pairs is None:
+            flat = self.values.reshape(self.m, self.grid.n_offsets * self.grid.n_cells)
+            # mode "raise" would buffer out whole; negative positions clip
+            v = flat.take(idx, axis=1, mode="clip")
+            np.copyto(v, 0.0, where=idx < 0)
+            return v
+        keys, pairs = self._pairs
+        pos = np.searchsorted(keys, idx)
+        found = pos < keys.size
+        found[found] = keys[pos[found]] == idx[found]
+        v = np.zeros((pairs.shape[0],) + idx.shape, dtype=np.complex128)
+        v[:, found] = pairs[:, pos[found]]
+        return v
+
+    def _fibers(self, c):
+        """The (m, |K|, len(c)) fibers at the ascending cells c, a view for
+        a contiguous run of dense storage."""
+        if self._pairs is not None:
+            return self._take(np.arange(self.grid.n_offsets)[:, None] * self.grid.n_cells + c)
+        if c[-1] - c[0] == len(c) - 1:
+            return self.values[:, :, c[0]:c[-1] + 1]
+        return self.values.take(c, axis=2)
+
+    def _squares(self, i):
+        """_abs2 of channel i as a new (n_offsets, n_cells) array: the very
+        array of the dense layout, so every sum of it keeps its bits."""
+        if self._pairs is None:
+            return _abs2(self.values[i])
+        keys, pairs = self._pairs
+        out = np.zeros((self.grid.n_offsets, self.grid.n_cells))
+        out.reshape(-1)[keys] = _abs2(pairs[i])
+        return out
+
     def energy(self, i=None):
         """Squared norms per channel (Plancherel is exact on the grid)."""
         if i is not None:
             with np.errstate(over="ignore"):
-                return float(_finite_sum(_channel_abs2(self.values[i]).sum()
-                                         * self.grid.cell_weight))
+                return float(_finite_sum(self._squares(i).sum() * self.grid.cell_weight))
         out = np.empty(self.m)
         for ch in range(self.m):
             out[ch] = self.energy(ch)
@@ -488,15 +519,21 @@ def synthesize(scene, lattice, grid):
         for channel, ki, hit, add in samples:
             touched[hit] = True
             values[channel, ki, hit] += add
-        return SpectralDataset(lattice, grid, values, check_finite=False,
-                               support=np.flatnonzero(touched))
-    samples = list(samples)
-    keys = _unique(np.concatenate([np.zeros(0, dtype=np.int64)]
-                                  + [ki * n_cells + hit for _, ki, hit, _ in samples]))
-    pairs = np.zeros((m, keys.size), dtype=np.complex128)
-    for channel, ki, hit, add in samples:
-        pairs[channel, np.searchsorted(keys, ki * n_cells + hit)] += add
-    return SpectralDataset._from_pairs(lattice, grid, keys, pairs)
+        F = SpectralDataset(lattice, grid, values, check_finite=False,
+                            support=np.flatnonzero(touched))
+    else:
+        samples = list(samples)
+        keys = _unique(np.concatenate([np.zeros(0, dtype=np.int64)]
+                                      + [ki * n_cells + hit for _, ki, hit, _ in samples]))
+        pairs = np.zeros((m, keys.size), dtype=np.complex128)
+        for channel, ki, hit, add in samples:
+            pairs[channel, np.searchsorted(keys, ki * n_cells + hit)] += add
+        F = SpectralDataset._from_pairs(lattice, grid, keys, pairs)
+    # coefficients below the cap can sum, or turn by a phase, past it; the
+    # samples not stored are zero
+    if not _within_cap(F._stored):
+        raise SumOverflow("synthesized samples reach 2^511 or more in magnitude")
+    return F
 
 
 class PWMask:
@@ -565,7 +602,7 @@ def _band_energy(F, bits):
     out = np.empty(F.m)
     with np.errstate(over="ignore"):
         for i in range(F.m):
-            a = _channel_abs2(F.values[i])
+            a = F._squares(i)
             a *= bits
             out[i] = a.sum() * F.grid.cell_weight
             del a  # before the next channel's is built

@@ -245,6 +245,37 @@ def test_project_and_pipeline(workdir):
     assert "gap 2" in lines
 
 
+def test_a_mask_on_another_grid_names_both_files(tmp_path):
+    # a dataset on 25 offsets and masks on 9 offsets, another resolution,
+    # another lattice and one dimension: every masked verb exits 2 with one
+    # line naming the mask, the dataset and the first field that differs
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 4, [[a, b] for a in range(-2, 3) for b in range(-2, 3)])
+    rng = np.random.default_rng(9)
+    shape = (2, grid.n_offsets, grid.n_cells)
+    write_dataset(SpectralDataset(lat, grid, rng.standard_normal(shape) + 0j),
+                  tmp_path / "data.dataset")
+    (tmp_path / "d4.txt").write_text("".join("%d %d %d %d\n" % tuple(g.ravel())
+                                            for g in D4_GENS))
+    star = [[a, b] for a in range(-1, 2) for b in range(-1, 2)]
+    others = {"offsets": make_grid(lat, 4, star),
+              "resolution": make_grid(lat, 8, grid.offsets),
+              "lattice": make_grid(make_lattice(2 * np.eye(2)), 4, grid.offsets),
+              "dimension": make_grid(make_lattice([[1.0]]), 4, [[0]])}
+    for field, other in others.items():
+        write_mask(PWMask.full(other.lattice, other), tmp_path / ("%s.mask" % field))
+    data = ["--data", "data.dataset"]
+    verbs = [["solve"] + data + ["--ell", "1"], ["solve"] + data + ["--ell", "1", "--group", "d4.txt"],
+             ["project"] + data + ["--out", "out.dataset"], ["pipeline"] + data + ["--ell", "1"]]
+    runs = [(v, "offsets") for v in verbs] + [(verbs[0], f) for f in others if f != "offsets"]
+    for argv, field in runs:
+        res = _run(argv + ["--mask", "%s.mask" % field], tmp_path)
+        assert (res.returncode, res.stdout, res.stderr) == (
+            2, "", "error: %s.mask: grid differs from the dataset data.dataset in its %s\n"
+            % (field, field)), argv
+    assert not (tmp_path / "out.dataset").exists()
+
+
 @pytest.mark.parametrize("mask_bits", [True, False])
 def test_project_checks_both_energies_before_writing(tmp_path, mask_bits):
     # eight samples of 1.9 * 2^510: each |v|^2 is finite, their sum is not.

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -22,3 +24,18 @@ def test_package_exports_what_the_submodules_export():
 def test_removed_names_are_not_exported():
     with pytest.raises(AttributeError):
         pwsis.pair_permutations
+
+
+def test_only_spectral_knows_how_samples_are_stored():
+    # every other module reads samples through SpectralDataset's readers
+    # (_take, _fibers, _squares) or its dense values, never its storage
+    storage = {"_pairs", "_stored", "_values"}
+    src = pathlib.Path(pwsis.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in storage:
+                found.append("%s:%d: .%s" % (path.name, node.lineno, node.attr))
+    assert not found, found

@@ -48,6 +48,38 @@ def test_best_omega_breaks_ties_toward_small_index():
     assert mask.bits.ravel().tolist() == [True, True, False, False]
 
 
+def _argsort_best_omega(density, measure):
+    """best_omega by a stable descending argsort, the reference for the
+    partition route: its first n entries, ascending, and their sum."""
+    grid = density.grid
+    n = int(round(measure / grid.cell_weight))
+    flat = density.phi.ravel()
+    sel = np.sort(np.argsort(-flat, kind="stable")[:n])
+    return sel, float(flat[sel].sum() * grid.cell_weight)
+
+
+def test_best_omega_matches_the_argsort_selection():
+    # heavy ties (a few distinct levels, -0.0 among the zeros), all equal,
+    # all zero, random, and every n from 0 to the total: the same boxes
+    # and the same attained bits as the stable argsort
+    from pwsis.omega import DensityField
+
+    rng = np.random.default_rng(57)
+    grid = make_grid(LAT_Z, 40, K3)
+    shape = (grid.n_offsets, grid.n_cells)
+    levels = np.array([0.0, -0.0, 1.0, 2.5, 1e-300, 7.0])
+    fields = [levels[rng.integers(len(levels), size=shape)], np.full(shape, 3.25),
+              np.zeros(shape), rng.random(shape), rng.integers(3, size=shape) * 0.1]
+    for phi in fields:
+        density = DensityField(LAT_Z, grid, phi)
+        for n in range(phi.size + 1):
+            measure = n * grid.cell_weight
+            mask, attained = best_omega(density, measure)
+            sel, want = _argsort_best_omega(density, measure)
+            assert np.array_equal(np.flatnonzero(mask.bits), sel)
+            assert attained == want
+
+
 def test_best_omega_matches_exhaustive():
     rng = np.random.default_rng(22)
     grid = make_grid(LAT_Z, 2, K3)

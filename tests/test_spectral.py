@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import traced_peak
 from pwsis.lattice import make_lattice
-from pwsis.spectral import (_abs2, _band_energy, _channel_abs2)
+from pwsis.spectral import (_SLICE, _abs2, _band_energy)
 from pwsis.spectral import (Ball, Box, PWMask, Scene, SpectralDataset,
                             interval, make_grid, project_pw, pw_mask,
                             residual_energy, synthesize)
@@ -468,9 +468,12 @@ def _sparse_scene(rng, d, rotated):
 def _assert_pairs_match_dense(F, lat, grid, scene, rng):
     """F, stored as pairs, against the dense reference: its fibers (on its
     support, a contiguous run and scattered cells, with and without band
-    bits), its Gramians and cut, and then its values and support."""
-    from pwsis.fibers import _gather, gramian_field
-    from pwsis.solver import _dataset_cut
+    bits), its Gramians and cut, every energy, the group solve, the regrid
+    and the symmetrization, and then its values and support."""
+    from pwsis.fibers import _gather, fiber, gramian_field, regrid_to_lattice, symmetrize
+    from pwsis.lattice import Lattice, make_group
+    from pwsis.omega import energy_density
+    from pwsis.solver import _dataset_cut, _lattice_cut, best_gamma
 
     values, support = _dense_synthesize(scene, lat, grid)
     D = SpectralDataset(lat, grid, values, check_finite=False, support=support)
@@ -491,7 +494,35 @@ def _assert_pairs_match_dense(F, lat, grid, scene, rng):
     cut, ref = _dataset_cut(F, 1), _dataset_cut(D, 1)
     assert np.array_equal(_bits(cut.eigenvalues), _bits(ref.eigenvalues))
     assert np.array_equal(_bits(cut.vectors), _bits(ref.vectors))
-    # the solve read the pairs; values is built only now
+
+    mask = pw_mask(region, lat, grid)
+    assert F.energy().tobytes() == D.energy().tobytes()
+    assert _band_energy(F, mask.bits).tobytes() == _band_energy(D, mask.bits).tobytes()
+    assert residual_energy(F, mask).tobytes() == residual_energy(D, mask).tobytes()
+    assert energy_density(F).phi.tobytes() == energy_density(D).phi.tobytes()
+    for cell in rng.integers(grid.n_cells, size=3):
+        for i in range(F.m):
+            assert fiber(F, i, cell).entries.tobytes() == fiber(D, i, cell).entries.tobytes()
+
+    # offsets -2..2 in every coordinate: closed under D4 (d = 2) and -1
+    gens = [np.array([[0, -1], [1, 0]]), np.array([[1, 0], [0, -1]])] if grid.d == 2 \
+        else [-np.eye(1, dtype=int)]
+    group = make_group(gens)
+    (model, rep), (want, wrep) = best_gamma(F, group, 1), best_gamma(D, group, 1)
+    assert np.array_equal(model.active_idx, want.active_idx)
+    assert np.array_equal(_bits(model.basis), _bits(want.basis))
+    assert np.array_equal(model.dims, want.dims)
+    assert rep.per_channel.tobytes() == wrep.per_channel.tobytes()
+    assert rep.density.tobytes() == wrep.density.tobytes()
+    assert symmetrize(F, group).values.tobytes() == symmetrize(D, group).values.tobytes()
+
+    half = Lattice(lat.basis / 2)
+    fine, want = _lattice_cut(F, half)(1), _lattice_cut(D, half)(1)
+    assert fine.error == want.error and fine.length == want.length
+    assert fine.density.tobytes() == want.density.tobytes()
+    assert regrid_to_lattice(F, half).values.tobytes() == \
+        regrid_to_lattice(D, half).values.tobytes()
+    # every reader above read the pairs; values is built only now
     assert F._values is None
     assert np.array_equal(_bits(F.values), _bits(values))
     assert not F.values.flags.writeable and F.values is F.values
@@ -556,7 +587,7 @@ def test_dense_storage_where_pairs_are_not_smaller():
 
 def _energy_cases():
     """Datasets whose channels span less than, exactly and more than one
-    slice of _channel_abs2, with masks empty, full and random."""
+    slice of _abs2, with masks empty, full and random."""
     rng = np.random.default_rng(31)
     lat = make_lattice(np.eye(2))
     for m, r, n_off in ((2, 5, 3), (1, 64, 2), (3, 48, 5)):
@@ -578,7 +609,7 @@ def test_energies_keep_the_bits_of_the_whole_array_sums():
         w = F.grid.cell_weight
         for i in range(F.m):
             v = F.values[i]
-            assert _channel_abs2(v).tobytes() == _abs2(v).tobytes()
+            assert _abs2(v).tobytes() == (v.real ** 2 + v.imag ** 2).tobytes()
             assert F.energy(i) == _abs2(v).sum() * w
         band = _band_energy(F, mask.bits)
         assert band.tobytes() == project_pw(F, mask).energy().tobytes()
@@ -599,3 +630,52 @@ def test_energies_hold_one_channel_array():
     for energy in (F.energy, lambda: _band_energy(F, bits)):
         _, peak = traced_peak(energy)
         assert peak < 1.5 * channel
+
+
+def test_energy_of_a_pair_scene_holds_one_float_channel(monkeypatch):
+    # example 6.5's square-lattice scene at r = 250: 5 channels on 25 x 250^2
+    # samples, 125 MB dense, stored as about a thousand pairs; energy()
+    # builds one float channel of |v|^2 (12.5 MB) at a time
+    from pwsis import examples
+
+    scenes = []
+
+    def capture(scene, lat, r, offsets):
+        scenes.append((scene, lat, make_grid(lat, r, offsets)))
+        return 1.0, 1
+
+    monkeypatch.setattr(examples, "_one_generator", capture)
+    examples._ex_rotated_beats_square(250, 0.1)
+    scene, lat, grid = scenes[0]
+    assert np.array_equal(lat.basis, np.eye(2)) and grid.n_offsets == 25
+    F = synthesize(scene, lat, grid)
+    assert F._pairs is not None and F.m == 5
+    energy, peak = traced_peak(F.energy)
+    assert peak < 16 * 2 ** 20
+    assert F._values is None
+    assert energy.tobytes() == np.array([_abs2(v).sum() * grid.cell_weight
+                                         for v in F.values]).tobytes()
+
+
+def _layouts(rng, n):
+    """Complex arrays of about n entries in the layouts _abs2 meets: C- and
+    Fortran-ordered, strided, an einsum output and no channels."""
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    yield draw(n)
+    yield draw(3, 5, n // 15 + 1)
+    yield np.asfortranarray(draw(4, n // 4 + 1))
+    yield draw(2, n + 3, 2)[:, ::2, 1]
+    yield draw(3, 4, n // 12 + 1).transpose(2, 0, 1)
+    yield np.einsum("cjk,ikc->cij", draw(n // 6 + 1, 2, 3), draw(3, 3, n // 6 + 1))
+    yield draw(0, 3, n)
+
+
+@pytest.mark.parametrize("n", [_SLICE - 5, _SLICE, _SLICE + 7, 3 * _SLICE + 1])
+def test_abs2_keeps_the_bits_of_the_two_squares_in_every_layout(n):
+    rng = np.random.default_rng(n)
+    for v in _layouts(rng, n):
+        got = _abs2(v)
+        assert got.shape == v.shape and got.flags.c_contiguous
+        assert got.tobytes() == (v.real ** 2 + v.imag ** 2).tobytes()
