@@ -119,11 +119,12 @@ def _cmd_project(args):
 
     F = textio.read_dataset(args.data)
     mask = _read_mask(args, F)
-    # both energies are checked before the output is opened; the projected
-    # samples are written as they are zeroed, with no projected copy
+    # both energies are checked before the output is opened; the band holds
+    # no copy of F, and is written a chunk at a time
     outside = spectral.residual_energy(F, mask)
-    inside = spectral._band_energy(F, mask.bits)
-    textio.write_dataset(F, args.out, _bits=mask.bits)
+    band = spectral.project_pw(F, mask)
+    inside = band.energy()
+    textio.write_dataset(band, args.out)
     print("inside-band energy %s" % _g(inside.sum() if F.m else 0.0))
     print("outside-band energy %s" % _g(outside.sum()))
     return 0

@@ -105,7 +105,7 @@ class GramianField:
 # its operators and full eigenvectors only until their top rows are kept.
 # Beside its fibers a block holds their conjugate while the products are
 # taken, and a copy of them where its gather cannot return a view of the
-# samples (a band, scattered cells, a regrid map).
+# samples (a band, scattered cells, the group action, a regrid map).
 _BLOCK_BYTES = 1 << 20
 
 
@@ -149,21 +149,6 @@ def _gramian_mats(va):
     return np.einsum("ikc,jkc->cij", va, other)
 
 
-def _gather(F, bits=None):
-    """gather(c): F's (m, |K|, len(c)) fibers at the ascending cells c
-    (SpectralDataset._fibers); with the bits of a band mask, those of
-    project_pw(F, mask): the positions off the band read as -1, so zero."""
-    if bits is None:
-        return F._fibers
-
-    def gather(c):
-        idx = np.arange(F.grid.n_offsets)[:, None] * F.grid.n_cells + c
-        idx[~bits.take(c, axis=1)] = -1
-        return F._take(idx)
-
-    return gather
-
-
 def _fiber_blocks(grid, m, cells, gather, fiber_side=False, copies=1):
     """The one route from the m-channel fibers gather(c) at the ascending
     cells to their n x n operators: (grid, n, active, trace, block, step),
@@ -186,13 +171,11 @@ def _fiber_blocks(grid, m, cells, gather, fiber_side=False, copies=1):
     return grid, n, active, trace, block, step
 
 
-def _dataset_blocks(F, bits=None):
-    """_fiber_blocks of _gather(F, bits) over F's support, off which every
-    cell is zero and so inactive, or over its whole grid.  A band's gather
-    always takes a copy."""
+def _dataset_blocks(F):
+    """_fiber_blocks of F's fibers over F's support, off which every cell is
+    zero and so inactive, or over its whole grid."""
     cells = np.arange(F.grid.n_cells) if F.support is None else F.support
-    return _fiber_blocks(F.grid, F.m, cells, _gather(F, bits),
-                         copies=1 if bits is None else 2)
+    return _fiber_blocks(F.grid, F.m, cells, F._fibers, copies=F._fiber_copies)
 
 
 def gramian_field(F):
@@ -207,21 +190,16 @@ def gramian_field(F):
     return GramianField(grid, m, active, mats, trace)
 
 
-def _symmetrized(F, group, cell_perms, off_perms, bits=None):
+def _symmetrized(F, group, cell_perms, off_perms):
     """gather(c): symmetrize(F, group)'s fibers at the cells c, channel (g, i)
     at (k, c) taken from f_i at the inverse image, one group element's
-    channels at a time; with the bits of an invariant band, the positions
-    off it read as -1, as in _gather."""
+    channels at a time, straight into the output."""
     m, n = F.m, F.grid.n_cells
 
     def gather(c):
         out = np.empty((m * len(group), F.grid.n_offsets, len(c)), dtype=np.complex128)
-        hole = None if bits is None else ~bits.take(c, axis=1)
         for g, inv in enumerate(group.inverses):
-            src = off_perms[inv][:, None] * n + cell_perms[inv, c]
-            if hole is not None:
-                src[hole] = -1
-            out[g * m:(g + 1) * m] = F._take(src)
+            F._take(off_perms[inv][:, None] * n + cell_perms[inv, c], out[g * m:(g + 1) * m])
         return out
 
     return gather

@@ -12,10 +12,9 @@ import numpy as np
 
 from .lattice import Lattice, _invariant, offset_permutations, orbit_partition
 from .omega import _exact_fill_knapsack
-from .fibers import (_block_cells, _dataset_blocks, _fiber_blocks, _gather,
-                     _lattice_blocks, _regrid_layout, _symmetrized, dilation_transport)
-from .spectral import (SpectralDataset, _abs2, _band_energy, _finite_sum,
-                       residual_energy)
+from .fibers import (_block_cells, _dataset_blocks, _fiber_blocks, _lattice_blocks,
+                     _regrid_layout, _symmetrized, dilation_transport)
+from .spectral import SpectralDataset, _abs2, _finite_sum, project_pw, residual_energy
 
 __all__ = [
     "EigenField",
@@ -158,11 +157,11 @@ def eigen_field(G, ell):
                       _block_cells(G.m, G.m), _check_length(ell))
 
 
-def _dataset_cut(F, ell, bits=None, vectors=True):
-    """eigen_field(gramian_field(F), ell), with band bits of project_pw(F,
-    mask), built a block at a time: no Gramian field is held.  With vectors
-    False only its error, density and length are kept."""
-    return _eigen_cut(*_dataset_blocks(F, bits), ell, vectors)
+def _dataset_cut(F, ell, vectors=True):
+    """eigen_field(gramian_field(F), ell), built a block at a time: no
+    Gramian field is held.  With vectors False only its error, density and
+    length are kept."""
+    return _eigen_cut(*_dataset_blocks(F), ell, vectors)
 
 
 def _lattice_cut(F, lat):
@@ -216,59 +215,57 @@ class ApproxReport:
         self.band_residual = band_residual
 
 
-def _fiber_pass(F, cells, rows, rows_of, bits=None, clip=None, store=True):
+def _fiber_pass(F, cells, rows, rows_of, band=None, clip=None, store=True):
     """The one pass that builds a model's basis rows at the ascending cells
-    and measures them, a block of cells at a time.  Each block gathers F's
+    and measures them, a block of cells at a time.  Each block reads F's
     fibers once, takes its rows rows_of(s, e, fibers) of cells s..e-1 --
-    from the band's fibers, F's zeroed off the bits of a band mask, when
-    bits is given -- clips them to the band bits clip when given
+    from the fibers of band, a projection project_pw(F, mask), when given
+    -- clips them to the band bits clip when given
     (_clip_orthonormalize), and takes their amplitudes against F's fibers
-    and, with bits, the band's; then the block is dropped.
+    and, with a band, the band's; then the block is dropped.
 
     Returns (basis, dims, captured, band_captured): the (cells, rows, |K|)
     basis if store, else None; the rows kept per cell if clipped, else None;
     and the per-channel energy the rows capture of F and of the band (None
-    without bits).  The amplitudes the report reads -- F's without bits,
-    the band's with them -- are kept whole and summed as one array, and
+    without one).  The amplitudes the report reads -- F's without a band,
+    the band's with one -- are kept whole and summed as one array, and
     each cell's products are its own, so the blocks give the bits of one
-    whole pass.  With bits, F's own capture only feeds project_then_solve's
-    self-check, and is summed a block at a time instead."""
+    whole pass.  With a band, F's own capture only feeds
+    project_then_solve's self-check, and is summed a block at a time
+    instead."""
     m, nK = F.m, F.grid.n_offsets
     n = len(cells)
-    gather, band_gather = _gather(F), _gather(F, bits)
     amp = np.empty((n, m, rows), dtype=np.complex128)
-    own = None if bits is None else np.zeros(m)
+    own = None if band is None else np.zeros(m)
     basis = np.empty((n, rows, nK), dtype=np.complex128) if store else None
     dims = None if clip is None else np.empty(n, dtype=np.int64)
-    # a block holds its fibers and, with bits, the band's copy of them; a
+    # a block holds its fibers and, with a band, the band's copy of them; a
     # clipped block also the few cells x |K| temporaries of a Gram-Schmidt
     # step
-    size = m if bits is None else 2 * m
+    size = m if band is None else 2 * m
     step = _block_cells(size if clip is None else max(size, 4), nK)
 
     def take(s, e):
         # a call per block: its arrays are freed before the next is built
         c = cells[s:e]
-        v = gather(c)
-        band = v if bits is None else band_gather(c)
-        b = rows_of(s, e, band)
+        v = F._fibers(c)
+        vb = v if band is None else band._fibers(c)
+        b = rows_of(s, e, vb)
         if clip is not None:
             dims[s:e] = _clip_orthonormalize(b, clip[:, c])
         if store:
             basis[s:e] = b
             b = basis[s:e]
         conj = b.conj()
-        if bits is None:
-            amp[s:e] = np.einsum("cjk,ikc->cij", conj, v)
-        else:
+        if band is not None:
             own[:] += _abs2(np.einsum("cjk,ikc->cij", conj, v)).sum(axis=(0, 2))
-            amp[s:e] = np.einsum("cjk,ikc->cij", conj, band)
+        amp[s:e] = np.einsum("cjk,ikc->cij", conj, vb)
 
     for s in range(0, n, step):
         take(s, s + step)
     w = F.grid.cell_weight
     total = _abs2(amp).sum(axis=(0, 2)) * w
-    if bits is None:
+    if band is None:
         return basis, dims, total, None
     return basis, dims, own * w, total
 
@@ -292,32 +289,38 @@ def _sis_rows(ef, ell):
     return rows_of, keep.sum(axis=1).astype(np.int64)
 
 
-def _solve(F, ell, group=None, bits=None, clip=None, store=True):
-    """best_sis of F, or with a group best_gamma, or either with the bits of
-    a band mask of project_pw(F, mask), with every fiber read from F
-    through the band; with clip, best_sis's rows clipped to those band bits
+def _solve(F, ell, group=None, mask=None, clip=None, store=True):
+    """best_sis of F, or with a group best_gamma, or either of the band
+    project_pw(F, mask) with a band mask, whose fibers every cut and row
+    reads; with clip, best_sis's rows clipped to those band bits
     (solve_then_project).  Returns (model, report, energy, captured): F's
     own per-channel energy and the part of it the model's rows capture,
     taken in the same pass as the report's.  The model holds its basis
     only if store: the command line reads only its dims.  The energies are
-    checked finite before the pass, so no amplitude sum overflows.  With
-    bits, F's captured energy is summed a block at a time: it only feeds
+    checked finite before the pass, so no amplitude sum overflows.  With a
+    band, F's captured energy is summed a block at a time: it only feeds
     project_then_solve's self-check."""
     ell = _check_length(ell)
+    band = None if mask is None else project_pw(F, mask)
+    P = F if band is None else band
     if group is None:
-        ef = _dataset_cut(F, ell, bits)
+        ef = _dataset_cut(P, ell)
         cells, density = ef.active_idx, ef.density
         rows_of, dims = _sis_rows(ef, ell)
         rows = min(ell, ef.m)
     else:
-        cells, density, rows, rows_of, dims = _gamma_rows(F, group, ell, bits)
-    band = None if bits is None else _band_energy(F, bits)
+        part = orbit_partition(F.grid, group, cells_only=True)
+        off_perms = offset_permutations(F.grid, group)
+        if mask is not None and not _invariant(mask.bits, off_perms, part.cell_perms):
+            raise ValueError("mask is not invariant under the group")
+        cells, density, rows, rows_of, dims = _gamma_rows(P, group, ell, part, off_perms)
+    inside = None if band is None else band.energy()
     energy = F.energy()
-    basis, clipped, captured, band_captured = _fiber_pass(F, cells, rows, rows_of, bits,
+    basis, clipped, captured, band_captured = _fiber_pass(F, cells, rows, rows_of, band,
                                                           clip, store)
     model = SubspaceModel(F.lattice, F.grid, ell, cells, basis,
                           dims if clip is None else clipped, group=group)
-    per_channel = energy - captured if bits is None else band - band_captured
+    per_channel = energy - captured if band is None else inside - band_captured
     total = ef.error if group is None else float(per_channel.sum())
     report = ApproxReport(total, per_channel, active_idx=cells, density=density)
     return model, report, energy, captured
@@ -353,7 +356,7 @@ def error_against(F, model):
     return ApproxReport(float(per_channel.sum()), per_channel)
 
 
-def generators(model, F=None):
+def generators(model):
     """The model's generator fibers as a dataset over its own grid (one
     channel per generator row; cells beyond the model's active set are zero)."""
     grid = model.grid
@@ -452,23 +455,20 @@ def best_gamma(F, group, ell, *, _store=True):
     return _solve(F, ell, group, store=_store)[:2]
 
 
-def _gamma_rows(F, group, ell, bits=None):
-    """best_gamma's cut, with the bits of a group-invariant band mask that of
-    project_pw(F, mask): the band zeroes the symmetrized fibers where it
-    zeroes the fibers, since it maps onto itself.  Returns (cells, density,
-    rows, rows_of, dims) for _fiber_pass: every active cell, its share of
-    the per-orbit optimum, the rows per cell, the rows of cells s..e-1 --
-    each its representative's carried by the smallest group element that
-    maps the representative there -- and the rows kept per cell."""
+def _gamma_rows(F, group, ell, part, off_perms):
+    """best_gamma's cut of F, a band of an invariant mask included, for the
+    orbit partition part of the cells and the offset permutations
+    off_perms.  Returns (cells, density, rows, rows_of, dims) for
+    _fiber_pass: every active cell, its share of the per-orbit optimum, the
+    rows per cell, the rows of cells s..e-1 -- each its representative's
+    carried by the smallest group element that maps the representative
+    there -- and the rows kept per cell."""
     n_group, m, nK = len(group), F.m, F.grid.n_offsets
-    part = orbit_partition(F.grid, group, cells_only=True)
     reps, cell_perms = part.representatives, part.cell_perms
-    off_perms = offset_permutations(F.grid, group)
-    if bits is not None and not _invariant(bits, off_perms, cell_perms):
-        raise ValueError("mask is not invariant under the group")
-    gather = _symmetrized(F, group, cell_perms, off_perms, bits)
+    gather = _symmetrized(F, group, cell_perms, off_perms)
 
-    route = _fiber_blocks(F.grid, m * n_group, reps, gather, fiber_side=True)
+    # the symmetrized fibers are always a copy
+    route = _fiber_blocks(F.grid, m * n_group, reps, gather, fiber_side=True, copies=2)
     _, _, active, trace, fiber_ops, _ = route
     ef = _eigen_cut(*route, ell)
     # T_c has rank at most m|G|: rows past it would be zero
@@ -514,8 +514,8 @@ def project_then_solve(F, mask, ell, group=None, *, _store=True):
     subspace inside it.
 
     The report's total is the projected optimum plus the out-of-band energy;
-    its generators vanish outside the mask by construction.  The projected
-    data is never built: the solve reads F's fibers zeroed outside the band.
+    its generators vanish outside the mask by construction.  The solve
+    reads the band project_pw(F, mask), which holds no copy of F.
     The self-check measures the model against F's own fibers in the pass
     that builds it.  With _store False the model keeps no basis, as in
     best_sis.
@@ -523,7 +523,7 @@ def project_then_solve(F, mask, ell, group=None, *, _store=True):
     if not F.grid.compatible(mask.grid):
         raise ValueError("mismatched grid between dataset and mask")
     outside = residual_energy(F, mask)
-    model, rep, energy, captured = _solve(F, ell, group, mask.bits, store=_store)
+    model, rep, energy, captured = _solve(F, ell, group, mask, store=_store)
     total = rep.total_error + float(outside.sum())
     per_channel = rep.per_channel + outside
     direct = float((energy - captured).sum())

@@ -347,9 +347,10 @@ class SpectralDataset:
     None means unknown.  Per-cell work may then skip the other cells.
 
     A synthesized dataset may be stored as its nonzero (offset, cell) pairs
-    instead (see _from_pairs); values is then built on first access and
+    instead (see _from_pairs), and a band as the dataset it projects and the
+    band's bits (see project_pw); values is then built on first access and
     kept.  Only this class knows the storage: _take, _fibers and _squares
-    read the pairs without building values.
+    read the pairs or the band without building values.
     """
 
     def __init__(self, lattice, grid, values, check_finite=True, support=None):
@@ -364,7 +365,7 @@ class SpectralDataset:
         self.grid = grid
         self._values = values
         self._values.setflags(write=False)
-        self._pairs = None
+        self._pairs = self._band = None
         if support is not None:
             support = np.array(support, dtype=np.int64)
             if support.ndim != 1:
@@ -381,7 +382,7 @@ class SpectralDataset:
         F = cls.__new__(cls)
         F.lattice = lattice
         F.grid = grid
-        F._values = None
+        F._values = F._band = None
         for a in (keys, pairs):
             a.setflags(write=False)
         F._pairs = keys, pairs
@@ -389,51 +390,72 @@ class SpectralDataset:
         F.support.setflags(write=False)
         return F
 
+    @classmethod
+    def _from_band(cls, F, bits):
+        """F read through the band bits, zero off them: F's samples are not
+        copied.  Its support is F's."""
+        P = cls.__new__(cls)
+        P.lattice, P.grid, P.support = F.lattice, F.grid, F.support
+        P._values = P._pairs = None
+        P._band = F, bits
+        return P
+
     @property
     def values(self):
-        """The dense samples, built from the pairs on first access."""
+        """The dense samples, read through _fibers on first access when
+        they are stored as pairs or a band."""
         if self._values is None:
-            keys, pairs = self._pairs
-            values = np.zeros((pairs.shape[0], self.grid.n_offsets * self.grid.n_cells),
-                              dtype=np.complex128)
-            values[:, keys] = pairs
-            values = values.reshape(pairs.shape[0], self.grid.n_offsets, self.grid.n_cells)
+            values = self._fibers(np.arange(self.grid.n_cells))
             values.setflags(write=False)
             self._values = values
         return self._values
 
     @property
     def _stored(self):
-        """The array the samples are held in: the (m, P) pair values, or
-        values."""
+        """The array the samples are held in: the (m, P) pair values, those
+        of the dataset a band reads, or values."""
+        if self._band is not None:
+            return self._band[0]._stored
         return self.values if self._pairs is None else self._pairs[1]
+
+    @property
+    def _fiber_copies(self):
+        """What a block of _fibers counts in a block budget beside its
+        conjugate (fibers._fiber_blocks' copies): 2 for a band, whose fibers
+        are always a copy, else 1."""
+        return 1 if self._band is None else 2
 
     @property
     def m(self):
         return self._stored.shape[0]
 
-    def _take(self, idx):
+    def _take(self, idx, out=None):
         """Every channel's samples at the flat positions idx = k * n_cells +
-        cell, an int array of any shape, as a new (m,) + idx.shape array; a
-        negative position reads 0, the one way a gather reads a zero."""
+        cell, an int array of any shape, as a new (m,) + idx.shape array or
+        into out; a negative position reads 0, the one way a gather reads a
+        zero.  A band sends its positions off the bits to -1."""
+        if self._band is not None:
+            F, bits = self._band
+            return F._take(np.where(bits.reshape(-1).take(idx, mode="clip"), idx, -1), out)
         if self._pairs is None:
             flat = self.values.reshape(self.m, self.grid.n_offsets * self.grid.n_cells)
             # mode "raise" would buffer out whole; negative positions clip
-            v = flat.take(idx, axis=1, mode="clip")
+            v = flat.take(idx, axis=1, mode="clip", out=out)
             np.copyto(v, 0.0, where=idx < 0)
             return v
         keys, pairs = self._pairs
         pos = np.searchsorted(keys, idx)
         found = pos < keys.size
         found[found] = keys[pos[found]] == idx[found]
-        v = np.zeros((pairs.shape[0],) + idx.shape, dtype=np.complex128)
+        v = np.empty((pairs.shape[0],) + idx.shape, dtype=np.complex128) if out is None else out
+        np.copyto(v, 0.0, where=~found)
         v[:, found] = pairs[:, pos[found]]
         return v
 
     def _fibers(self, c):
         """The (m, |K|, len(c)) fibers at the ascending cells c, a view for
         a contiguous run of dense storage."""
-        if self._pairs is not None:
+        if self._pairs is not None or self._band is not None:
             return self._take(np.arange(self.grid.n_offsets)[:, None] * self.grid.n_cells + c)
         if c[-1] - c[0] == len(c) - 1:
             return self.values[:, :, c[0]:c[-1] + 1]
@@ -442,6 +464,11 @@ class SpectralDataset:
     def _squares(self, i):
         """_abs2 of channel i as a new (n_offsets, n_cells) array: the very
         array of the dense layout, so every sum of it keeps its bits."""
+        if self._band is not None:
+            F, bits = self._band
+            out = F._squares(i)
+            out *= bits
+            return out
         if self._pairs is None:
             return _abs2(self.values[i])
         keys, pairs = self._pairs
@@ -460,6 +487,10 @@ class SpectralDataset:
         return _finite_sum(out)
 
     def select_channels(self, indices):
+        if self._pairs is not None:
+            keys, pairs = self._pairs
+            return SpectralDataset._from_pairs(self.lattice, self.grid, keys,
+                                               pairs[list(indices)])
         return SpectralDataset(
             self.lattice, self.grid, self.values[list(indices)], check_finite=False,
             support=self.support,
@@ -589,28 +620,13 @@ def _require_same_grid(F, other):
 
 
 def project_pw(F, mask):
-    """Zero the samples outside the mask; an orthogonal projection."""
+    """The orthogonal projection of F onto the band of the mask: F read
+    through the mask's bits, zero off them, with no copy of F's samples."""
     _require_same_grid(F, mask)
-    values = np.where(mask.bits[None, :, :], F.values, 0.0)
-    return SpectralDataset(F.lattice, F.grid, values, check_finite=False,
-                           support=F.support)
-
-
-def _band_energy(F, bits):
-    """Per-channel energy of F where bits is set: |value|^2 times the bits,
-    summed whole as energy sums it, so in a band it is project_pw's."""
-    out = np.empty(F.m)
-    with np.errstate(over="ignore"):
-        for i in range(F.m):
-            a = F._squares(i)
-            a *= bits
-            out[i] = a.sum() * F.grid.cell_weight
-            del a  # before the next channel's is built
-    return _finite_sum(out)
+    return SpectralDataset._from_band(F, mask.bits)
 
 
 def residual_energy(F, mask):
     """Per-channel energy outside the mask, i.e. the distance squared to the
     band-limited subspace of the mask."""
-    _require_same_grid(F, mask)
-    return _band_energy(F, ~mask.bits)
+    return project_pw(F, mask.complement()).energy()

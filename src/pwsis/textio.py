@@ -250,18 +250,16 @@ def _pairs(z):
     return line * rows % tuple(words[inv.ravel()].tolist())
 
 
-def _dataset_chunks(F, bits=None):
-    """The text of F in chunks, or with the bits of a band mask the text of
-    project_pw(F, mask): each chunk of a channel's samples zeroed off the
-    band as it is written, so no projected copy is made."""
+def _dataset_chunks(F):
+    """The text of F in chunks, each chunk of a channel's samples read
+    through SpectralDataset._take, so no copy of F is made whatever its
+    storage."""
     yield _grid_header("pwsis-dataset v1", F.lattice, F.grid) + "channels %d\n" % F.m
-    keep = None if bits is None else bits.reshape(-1, 1)
+    n = F.grid.n_offsets * F.grid.n_cells
     step = max(1, _CHUNK // _PAIR_BYTES)
-    for v in F.values:
-        z = v.reshape(-1, 1)
-        for a in range(0, len(z), step):
-            chunk = z[a:a + step]
-            yield _pairs(chunk if keep is None else np.where(keep[a:a + step], chunk, 0.0))
+    for i in range(F.m):
+        for a in range(0, n, step):
+            yield _pairs(F._take(np.arange(a, min(a + step, n))[:, None])[i])
 
 
 def format_dataset(F):
@@ -675,11 +673,9 @@ def read_dataset(path):
     return _read_array(path, _array_dataset, parse_dataset)
 
 
-def write_dataset(F, path, *, _bits=None):
-    """Write F to path; with _bits, the bits of a band mask, write
-    project_pw(F, mask) without making the projected copy."""
+def write_dataset(F, path):
     with open(path, "w") as fh:
-        fh.writelines(_dataset_chunks(F, _bits))
+        fh.writelines(_dataset_chunks(F))
 
 
 def read_mask(path):

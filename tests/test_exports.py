@@ -28,8 +28,9 @@ def test_removed_names_are_not_exported():
 
 def test_only_spectral_knows_how_samples_are_stored():
     # every other module reads samples through SpectralDataset's readers
-    # (_take, _fibers, _squares) or its dense values, never its storage
-    storage = {"_pairs", "_stored", "_values"}
+    # (_take, _fibers, _squares) or its dense values, never its storage:
+    # dense values, pairs or a band's source and bits
+    storage = {"_band", "_pairs", "_stored", "_values"}
     src = pathlib.Path(pwsis.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):

@@ -315,6 +315,21 @@ def test_symmetrize_matches_the_per_channel_loop():
                     assert got.tobytes() == want.tobytes()
 
 
+def test_symmetrize_takes_each_element_straight_into_its_output():
+    # m = 6 on 3 x 3 offsets at r = 64 under D4: the output is 27 MiB; an
+    # assignment of each element's gather into it also held that gather,
+    # 3.4 MiB (31.0 MiB traced)
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 64, [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    rng = np.random.default_rng(82)
+    shape = (6, grid.n_offsets, grid.n_cells)
+    F = SpectralDataset(lat, grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    group = make_group([np.array([[0, -1], [1, 0]]), np.array([[1, 0], [0, -1]])])
+    S, peak = traced_peak(lambda: symmetrize(F, group))
+    assert S.values.nbytes == 27 * 2 ** 20
+    assert peak < 28.5 * 2 ** 20
+    assert S.values.tobytes() == _reference_symmetrize(F, group).tobytes()
+
 def test_dilation_transport_is_unitary():
     rng = np.random.default_rng(8)
     F = _random_dataset(rng, d=2, r=2)

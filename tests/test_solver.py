@@ -18,7 +18,7 @@ from pwsis.solver import (_RANK_CUT, _TIE_GAP, _block_cells, ApproxReport, Subsp
                           generators, project_then_solve,
                           refinement_inequality_check, solve_then_project,
                           subspace_length)
-from pwsis.spectral import (Box, FrequencyGrid, Scene, SpectralDataset, _abs2, _band_energy,
+from pwsis.spectral import (Box, FrequencyGrid, Scene, SpectralDataset, _abs2,
                             interval, make_grid, project_pw, pw_mask, residual_energy,
                             synthesize)
 from pwsis.suites import run_property_suites
@@ -1123,13 +1123,14 @@ def test_lattice_gramian_matches_the_regridded_dataset_route(monkeypatch):
 
 def _reference_project_then_solve(F, mask, ell, group=None):
     """project_then_solve before it read the band through a gather: the
-    solve of the whole band-limited copy project_pw(F, mask)."""
+    solve of the whole band-limited copy, F's values zeroed off the mask."""
     if group is not None:
         # the band check before it ran inside the solve
         if not _invariant(mask.bits, offset_permutations(mask.grid, group),
                           _cell_permutations(mask.grid, group)):
             raise ValueError("mask is not invariant under the group")
-    PF = project_pw(F, mask)
+    PF = SpectralDataset(F.lattice, F.grid, np.where(mask.bits, F.values, 0.0),
+                         check_finite=False, support=F.support)
     model, rep = best_gamma(PF, group, ell) if group is not None else best_sis(PF, ell)
     # residual_energy before it shared the band energy loop
     outside = np.array([(_abs2(F.values[i]) * ~mask.bits).sum() * F.grid.cell_weight
@@ -1459,30 +1460,29 @@ def _two_pass_captured(gather, m, model):
     return _abs2(amp).sum(axis=(0, 2)) * model.grid.cell_weight
 
 
-def _two_pass_unexplained(F, model, bits=None):
-    energy = F.energy() if bits is None else _band_energy(F, bits)
-    return energy - _two_pass_captured(fibers._gather(F, bits), F.m, model)
+def _two_pass_unexplained(F, model):
+    return F.energy() - _two_pass_captured(F._fibers, F.m, model)
 
 
-def _two_pass_sis_model(F, ell, bits=None):
-    ef = solver._dataset_cut(F, ell, bits)
-    basis, dims = _two_pass_build_basis(fibers._gather(F, bits), ef, ell)
+def _two_pass_sis_model(F, ell):
+    ef = solver._dataset_cut(F, ell)
+    basis, dims = _two_pass_build_basis(F._fibers, ef, ell)
     return SubspaceModel(F.lattice, F.grid, ell, ef.active_idx, basis, dims), ef
 
 
-def _two_pass_best_sis(F, ell, bits=None):
-    model, ef = _two_pass_sis_model(F, ell, bits)
-    per_channel = _two_pass_unexplained(F, model, bits)
+def _two_pass_best_sis(F, ell):
+    model, ef = _two_pass_sis_model(F, ell)
+    per_channel = _two_pass_unexplained(F, model)
     return model, ApproxReport(ef.error, per_channel, active_idx=ef.active_idx,
                                density=ef.density)
 
 
-def _two_pass_best_gamma(F, group, ell, bits=None):
+def _two_pass_best_gamma(F, group, ell):
     n_group, m, nK = len(group), F.m, F.grid.n_offsets
     part = orbit_partition(F.grid, group, cells_only=True)
     reps, cell_perms = part.representatives, part.cell_perms
     off_perms = offset_permutations(F.grid, group)
-    gather = fibers._symmetrized(F, group, cell_perms, off_perms, bits)
+    gather = fibers._symmetrized(F, group, cell_perms, off_perms)
     route = fibers._fiber_blocks(F.grid, m * n_group, reps, gather, fiber_side=True)
     _, _, active, trace, fiber_ops, _ = route
     ef = solver._eigen_cut(*route, ell)
@@ -1514,7 +1514,7 @@ def _two_pass_best_gamma(F, group, ell, bits=None):
         basis[pos[gi]] = rep_basis[:, :, off_perms[group.inverses[gi]]]
     model = SubspaceModel(F.lattice, F.grid, ell, all_active, basis, rep_dims[src],
                           group=group)
-    per_channel = _two_pass_unexplained(F, model, bits)
+    per_channel = _two_pass_unexplained(F, model)
     return model, ApproxReport(float(per_channel.sum()), per_channel, active_idx=all_active,
                                density=ef.density[src] / n_group)
 
@@ -1526,10 +1526,11 @@ def _two_pass_error_against(F, model):
 
 def _two_pass_project_then_solve(F, mask, ell, group=None):
     outside = residual_energy(F, mask)
+    P = project_pw(F, mask)
     if group is not None:
-        model, rep = _two_pass_best_gamma(F, group, ell, mask.bits)
+        model, rep = _two_pass_best_gamma(P, group, ell)
     else:
-        model, rep = _two_pass_best_sis(F, ell, mask.bits)
+        model, rep = _two_pass_best_sis(P, ell)
     total = rep.total_error + float(outside.sum())
     direct = _two_pass_error_against(F, model)
     assert abs(direct.total_error - total) <= 1e-9 * (1.0 + float(F.energy().sum()))

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import traced_peak
 from pwsis.lattice import make_lattice
-from pwsis.spectral import (_SLICE, _abs2, _band_energy)
+from pwsis.spectral import (_SLICE, _abs2)
 from pwsis.spectral import (Ball, Box, PWMask, Scene, SpectralDataset,
                             interval, make_grid, project_pw, pw_mask,
                             residual_energy, synthesize)
@@ -470,7 +470,7 @@ def _assert_pairs_match_dense(F, lat, grid, scene, rng):
     support, a contiguous run and scattered cells, with and without band
     bits), its Gramians and cut, every energy, the group solve, the regrid
     and the symmetrization, and then its values and support."""
-    from pwsis.fibers import _gather, fiber, gramian_field, regrid_to_lattice, symmetrize
+    from pwsis.fibers import fiber, gramian_field, regrid_to_lattice, symmetrize
     from pwsis.lattice import Lattice, make_group
     from pwsis.omega import energy_density
     from pwsis.solver import _dataset_cut, _lattice_cut, best_gamma
@@ -483,10 +483,11 @@ def _assert_pairs_match_dense(F, lat, grid, scene, rng):
     runs = [support, np.arange(start, min(start + 40, grid.n_cells)),
             np.flatnonzero(rng.random(grid.n_cells) < 0.3)]
     region = [_small_primitive(rng, lat, grid.d) for _ in range(2)]
-    for bits in (None, pw_mask(region, lat, grid).bits):
+    mask = pw_mask(region, lat, grid)
+    for A, B in ((F, D), (project_pw(F, mask), project_pw(D, mask))):
         for c in runs:
             if len(c):
-                assert np.array_equal(_bits(_gather(F, bits)(c)), _bits(_gather(D, bits)(c)))
+                assert np.array_equal(_bits(A._fibers(c)), _bits(B._fibers(c)))
     G, H = gramian_field(F), gramian_field(D)
     assert np.array_equal(G.active_idx, H.active_idx)
     assert np.array_equal(_bits(G.mats), _bits(H.mats))
@@ -495,9 +496,8 @@ def _assert_pairs_match_dense(F, lat, grid, scene, rng):
     assert np.array_equal(_bits(cut.eigenvalues), _bits(ref.eigenvalues))
     assert np.array_equal(_bits(cut.vectors), _bits(ref.vectors))
 
-    mask = pw_mask(region, lat, grid)
     assert F.energy().tobytes() == D.energy().tobytes()
-    assert _band_energy(F, mask.bits).tobytes() == _band_energy(D, mask.bits).tobytes()
+    assert project_pw(F, mask).energy().tobytes() == project_pw(D, mask).energy().tobytes()
     assert residual_energy(F, mask).tobytes() == residual_energy(D, mask).tobytes()
     assert energy_density(F).phi.tobytes() == energy_density(D).phi.tobytes()
     for cell in rng.integers(grid.n_cells, size=3):
@@ -585,6 +585,92 @@ def test_dense_storage_where_pairs_are_not_smaller():
     assert empty.m == 0 and empty.values.shape == (0, 3, 1000)
 
 
+def _band_twin(F, bits):
+    """project_pw(F, mask) as it was: F's values copied, zeroed off bits."""
+    return SpectralDataset(F.lattice, F.grid, np.where(bits, F.values, 0.0),
+                           check_finite=False, support=F.support)
+
+
+def _assert_band_matches_its_copy(F, m1, m2, group, rng):
+    """project_pw(F, m1) and the nested project_pw(project_pw(F, m1), m2)
+    against their dense copies, bit for bit: _take at positions with
+    negatives (also into out), _fibers at contiguous and scattered cells,
+    _squares, energy, symmetrize, format_dataset and then values."""
+    from pwsis.fibers import symmetrize
+    from pwsis.textio import format_dataset
+
+    grid = F.grid
+    n = grid.n_offsets * grid.n_cells
+    idx = rng.integers(-3, n, size=(5, 13))
+    idx[0, :3] = -1
+    start = int(rng.integers(grid.n_cells))
+    runs = [np.arange(grid.n_cells), np.arange(start, min(start + 9, grid.n_cells)),
+            np.flatnonzero(rng.random(grid.n_cells) < 0.3)]
+    P = project_pw(F, m1)
+    for B, D in ((P, _band_twin(F, m1.bits)),
+                 (project_pw(P, m2), _band_twin(F, m1.bits & m2.bits))):
+        assert B.m == D.m and B.support is F.support
+        assert np.array_equal(_bits(B._take(idx)), _bits(D._take(idx)))
+        out = np.full((B.m,) + idx.shape, np.nan, dtype=np.complex128)
+        assert B._take(idx, out) is out
+        assert np.array_equal(_bits(out), _bits(D._take(idx)))
+        for c in runs:
+            if len(c):
+                assert np.array_equal(_bits(B._fibers(c)), _bits(D._fibers(c)))
+        for i in range(B.m):
+            assert B._squares(i).tobytes() == D._squares(i).tobytes()
+        assert B.energy().tobytes() == D.energy().tobytes()
+        if group is not None:
+            assert symmetrize(B, group).values.tobytes() == \
+                symmetrize(D, group).values.tobytes()
+        assert format_dataset(B) == format_dataset(D)
+        assert B._values is None
+        assert np.array_equal(_bits(B.values), _bits(D.values))
+        assert not B.values.flags.writeable and B.values is B.values
+
+
+def test_band_dataset_matches_its_dense_copy():
+    from pwsis.lattice import make_group
+
+    rng = np.random.default_rng(4400)
+    d4 = make_group([np.array([[0, -1], [1, 0]]), np.array([[1, 0], [0, -1]])])
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 6, [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    cases = []
+    for m in (0, 1, 3):
+        shape = (m, grid.n_offsets, grid.n_cells)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        support = np.flatnonzero(rng.random(grid.n_cells) < 0.5)
+        dead = np.zeros_like(vals)
+        dead[:, :, support] = vals[:, :, support]
+        cases += [(SpectralDataset(lat, grid, vals), d4),
+                  (SpectralDataset(lat, grid, dead, support=support), d4)]
+    for d, rotated in ((1, False), (2, True)):
+        for _ in range(3):
+            slat, sgrid, scene = _sparse_scene(rng, d, rotated)
+            F = synthesize(scene, slat, sgrid)
+            assert F._pairs is not None
+            # offsets -2..2 in every coordinate are closed under D4
+            cases.append((F, d4 if d == 2 else None))
+    for F, group in cases:
+        masks = [PWMask(F.lattice, F.grid, rng.random((F.grid.n_offsets, F.grid.n_cells))
+                        < p) for p in (0.0, 0.5, 1.0, 0.7)]
+        for m1, m2 in ((masks[1], masks[3]), (masks[0], masks[2]), (masks[2], masks[1])):
+            _assert_band_matches_its_copy(F, m1, m2, group, rng)
+
+
+def test_project_pw_copies_no_samples():
+    # m = 6 on 3 x 3 offsets at r = 64: 3.4 MiB of values, which the
+    # dense copy of the band duplicated
+    lat = make_lattice(np.eye(2))
+    grid = make_grid(lat, 64, [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    rng = np.random.default_rng(4401)
+    shape = (6, grid.n_offsets, grid.n_cells)
+    F = SpectralDataset(lat, grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    mask = PWMask(lat, grid, rng.random(shape[1:]) < 0.5)
+    P, peak = traced_peak(lambda: project_pw(F, mask))
+    assert P.m == 6 and peak < 0.5 * 2 ** 20
+
 def _energy_cases():
     """Datasets whose channels span less than, exactly and more than one
     slice of _abs2, with masks empty, full and random."""
@@ -611,10 +697,10 @@ def test_energies_keep_the_bits_of_the_whole_array_sums():
             v = F.values[i]
             assert _abs2(v).tobytes() == (v.real ** 2 + v.imag ** 2).tobytes()
             assert F.energy(i) == _abs2(v).sum() * w
-        band = _band_energy(F, mask.bits)
-        assert band.tobytes() == project_pw(F, mask).energy().tobytes()
-        assert residual_energy(F, mask).tobytes() == project_pw(
-            F, mask.complement()).energy().tobytes()
+        for bits, energy in ((mask.bits, project_pw(F, mask).energy()),
+                             (~mask.bits, residual_energy(F, mask))):
+            copy = SpectralDataset(F.lattice, F.grid, np.where(bits, F.values, 0.0))
+            assert energy.tobytes() == copy.energy().tobytes()
 
 
 def test_energies_hold_one_channel_array():
@@ -625,17 +711,17 @@ def test_energies_hold_one_channel_array():
     rng = np.random.default_rng(32)
     shape = (3, grid.n_offsets, grid.n_cells)
     F = SpectralDataset(lat, grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    bits = rng.random(shape[1:]) < 0.5
+    band = project_pw(F, PWMask(lat, grid, rng.random(shape[1:]) < 0.5))
     channel = 8 * grid.n_offsets * grid.n_cells
-    for energy in (F.energy, lambda: _band_energy(F, bits)):
+    for energy in (F.energy, band.energy):
         _, peak = traced_peak(energy)
         assert peak < 1.5 * channel
 
 
-def test_energy_of_a_pair_scene_holds_one_float_channel(monkeypatch):
-    # example 6.5's square-lattice scene at r = 250: 5 channels on 25 x 250^2
-    # samples, 125 MB dense, stored as about a thousand pairs; energy()
-    # builds one float channel of |v|^2 (12.5 MB) at a time
+def _square_scene_of_example_65(monkeypatch):
+    """Example 6.5's square-lattice scene at r = 250, synthesized: 5
+    channels on 25 x 250^2 samples, 125 MB dense, stored as about a
+    thousand pairs."""
     from pwsis import examples
 
     scenes = []
@@ -650,11 +736,36 @@ def test_energy_of_a_pair_scene_holds_one_float_channel(monkeypatch):
     assert np.array_equal(lat.basis, np.eye(2)) and grid.n_offsets == 25
     F = synthesize(scene, lat, grid)
     assert F._pairs is not None and F.m == 5
+    return F
+
+
+def test_energy_of_a_pair_scene_holds_one_float_channel(monkeypatch):
+    # energy() builds one float channel of |v|^2 (12.5 MB) at a time
+    F = _square_scene_of_example_65(monkeypatch)
     energy, peak = traced_peak(F.energy)
     assert peak < 16 * 2 ** 20
     assert F._values is None
-    assert energy.tobytes() == np.array([_abs2(v).sum() * grid.cell_weight
+    assert energy.tobytes() == np.array([_abs2(v).sum() * F.grid.cell_weight
                                          for v in F.values]).tobytes()
+
+
+def test_pair_scene_is_selected_and_written_without_its_dense_values(monkeypatch, tmp_path):
+    # select_channels keeps the pairs, and write_dataset reads a chunk at a
+    # time: building the dense values took 143.1 MB and 119.3 MB traced
+    import filecmp
+
+    from pwsis.textio import write_dataset
+
+    F = _square_scene_of_example_65(monkeypatch)
+    G, peak = traced_peak(lambda: F.select_channels([3, 0]))
+    assert peak < 16 * 2 ** 20
+    assert G._pairs is not None and G.m == 2 and np.array_equal(G.support, F.support)
+    _, peak = traced_peak(lambda: write_dataset(F, tmp_path / "pairs.dataset"))
+    assert peak < 16 * 2 ** 20
+    assert F._values is None and G._values is None
+    assert np.array_equal(_bits(G.values), _bits(F.values[[3, 0]]))
+    write_dataset(SpectralDataset(F.lattice, F.grid, F.values), tmp_path / "dense.dataset")
+    assert filecmp.cmp(tmp_path / "pairs.dataset", tmp_path / "dense.dataset", shallow=False)
 
 
 def _layouts(rng, n):
