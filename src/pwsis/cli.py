@@ -66,18 +66,13 @@ def _cmd_synth(args):
 def _read_mask(args, F):
     """The mask file args.mask, checked against F, read from args.data: an
     error naming both files and the first field of the grids that differs."""
-    import numpy as np
-
     from . import textio
 
     mask = textio.read_mask(args.mask)
-    a, b = F.grid, mask.grid
-    for field, same in (("dimension", a.d == b.d), ("resolution", a.r == b.r),
-                        ("lattice", a.lattice.same_as(b.lattice)),
-                        ("offsets", np.array_equal(a.offsets, b.offsets))):
-        if not same:
-            raise ValueError("%s: grid differs from the dataset %s in its %s"
-                             % (args.mask, args.data, field))
+    field = F.grid.difference(mask.grid)
+    if field is not None:
+        raise ValueError("%s: grid differs from the dataset %s in its %s"
+                         % (args.mask, args.data, field))
     return mask
 
 

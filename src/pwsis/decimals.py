@@ -29,10 +29,8 @@ import numpy as np
 # and 10^27 = 5^27 2^27 with 5^27 < 2^63 is exact in np.longdouble.
 _MAX_DIGITS = 18
 _MAX_ZEROS = 9
-# Bytes of a piece the integer route reads at a time.
-_PART = 1 << 17
-# A part in which more than one token in this many needs float() on its own
-# (an exponent or too many digits) leaves its piece to numpy's float parser.
+# A piece in which more than one token in this many needs float() on its
+# own (an exponent or too many digits) is left to numpy's float parser.
 _ODD_SHARE = 16
 # Tokens of the platform check.  The 64-bit quotients of the first three,
 # of 9007199254740993.0 and of 18014398509481990.0 sit exactly halfway
@@ -64,7 +62,7 @@ def _quotients(q, f, P):
 @functools.lru_cache(maxsize=None)
 def _powers_of_ten():
     """10^0 ... 10^27 as np.longdouble, if it has a 64-bit significand and
-    _parse_part reads every token of _PROBES as float() does; None on any
+    _parse_piece reads every token of _PROBES as float() does; None on any
     other platform (np.longdouble may be a double, or of another layout),
     whose reads keep numpy's float parser.  Decided on the first read, not
     at import."""
@@ -75,7 +73,7 @@ def _powers_of_ten():
     P.setflags(write=False)  # every read shares it
     piece = "".join("%s %s\n" % pair for pair in zip(_PROBES[0::2], _PROBES[1::2])).encode()
     b = np.frombuffer(piece, np.uint8)
-    got = _parse_part(piece, b, np.flatnonzero(b <= 32), P)
+    got = _parse_piece(piece, b, np.flatnonzero(b <= 32), P)
     want = np.array([float(t) for t in _PROBES])
     return P if got is not None and got.tobytes() == want.tobytes() else None
 
@@ -84,36 +82,22 @@ def parse(piece, b, sep):
     """The numbers of piece (bytes, and b the same bytes as a uint8 array),
     whose separators sep are single spaces and newlines, alternating and
     ending at its final newline, and whose other bytes are digits, '.',
-    'e', 'E', '+' and '-'.  Read by _parse_part in parts of about _PART
-    bytes cut at line ends, which keeps its temporaries (about three times
-    the part's bytes) small.  None leaves the piece to numpy's float
-    parser: there is no 64-bit extended precision, or _parse_part declined
-    a part.  ValueError for a token float() refuses."""
+    'e', 'E', '+' and '-'.  _parse_piece reads the piece whole; its
+    temporaries take about three times the piece's bytes.  None leaves the
+    piece to numpy's float parser: there is no 64-bit extended precision,
+    or _parse_piece declined it.  ValueError for a token float() refuses."""
     P = _powers_of_ten()
-    if P is None:
-        return None
-    # the token that ends each part: the newline at or after every _PART bytes
-    ends = 2 * np.searchsorted(sep[1::2], np.arange(_PART, len(piece), _PART)) + 2
-    out = np.empty(len(sep))
-    for t0, t1 in zip([0] + ends.tolist(), ends.tolist() + [len(sep)]):
-        if t0 < t1:
-            a = sep[t0 - 1] + 1 if t0 else 0
-            e = sep[t1 - 1] + 1
-            part = _parse_part(piece[a:e], b[a:e], sep[t0:t1] - a, P)
-            if part is None:
-                return None
-            out[t0:t1] = part
-    return out
+    return None if P is None else _parse_piece(piece, b, sep, P)
 
 
-def _parse_part(piece, b, sep, P):
-    """The numbers of a part of a piece.  Each token [sign]digits.digits
+def _parse_piece(piece, b, sep, P):
+    """The numbers of a piece (see parse).  Each token [sign]digits.digits
     of at most _MAX_DIGITS significant digits is read by numpy's integer
     parser with its dot dropped, as a mantissa M over 10^f, f its digits
     after the dot, and _quotients divides by P[f].  float() reads the odd
     tokens (an exponent or more digits) and the halfway quotients from
     their own text, so every value has float()'s bits.  None declines the
-    part: too many odd tokens, a token of another shape, or an integer
+    piece: too many odd tokens, a token of another shape, or an integer
     parse that errs, warns or miscounts."""
     n = len(sep)
     start = np.empty_like(sep)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .lattice import make_lattice
 from .spectral import Ball, Box, Scene, interval, make_grid, pw_mask, synthesize
-from .solver import (_dataset_cut, best_sis, project_then_solve,
+from .solver import (_lattice_cut, best_sis, project_then_solve,
                      refinement_inequality_check, solve_then_project)
 
 __all__ = ["ExampleReport", "Row", "reproduce_example", "EXAMPLE_IDS"]
@@ -126,7 +126,7 @@ def _one_generator(scene, lat, r, offsets):
     """(error, length) of the one-generator optimum for the scene sampled on
     the lattice; the dataset and its eigen cut are freed on return, so the
     next lattice's synthesis does not run next to them."""
-    ef = _dataset_cut(synthesize(scene, lat, make_grid(lat, r, offsets)), 1, vectors=False)
+    ef = _lattice_cut(synthesize(scene, lat, make_grid(lat, r, offsets)), lat)(1)
     return ef.error, ef.length
 
 

@@ -100,19 +100,19 @@ class GramianField:
         return "GramianField(m=%d, active=%d/%d)" % (self.m, self.n_active, self.grid.n_cells)
 
 
-# bytes of a block: of the fibers a gather returns, of the operators an eigh
-# call takes.  A block's fibers are held only until its products are taken,
-# its operators and full eigenvectors only until their top rows are kept.
-# Beside its fibers a block holds their conjugate while the products are
-# taken, and a copy of them where its gather cannot return a view of the
-# samples (a band, scattered cells, the group action, a regrid map).
+# bytes of a block.  A block's fibers are held only until its products are
+# taken, its operators and full eigenvectors only until their top rows are
+# kept.
 _BLOCK_BYTES = 1 << 20
 
 
 def _block_cells(m, k):
-    """Cells per block: about _BLOCK_BYTES of m x k complex matrices, at
-    least one (also for m = 0)."""
-    return max(1, _BLOCK_BYTES // max(1, 16 * m * k))
+    """Cells per block, the one block rule: as many as fit in _BLOCK_BYTES
+    when each holds its m x k complex matrices twice, at least one (also for
+    m = 0).  Twice covers what a block holds beside what it gathers: the
+    conjugate, a copy or the rows made of its fibers, the eigenvectors of
+    its operators."""
+    return max(1, _BLOCK_BYTES // max(1, 32 * m * k))
 
 
 def _cell_trace(values):
@@ -149,18 +149,17 @@ def _gramian_mats(va):
     return np.einsum("ikc,jkc->cij", va, other)
 
 
-def _fiber_blocks(grid, m, cells, gather, fiber_side=False, copies=1):
+def _fiber_blocks(grid, m, cells, gather, fiber_side=False):
     """The one route from the m-channel fibers gather(c) at the ascending
     cells to their n x n operators: (grid, n, active, trace, block, step),
     solver._eigen_cut's arguments but the rank.  The trace pass reads step
     cells at a time; block(s, e) gathers the active cells s..e-1 once and
     returns their Gramians (n = m) or, on the fiber side, the Gramians
-    across channels (n = |K|).  A block of the larger of the two shapes
-    sizes each gather and each eigh; the fibers count copies times, 2 for a
-    gather that always takes a copy beside the conjugate."""
+    across channels (n = |K|).  The larger of the two shapes sizes each
+    gather and each eigh."""
     nK = grid.n_offsets
     n = nK if fiber_side else m
-    step = min(_block_cells(copies * m, nK), _block_cells(n, n))
+    step = min(_block_cells(m, nK), _block_cells(n, n))
     keep, trace = _active_cells(cells, gather, step)
     active = cells[keep]
 
@@ -171,11 +170,17 @@ def _fiber_blocks(grid, m, cells, gather, fiber_side=False, copies=1):
     return grid, n, active, trace, block, step
 
 
-def _dataset_blocks(F):
+def _dataset_blocks(F, layout=None):
     """_fiber_blocks of F's fibers over F's support, off which every cell is
-    zero and so inactive, or over its whole grid."""
-    cells = np.arange(F.grid.n_cells) if F.support is None else F.support
-    return _fiber_blocks(F.grid, F.m, cells, F._fibers, copies=F._fiber_copies)
+    zero and so inactive, or over its whole grid; or, with layout =
+    _regrid_layout(F, lat), of F regridded onto lat, read through the
+    regrid map instead of from a regridded dataset."""
+    if layout is None:
+        cells = np.arange(F.grid.n_cells) if F.support is None else F.support
+        return _fiber_blocks(F.grid, F.m, cells, F._fibers)
+    src = _regrid_map(F, layout)
+    return _fiber_blocks(layout[0], F.m, np.arange(layout[0].n_cells),
+                         lambda c: F._take(src[:, c]))
 
 
 def gramian_field(F):
@@ -375,17 +380,6 @@ def regrid_to_lattice(F, lat):
         return F
     return SpectralDataset(lat, layout[0], F._take(_regrid_map(F, layout)),
                            check_finite=False)
-
-
-def _lattice_blocks(F, layout):
-    """_fiber_blocks of F's fibers regridded by layout = _regrid_layout(F,
-    lat), read through the regrid map instead of from a regridded dataset."""
-    if layout is None:
-        return _dataset_blocks(F)
-    grid2 = layout[0]
-    src = _regrid_map(F, layout)
-    return _fiber_blocks(grid2, F.m, np.arange(grid2.n_cells),
-                         lambda c: F._take(src[:, c]), copies=2)
 
 
 def gramian_covariance_check(F, A):

@@ -113,14 +113,14 @@ class PointGroup:
     """Finite group of integer unimodular matrices in lattice coordinates.
 
     elements[0] is the identity; the rest are sorted by their flattened
-    entries so group construction is deterministic.  duals[i] is
-    (elements[i]^T)^-1, also integer.  inverses[i] is the index of the
-    inverse of element i, found once from the integer products.
+    entries so group construction is deterministic.  inverses[i] is the
+    index of the inverse of element i, found once from the integer
+    products.  duals[i] is (elements[i]^T)^-1 = (elements[i]^-1)^T, the
+    transposed inverse, also integer.
     """
 
-    def __init__(self, elements, duals):
+    def __init__(self, elements):
         self.elements = elements
-        self.duals = duals
         self.d = elements.shape[1]
         self.order = elements.shape[0]
         self.identity_index = 0
@@ -129,6 +129,7 @@ class PointGroup:
         if not np.all(is_ident.any(axis=1)):
             raise RuntimeError("group closure lost an inverse")
         self.inverses = np.argmax(is_ident, axis=1)
+        self.duals = np.ascontiguousarray(elements[self.inverses].transpose(0, 2, 1))
         for a in (self.elements, self.duals, self.inverses):
             a.setflags(write=False)
 
@@ -199,25 +200,12 @@ def _product(a, b):
     return prod
 
 
-def _integer_dual(mat):
-    """(M^T)^-1 of an integer unimodular matrix, integer unimodular: the
-    adjugate of M^T times its determinant +-1, over Python ints."""
-    mt = mat.T.tolist()
-    n = len(mt)
-    det = _det(mt)
-    minor = lambda i, j: [row[:j] + row[j + 1:] for k, row in enumerate(mt) if k != i]
-    dual = [[(-1) ** (i + j) * _det(minor(j, i)) * det for j in range(n)] for i in range(n)]
-    if _product(mt, dual) != tuple(tuple(int(i == j) for j in range(n)) for i in range(n)):
-        raise RuntimeError("dual of unimodular matrix failed integrality check")
-    return np.array(dual, dtype=np.int64)
-
-
 def make_group(mats, max_order=48):
     """Close a list of integer unimodular matrices into a finite group.
 
     Fails with "group not finite under bound" if the closure exceeds
     max_order (48 covers the crystallographic point groups in 2 and 3
-    dimensions).  Determinants, duals and the closure's products are exact,
+    dimensions).  Determinants and the closure's products are exact,
     and every element's entries are below 2^53 in magnitude.
     """
     mats = [_check_unimodular(m) for m in mats]
@@ -249,9 +237,7 @@ def make_group(mats, max_order=48):
                     nxt.append(prod)
         frontier = nxt
     others = sorted((m for m in seen if m != ident), key=lambda m: sum(m, ()))
-    elements = np.array([ident] + others, dtype=np.int64)
-    duals = np.stack([_integer_dual(m) for m in elements])
-    return PointGroup(elements, duals)
+    return PointGroup(np.array([ident] + others, dtype=np.int64))
 
 
 class OrbitPartition:

@@ -12,9 +12,10 @@ import numpy as np
 
 from .lattice import Lattice, _invariant, offset_permutations, orbit_partition
 from .omega import _exact_fill_knapsack
-from .fibers import (_block_cells, _dataset_blocks, _fiber_blocks, _lattice_blocks,
-                     _regrid_layout, _symmetrized, dilation_transport)
-from .spectral import SpectralDataset, _abs2, _finite_sum, project_pw, residual_energy
+from .fibers import (_block_cells, _dataset_blocks, _fiber_blocks, _regrid_layout,
+                     _symmetrized, dilation_transport)
+from .spectral import (SpectralDataset, _abs2, _finite_sum, _require_same_grid, project_pw,
+                       residual_energy)
 
 __all__ = [
     "EigenField",
@@ -157,19 +158,13 @@ def eigen_field(G, ell):
                       _block_cells(G.m, G.m), _check_length(ell))
 
 
-def _dataset_cut(F, ell, vectors=True):
-    """eigen_field(gramian_field(F), ell), built a block at a time: no
-    Gramian field is held.  With vectors False only its error, density and
-    length are kept."""
-    return _eigen_cut(*_dataset_blocks(F), ell, vectors)
-
-
 def _lattice_cut(F, lat):
     """Check lat against F, as regrid_to_lattice does, and return cut(ell):
     the rank-ell cut of F regridded onto lat, its error, density and length
-    only, with neither the regridded dataset nor its Gramian field held."""
+    only, with neither the regridded dataset nor its Gramian field held;
+    on F's own lattice, eigen_field(gramian_field(F), ell)'s."""
     layout = _regrid_layout(F, lat)
-    return lambda ell: _eigen_cut(*_lattice_blocks(F, layout), _check_length(ell),
+    return lambda ell: _eigen_cut(*_dataset_blocks(F, layout), _check_length(ell),
                                   vectors=False)
 
 
@@ -217,12 +212,13 @@ class ApproxReport:
 
 def _fiber_pass(F, cells, rows, rows_of, band=None, clip=None, store=True):
     """The one pass that builds a model's basis rows at the ascending cells
-    and measures them, a block of cells at a time.  Each block reads F's
-    fibers once, takes its rows rows_of(s, e, fibers) of cells s..e-1 --
-    from the fibers of band, a projection project_pw(F, mask), when given
-    -- clips them to the band bits clip when given
-    (_clip_orthonormalize), and takes their amplitudes against F's fibers
-    and, with a band, the band's; then the block is dropped.
+    and measures them, a block of cells at a time, sized for each cell's m
+    fibers and its rows.  Each block reads F's fibers once, takes its rows
+    rows_of(s, e, fibers) of cells s..e-1 -- from the fibers of band, a
+    projection project_pw(F, mask), when given -- clips them to the band
+    bits clip when given (_clip_orthonormalize), and takes their amplitudes
+    against F's fibers and, with a band, the band's; then the block is
+    dropped.
 
     Returns (basis, dims, captured, band_captured): the (cells, rows, |K|)
     basis if store, else None; the rows kept per cell if clipped, else None;
@@ -239,11 +235,7 @@ def _fiber_pass(F, cells, rows, rows_of, band=None, clip=None, store=True):
     own = None if band is None else np.zeros(m)
     basis = np.empty((n, rows, nK), dtype=np.complex128) if store else None
     dims = None if clip is None else np.empty(n, dtype=np.int64)
-    # a block holds its fibers and, with a band, the band's copy of them; a
-    # clipped block also the few cells x |K| temporaries of a Gram-Schmidt
-    # step
-    size = m if band is None else 2 * m
-    step = _block_cells(size if clip is None else max(size, 4), nK)
+    step = _block_cells(m + rows, nK)
 
     def take(s, e):
         # a call per block: its arrays are freed before the next is built
@@ -304,7 +296,7 @@ def _solve(F, ell, group=None, mask=None, clip=None, store=True):
     band = None if mask is None else project_pw(F, mask)
     P = F if band is None else band
     if group is None:
-        ef = _dataset_cut(P, ell)
+        ef = _eigen_cut(*_dataset_blocks(P), ell)
         cells, density = ef.active_idx, ef.density
         rows_of, dims = _sis_rows(ef, ell)
         rows = min(ell, ef.m)
@@ -340,7 +332,7 @@ def best_sis(F, ell, *, _store=True):
 def subspace_length(F):
     """Smallest length of an invariant subspace containing all channels:
     the max over cells of the fiber Gramian rank at relative threshold 1e-9."""
-    return _dataset_cut(F, 0, vectors=False).length
+    return _lattice_cut(F, F.lattice)(0).length
 
 
 def error_against(F, model):
@@ -467,8 +459,7 @@ def _gamma_rows(F, group, ell, part, off_perms):
     reps, cell_perms = part.representatives, part.cell_perms
     gather = _symmetrized(F, group, cell_perms, off_perms)
 
-    # the symmetrized fibers are always a copy
-    route = _fiber_blocks(F.grid, m * n_group, reps, gather, fiber_side=True, copies=2)
+    route = _fiber_blocks(F.grid, m * n_group, reps, gather, fiber_side=True)
     _, _, active, trace, fiber_ops, _ = route
     ef = _eigen_cut(*route, ell)
     # T_c has rank at most m|G|: rows past it would be zero
@@ -520,8 +511,7 @@ def project_then_solve(F, mask, ell, group=None, *, _store=True):
     that builds it.  With _store False the model keeps no basis, as in
     best_sis.
     """
-    if not F.grid.compatible(mask.grid):
-        raise ValueError("mismatched grid between dataset and mask")
+    _require_same_grid(F, mask)
     outside = residual_energy(F, mask)
     model, rep, energy, captured = _solve(F, ell, group, mask, store=_store)
     total = rep.total_error + float(outside.sum())
@@ -572,8 +562,7 @@ def solve_then_project(F, mask, ell, *, _store=True):
     project_then_solve.  Each block's rows are clipped in the pass that
     builds them, and only the clipped model's error is measured.  With
     _store False the model keeps no basis, as in best_sis."""
-    if not F.grid.compatible(mask.grid):
-        raise ValueError("mismatched grid between dataset and mask")
+    _require_same_grid(F, mask)
     model, rep = _solve(F, ell, clip=mask.bits, store=_store)[:2]
     return model, ApproxReport(float(rep.per_channel.sum()), rep.per_channel)
 

@@ -9,6 +9,8 @@ two things exact: indicator partitions of aligned breakpoints, and the index
 permutation action of integer dual-group matrices.
 """
 
+import math
+
 import numpy as np
 
 from .lattice import Lattice
@@ -145,13 +147,16 @@ class FrequencyGrid:
             raise KeyError("offset %s not in grid" % (t,))
         return self._offset_lookup[t]
 
+    def difference(self, other):
+        """The first field in which other differs from this grid, in the
+        order dimension, resolution, lattice, offsets; None if none does."""
+        same = {"dimension": self.d == other.d, "resolution": self.r == other.r,
+                "lattice": self.lattice.same_as(other.lattice),
+                "offsets": np.array_equal(self.offsets, other.offsets)}
+        return next((field for field, ok in same.items() if not ok), None)
+
     def compatible(self, other):
-        return (
-            self.r == other.r
-            and self.d == other.d
-            and self.lattice.same_as(other.lattice)
-            and np.array_equal(self.offsets, other.offsets)
-        )
+        return self.difference(other) is None
 
     def __repr__(self):
         return "FrequencyGrid(d=%d, r=%d, offsets=%d)" % (self.d, self.r, self.n_offsets)
@@ -301,25 +306,68 @@ def _candidate_cells(hull, grid, k):
     return flat, grid.sample_points(cells, k)
 
 
-def _validate_band(primitives, lattice, grid):
-    """Error if a primitive has grid samples at offsets missing from K.
+def _first_outside(prim, hull, center, grid, head=(), taken=None):
+    """With taken, K's offsets: the first offset in C order that starts
+    with the offsets head, lies in the hull and outside K, and has a sample
+    inside prim (tested on its _candidate_cells); None if none is found.
+    Without: an offset that starts with head and has a sample inside prim.
 
-    Candidates come from the bounding-box hull; only candidates where some
-    sample point actually lands inside the primitive count, so half-open
-    boundaries aligned with the band edge stay legal.
-    """
+    Coordinate i = len(head) takes the values of the hull.  Up to 65 of
+    them are walked in order.  Of more, the middle value -- the one through
+    the point nearest the center of prim -- is tried first: without taken
+    it alone; with taken, the first value that holds a sample is bisected
+    for up to it, and values are walked on from there while they hold
+    samples.  A convex primitive wider than a sample holds samples at the
+    middle value and in a run of values, so the work does not grow with the
+    hull."""
+    d, i = grid.d, len(head)
+    first, last = math.floor(hull[0][i]), math.floor(hull[1][i])
+
+    def row(k, taken):
+        key = head + (k,)
+        if i < d - 1:
+            return _first_outside(prim, hull, center, grid, key, taken)
+        if taken is not None and key in taken:
+            return None
+        pts = _candidate_cells(hull, grid, np.array(key, dtype=float))[1]
+        return key if np.any(prim.contains(pts)) else None
+
+    if last - first <= 64:
+        return next(filter(None, (row(k, taken) for k in range(first, last + 1))), None)
+    # coordinate i of the point nearest the center on the plane through
+    # the middle of the head's offsets
+    B = grid.lattice.basis
+    M, w = B[:, :i], B[:, i]
+    x = center @ w + (np.array(head) + 0.5 - center @ M) @ np.linalg.solve(M.T @ M, M.T @ w)
+    middle = min(max(math.floor(x), first), last)
+    if taken is None or row(middle, None) is None:
+        return row(middle, taken)
+    a, b = first - 1, middle
+    while b - a > 1:
+        m = (a + b) // 2
+        a, b = (m, b) if row(m, None) is None else (a, m)
+    for k in range(b, last + 1):
+        key = row(k, taken)
+        if key is not None or row(k, None) is None:
+            return key
+    return None
+
+
+def _validate_band(primitives, lattice, grid):
+    """Error if a primitive has grid samples at offsets missing from K: the
+    first such offset of its hull in C order (_first_outside), or, for a
+    hull reaching offsets of 2^62 or more, which no int64 offset set
+    covers, none.  The sample points decide, so half-open boundaries
+    aligned with the band edge stay legal."""
     for prim in primitives:
         hull = _offset_hull(prim, lattice)
-        los, his = (np.floor(x).astype(np.int64) for x in hull)
-        for k in _grid_product([np.arange(los[i], his[i] + 1) for i in range(lattice.d)]):
-            key = tuple(int(v) for v in k)
-            if key in grid._offset_lookup:
-                continue
-            _, pts = _candidate_cells(hull, grid, k)
-            if np.any(prim.contains(pts)):
-                raise ValueError(
-                    "band too small: %r needs offset %s outside the grid" % (prim, key)
-                )
+        if not np.all(np.abs(hull) < 2.0 ** 62):
+            raise ValueError("band too small: %r reaches offsets of 2^62 or more" % (prim,))
+        center = prim.center if isinstance(prim, Ball) else (prim.lo + prim.hi) / 2
+        key = _first_outside(prim, hull, center, grid, taken=grid._offset_lookup)
+        if key is not None:
+            raise ValueError(
+                "band too small: %r needs offset %s outside the grid" % (prim, key))
 
 
 # samples whose squared imaginary parts _abs2 adds at once
@@ -417,13 +465,6 @@ class SpectralDataset:
         if self._band is not None:
             return self._band[0]._stored
         return self.values if self._pairs is None else self._pairs[1]
-
-    @property
-    def _fiber_copies(self):
-        """What a block of _fibers counts in a block budget beside its
-        conjugate (fibers._fiber_blocks' copies): 2 for a band, whose fibers
-        are always a copy, else 1."""
-        return 1 if self._band is None else 2
 
     @property
     def m(self):

@@ -38,12 +38,13 @@ __all__ = [
 ]
 
 
-# Bytes of dataset or mask text handled in one array pass.  A written
-# 're im' pair holds about _PAIR_BYTES while its chunk is formatted: its
-# text (at most 50 characters, a float64 repr is at most 24) and its share
-# of the bit patterns, their sort and the text of each distinct value; so
+# Bytes of dataset or mask text handled in one array pass: a piece read,
+# which decimals.parse reads whole, or a chunk written.  A written 're im'
+# pair holds about _PAIR_BYTES while its chunk is formatted: its text (at
+# most 50 characters, a float64 repr is at most 24) and its share of the
+# bit patterns, their sort and the text of each distinct value; so
 # formatting a chunk holds about _CHUNK bytes too.
-_CHUNK = 1 << 18
+_CHUNK = 1 << 17
 _PAIR_BYTES = 200
 
 

@@ -602,6 +602,26 @@ _BAD_INPUTS = {
     "scene-center": ({"center.txt": "# a ball\nchannel 0 coeff 1 0 ball nan 0 0.5\n"},
                      _SYNTH_2D + ["--scene", "center.txt", "--resolution", "4"],
                      "center.txt line 2: non-finite scene entry 'nan'"),
+    # a huge primitive: its hull offsets are searched, not listed, and a
+    # hull past the int64 offsets names none
+    "band-huge-interval": ({"wide.txt": "channel 0 coeff 1 0 interval -1e15 1e15\n",
+                            "offs0.txt": "0\n"},
+                           ["synth", "--scene", "wide.txt", "--lattice", "lat.txt",
+                            "--offsets", "offs0.txt", "--resolution", "4", "--out", "x.txt"],
+                           "band too small: interval [-1e+15, 1e+15) needs offset "
+                           "(-1000000000000000,) outside the grid"),
+    "band-huge-ball": ({"wide2.txt": "channel 0 coeff 1 0 ball 0 0 1e15\n",
+                        "offs00.txt": "0 0\n"},
+                       ["synth", "--scene", "wide2.txt", "--lattice", "lat2.txt",
+                        "--offsets", "offs00.txt", "--resolution", "4", "--out", "x.txt"],
+                       "band too small: ball(center=[0.0, 0.0], radius=1e+15) needs offset "
+                       "(-1000000000000000, -38441431) outside the grid"),
+    "band-past-int64": ({"wider.txt": "channel 0 coeff 1 0 interval -1e19 1e19\n",
+                         "offs0.txt": "0\n"},
+                        ["synth", "--scene", "wider.txt", "--lattice", "lat.txt",
+                         "--offsets", "offs0.txt", "--resolution", "4", "--out", "x.txt"],
+                        "band too small: interval [-1e+19, 1e+19) reaches offsets of 2^62 "
+                        "or more"),
     "scene-bound": ({"bound.txt": "channel 0 coeff 1 0 interval 0 inf\n"},
                     ["synth", "--scene", "bound.txt", "--lattice", "lat.txt",
                      "--offsets", "offs.txt", "--resolution", "2", "--out", "x.txt"],

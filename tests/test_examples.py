@@ -51,6 +51,15 @@ def test_length_rows_are_integers():
     assert by_label["subspace length, square lattice"].kind == "int"
 
 
+def test_example_6_4_cuts_hold_the_dataset_and_one_block():
+    # both lattices' cuts read fibers gathered from the pairs, always a
+    # copy, which each block holds beside its conjugate: counted once, the
+    # blocks took twice their budget and the traced peak was 2.96 MiB
+    report, peak = traced_peak(lambda: reproduce_example("6.4"))
+    assert report.passed
+    assert peak < 2.4 * 2 ** 20
+
+
 def test_example_6_5_synthesis_and_cut_stay_small():
     # both lattices' scenes at r = 1000, 5 x 25 x 10^6 samples each, are
     # stored as their nonzero (offset, cell) pairs and cut from them: the

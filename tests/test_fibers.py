@@ -132,7 +132,7 @@ def _assert_whole_array_field(F):
 
 
 def test_blocked_gramian_field_matches_the_whole_array_route(monkeypatch):
-    # m = 3 on 3 x 3 offsets at r = 64: 4096 cells, two blocks by default;
+    # m = 3 on 3 x 3 offsets at r = 64: 4096 cells, four blocks by default;
     # magnitudes over six decades so that any change of summation order
     # shows in the bits
     lat = make_lattice(np.eye(2))
@@ -142,8 +142,8 @@ def test_blocked_gramian_field_matches_the_whole_array_route(monkeypatch):
     shape = (m, grid.n_offsets, grid.n_cells)
     vals = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
             * 10.0 ** rng.integers(-3, 3, size=shape))
-    assert grid.n_cells > fibers._block_cells(m, grid.n_offsets) > 1
     dense = SpectralDataset(lat, grid, vals)
+    assert grid.n_cells > fibers._dataset_blocks(dense)[5] > 1
     dead_vals = vals.copy()
     dead_vals[:, :, rng.random(grid.n_cells) < 0.3] = 0.0
     dead = SpectralDataset(lat, grid, dead_vals)
@@ -160,9 +160,10 @@ def test_blocked_gramian_field_matches_the_whole_array_route(monkeypatch):
     # trace pass, of the active cells for the Gramians; one cell per block
     n_active = gramian_field(dead).n_active
     for n in (grid.n_cells, n_active):
-        monkeypatch.setattr(fibers, "_BLOCK_BYTES", 16 * m * grid.n_offsets * (n - 1))
-        assert n % fibers._block_cells(m, grid.n_offsets) == 1
+        # a block holds its fibers twice
+        monkeypatch.setattr(fibers, "_BLOCK_BYTES", 32 * m * grid.n_offsets * (n - 1))
         for F in (dense, dead):
+            assert n % fibers._dataset_blocks(F)[5] == 1
             _assert_whole_array_field(F)
     monkeypatch.setattr(fibers, "_BLOCK_BYTES", 1)
     _assert_whole_array_field(SpectralDataset(lat, make_grid(lat, 8, grid.offsets),
@@ -177,7 +178,7 @@ def test_blocked_gramian_field_matches_the_whole_array_route(monkeypatch):
 
 def test_gramian_field_never_copies_a_dense_dataset():
     # m = 3 on 5 x 5 offsets at r = 64, every cell active: 4.9 MB of
-    # values against about 1 MB per block of fibers
+    # values against about 1 MB per block of fibers and their conjugate
     lat = make_lattice(np.eye(2))
     grid = make_grid(lat, 64, [[a, b] for a in range(-2, 3) for b in range(-2, 3)])
     rng = np.random.default_rng(67)

@@ -9,10 +9,11 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import traced_peak
 from pwsis import fibers, solver
-from pwsis.fibers import GramianField, gramian_field, regrid_to_lattice, symmetrize
+from pwsis.fibers import (GramianField, _block_cells, _dataset_blocks, gramian_field,
+                          regrid_to_lattice, symmetrize)
 from pwsis.lattice import (Lattice, _cell_permutations, _invariant, make_group, make_lattice,
                            offset_permutations, orbit_partition)
-from pwsis.solver import (_RANK_CUT, _TIE_GAP, _block_cells, ApproxReport, SubspaceModel,
+from pwsis.solver import (_RANK_CUT, _TIE_GAP, ApproxReport, SubspaceModel,
                           best_gamma, best_sis,
                           dilation_equivalence, eigen_field, error_against,
                           generators, project_then_solve,
@@ -562,13 +563,27 @@ def _materialized_best_gamma(F, group, ell):
                                density=ef.density[src] / n_group)
 
 
+def _spy_steps(monkeypatch):
+    """The step of every route solver._fiber_blocks returns from now on."""
+    steps, route = [], solver._fiber_blocks
+
+    def spy(*args, **kwargs):
+        out = route(*args, **kwargs)
+        steps.append(out[5])
+        return out
+
+    monkeypatch.setattr(solver, "_fiber_blocks", spy)
+    return steps
+
+
 def test_blocked_best_gamma_matches_materialized_field(monkeypatch):
     # m|G| = 24 (C4) and 48 (D4) on |K| = 9 offsets, with blocks the size
     # of 20 operators: the fibers, the larger shape, set 7 (C4) or 3 (D4)
     # cells per gather and per eigh, so the representatives take many
     # blocks, and a share of whole cell orbits is zeroed so the active ones
     # are gathered
-    monkeypatch.setattr(fibers, "_BLOCK_BYTES", 16 * 9 * 9 * 20)
+    monkeypatch.setattr(fibers, "_BLOCK_BYTES", 32 * 9 * 9 * 20)
+    steps = _spy_steps(monkeypatch)
     lat = make_lattice(np.eye(2))
     for gens, r, seed_ in (([_ROT4], 24, 60), ([_ROT4, _FLIP], 16, 61)):
         group = make_group(gens)
@@ -587,13 +602,16 @@ def test_blocked_best_gamma_matches_materialized_field(monkeypatch):
         F = SpectralDataset(lat, grid, vals)
         for ell in (1, 3, m * len(group)):
             _assert_gamma_oracles(F, group, ell, _materialized_best_gamma)
+        steps.clear()
         assert len(best_gamma(F, group, 1)[0].active_idx) < grid.n_cells
+        assert steps == [7 if len(group) == 4 else 3]
 
 
 def test_fiber_blocks_ending_in_a_single_cell_match_the_whole_array_route(monkeypatch):
-    # _BLOCK_BYTES is set so that the blocks of the pass that builds and
-    # measures the basis hold n - 1 of the n active cells: the last block is
-    # a single cell, whose einsums must give the bits of the whole-array pass
+    # _BLOCK_BYTES is set so that the blocks of the cut, and then those of
+    # the pass that builds and measures the basis, hold n - 1 of the n
+    # active cells: the last block is a single cell, whose eigh and einsums
+    # must give the bits of the whole-array route
     lat = make_lattice(np.eye(2))
     group = make_group([_ROT4, _FLIP])
     grid = make_grid(lat, 6, _closed_offsets(group, [[0, 0], [1, 0]]))
@@ -608,9 +626,23 @@ def test_fiber_blocks_ending_in_a_single_cell_match_the_whole_array_route(monkey
     F = SpectralDataset(lat, grid, vals)
     n = gramian_field(F).n_active
     assert n == grid.n_cells - sum(len(o) for o in dead) and n > 2
-    monkeypatch.setattr(fibers, "_BLOCK_BYTES", 16 * m * grid.n_offsets * (n - 1))
-    for ell in (1, 2):
+    blocks = []  # the cells of each block of the pass
+    sis_rows = solver._sis_rows
+
+    def spy(ef, ell):
+        rows_of, dims = sis_rows(ef, ell)
+        return (lambda s, e, v: blocks.append(v.shape[2]) or rows_of(s, e, v)), dims
+
+    monkeypatch.setattr(solver, "_sis_rows", spy)
+    for ell, per_cell in ((1, m), (2, m), (1, m + 1), (2, m + 2)):
+        # a block holds its m fibers, and in the pass also its rows, twice
+        monkeypatch.setattr(fibers, "_BLOCK_BYTES", 32 * per_cell * grid.n_offsets * (n - 1))
+        blocks.clear()
         model, rep = best_sis(F, ell)
+        if per_cell == m:
+            assert n % _dataset_blocks(F)[5] == 1
+        else:
+            assert blocks == [n - 1, 1]
         ef = eigen_field(gramian_field(F), ell)
         basis, dims = _ref_build_basis(F.values, ef.active_idx, ef, ell)
         assert np.array_equal(model.basis, basis) and np.array_equal(model.dims, dims)
@@ -622,11 +654,15 @@ def test_fiber_blocks_ending_in_a_single_cell_match_the_whole_array_route(monkey
     # block: the bits must be those of the default blocks, which hold them all
     n_reps = len(part) - len(dead)
     assert n_reps > 2
+    monkeypatch.undo()
     whole = {ell: best_gamma(F, group, ell) for ell in (1, 3)}
     monkeypatch.setattr(fibers, "_BLOCK_BYTES",
-                        16 * m * len(group) * grid.n_offsets * (n_reps - 1))
+                        32 * m * len(group) * grid.n_offsets * (n_reps - 1))
+    steps = _spy_steps(monkeypatch)
     for ell in (1, 3):
+        steps.clear()
         model, rep = best_gamma(F, group, ell)
+        assert steps == [n_reps - 1]
         want_model, want = whole[ell]
         assert np.array_equal(model.basis, want_model.basis)
         assert np.array_equal(model.dims, want_model.dims)
@@ -1082,7 +1118,7 @@ def _assert_lattice_field(F, lat):
     """The Gramians compare-lattices cuts, read through the regrid map by
     the route's block function, equal the field of the regridded dataset,
     bit for bit."""
-    got = _route_field(fibers._lattice_blocks(F, fibers._regrid_layout(F, lat)))
+    got = _route_field(_dataset_blocks(F, fibers._regrid_layout(F, lat)))
     R = _reference_regrid(F, lat)
     want = gramian_field(R)
     assert got.grid.compatible(R.grid) and got.m == F.m
@@ -1105,12 +1141,9 @@ def test_lattice_gramian_matches_the_regridded_dataset_route(monkeypatch):
     # the trace pass, of the active cells for the Gramians
     R = _reference_regrid(dead, lats[2])
     for n in (R.grid.n_cells, gramian_field(R).n_active):
-        # the route's gather takes a copy, which its block counts beside
-        # the conjugate: 2 m fibers per cell
-        monkeypatch.setattr(fibers, "_BLOCK_BYTES", 16 * 6 * R.grid.n_offsets * (n - 1))
-        assert n % fibers._block_cells(6, R.grid.n_offsets) == 1
-        step = fibers._lattice_blocks(dead, fibers._regrid_layout(dead, lats[2]))[5]
-        assert step == fibers._block_cells(6, R.grid.n_offsets)
+        # a block holds its m = 3 fibers per cell twice
+        monkeypatch.setattr(fibers, "_BLOCK_BYTES", 32 * 3 * R.grid.n_offsets * (n - 1))
+        assert n % _dataset_blocks(dead, fibers._regrid_layout(dead, lats[2]))[5] == 1
         for F in (dense, dead):
             _assert_lattice_field(F, lats[2])
     monkeypatch.undo()
@@ -1335,8 +1368,8 @@ def test_solve_then_project_clips_one_cell_at_a_time(monkeypatch):
     mask = PWMask(F.lattice, F.grid, np.random.default_rng(78).random(
         (F.grid.n_offsets, F.grid.n_cells)) < 0.5)
     want, _ = solve_then_project(F, mask, 2)
-    cut = solver._dataset_cut(F, 2)
-    monkeypatch.setattr(solver, "_dataset_cut", lambda *a: cut)
+    cut = solver._eigen_cut(*_dataset_blocks(F), 2)
+    monkeypatch.setattr(solver, "_eigen_cut", lambda *a: cut)
     (model, _, _, _), clipped = traced_peak(lambda: solver._solve(F, 2, clip=mask.bits))
     _, plain = traced_peak(lambda: solver._solve(F, 2))
     assert np.array_equal(model.basis, want.basis)
@@ -1465,7 +1498,7 @@ def _two_pass_unexplained(F, model):
 
 
 def _two_pass_sis_model(F, ell):
-    ef = solver._dataset_cut(F, ell)
+    ef = solver._eigen_cut(*_dataset_blocks(F), ell)
     basis, dims = _two_pass_build_basis(F._fibers, ef, ell)
     return SubspaceModel(F.lattice, F.grid, ell, ef.active_idx, basis, dims), ef
 
@@ -1587,7 +1620,7 @@ def _bit_cases():
     return cases
 
 
-@pytest.mark.parametrize("block_bytes", [None, 16 * 3 * 25 * 7])
+@pytest.mark.parametrize("block_bytes", [None, 32 * 3 * 25 * 7])
 def test_solves_match_the_two_pass_basis_and_error_routes(monkeypatch, block_bytes):
     # every public solve returns the model and report the separate basis
     # and error passes gave, bit for bit, with default and with small blocks
@@ -1674,10 +1707,10 @@ def test_lattice_cut_keeps_no_eigenvectors(monkeypatch):
     F = _files_layout(104, dead=True)
     for basis in _FILES_LATTICES:
         layout = fibers._regrid_layout(F, make_lattice(basis))
-        for block_bytes in (None, 16 * 6 * 9 * 97):
+        for block_bytes in (None, 32 * 3 * 9 * 97):
             if block_bytes is not None:
                 monkeypatch.setattr(fibers, "_BLOCK_BYTES", block_bytes)
-            full = solver._eigen_cut(*fibers._lattice_blocks(F, layout), 1)
+            full = solver._eigen_cut(*_dataset_blocks(F, layout), 1)
             bare = solver._lattice_cut(F, make_lattice(basis))(1)
             monkeypatch.undo()
             assert bare.vectors is None

@@ -336,6 +336,23 @@ def test_band_too_small_names_rotated_offender():
     assert str(exc.value) == expected
 
 
+def test_band_check_of_a_huge_primitive_lists_no_hull():
+    # interval(-1e6, 1e6) on K = {0}: its first hull offset is the offender,
+    # found without a list of the 2,000,001 hull offsets (61 MiB traced)
+    grid = make_grid(LAT_Z, 4, [0])
+    scene = Scene(1).add(0, 1.0, interval(-1e6, 1e6))
+
+    def check():
+        with pytest.raises(ValueError) as exc:
+            synthesize(scene, LAT_Z, grid)
+        return str(exc.value)
+
+    message, peak = traced_peak(check)
+    assert message == ("band too small: interval [-1e+06, 1e+06) needs offset (-1000000,) "
+                       "outside the grid")
+    assert peak < 2 ** 20
+
+
 def test_support_follows_cell_preserving_operations():
     from pwsis.fibers import dilation_transport
 
@@ -470,10 +487,11 @@ def _assert_pairs_match_dense(F, lat, grid, scene, rng):
     support, a contiguous run and scattered cells, with and without band
     bits), its Gramians and cut, every energy, the group solve, the regrid
     and the symmetrization, and then its values and support."""
-    from pwsis.fibers import fiber, gramian_field, regrid_to_lattice, symmetrize
+    from pwsis.fibers import (_dataset_blocks, fiber, gramian_field, regrid_to_lattice,
+                              symmetrize)
     from pwsis.lattice import Lattice, make_group
     from pwsis.omega import energy_density
-    from pwsis.solver import _dataset_cut, _lattice_cut, best_gamma
+    from pwsis.solver import _eigen_cut, _lattice_cut, best_gamma
 
     values, support = _dense_synthesize(scene, lat, grid)
     D = SpectralDataset(lat, grid, values, check_finite=False, support=support)
@@ -492,7 +510,7 @@ def _assert_pairs_match_dense(F, lat, grid, scene, rng):
     assert np.array_equal(G.active_idx, H.active_idx)
     assert np.array_equal(_bits(G.mats), _bits(H.mats))
     assert np.array_equal(_bits(G.trace), _bits(H.trace))
-    cut, ref = _dataset_cut(F, 1), _dataset_cut(D, 1)
+    cut, ref = _eigen_cut(*_dataset_blocks(F), 1), _eigen_cut(*_dataset_blocks(D), 1)
     assert np.array_equal(_bits(cut.eigenvalues), _bits(ref.eigenvalues))
     assert np.array_equal(_bits(cut.vectors), _bits(ref.vectors))
 
