@@ -1620,10 +1620,11 @@ def _bit_cases():
     return cases
 
 
-@pytest.mark.parametrize("block_bytes", [None, 32 * 3 * 25 * 7])
+@pytest.mark.parametrize("block_bytes", [None, 16 * 3 * 25 * 7, 32 * 3 * 25 * 7])
 def test_solves_match_the_two_pass_basis_and_error_routes(monkeypatch, block_bytes):
     # every public solve returns the model and report the separate basis
     # and error passes gave, bit for bit, with default and with small blocks
+    # (3 or 7 cells of the 25-offset, three-channel cases per block)
     from pwsis.spectral import PWMask
 
     if block_bytes is not None:
