@@ -10,9 +10,10 @@ import time
 
 import numpy as np
 
+from .fibers import _dataset_blocks
 from .lattice import make_lattice
 from .spectral import Ball, Box, Scene, interval, make_grid, pw_mask, synthesize
-from .solver import (_lattice_cut, best_sis, project_then_solve,
+from .solver import (_eigen_cut, best_sis, project_then_solve,
                      refinement_inequality_check, solve_then_project)
 
 __all__ = ["ExampleReport", "Row", "reproduce_example", "EXAMPLE_IDS"]
@@ -126,7 +127,8 @@ def _one_generator(scene, lat, r, offsets):
     """(error, length) of the one-generator optimum for the scene sampled on
     the lattice; the dataset and its eigen cut are freed on return, so the
     next lattice's synthesis does not run next to them."""
-    ef = _lattice_cut(synthesize(scene, lat, make_grid(lat, r, offsets)), lat)(1)
+    F = synthesize(scene, lat, make_grid(lat, r, offsets))
+    ef = _eigen_cut(*_dataset_blocks(F), 1, vectors=False)
     return ef.error, ef.length
 
 

@@ -332,7 +332,7 @@ def best_sis(F, ell, *, _store=True):
 def subspace_length(F):
     """Smallest length of an invariant subspace containing all channels:
     the max over cells of the fiber Gramian rank at relative threshold 1e-9."""
-    return _lattice_cut(F, F.lattice)(0).length
+    return _eigen_cut(*_dataset_blocks(F), 0, vectors=False).length
 
 
 def error_against(F, model):

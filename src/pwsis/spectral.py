@@ -306,68 +306,47 @@ def _candidate_cells(hull, grid, k):
     return flat, grid.sample_points(cells, k)
 
 
-def _first_outside(prim, hull, center, grid, head=(), taken=None):
-    """With taken, K's offsets: the first offset in C order that starts
-    with the offsets head, lies in the hull and outside K, and has a sample
-    inside prim (tested on its _candidate_cells); None if none is found.
-    Without: an offset that starts with head and has a sample inside prim.
+# The band check walks a hull offset by offset and refuses a hull of more
+# offsets than this.  A listing of a hull's offsets as int64 rows takes
+# about 32 bytes per offset with its temporaries (61 MiB for the 2,000,001
+# offsets of interval(-1e6, 1e6)), so no hull past the cap could be listed
+# in 2 GiB.
+_BAND_HULL_CAP = 2 ** 26
 
-    Coordinate i = len(head) takes the values of the hull.  Up to 65 of
-    them are walked in order.  Of more, the middle value -- the one through
-    the point nearest the center of prim -- is tried first: without taken
-    it alone; with taken, the first value that holds a sample is bisected
-    for up to it, and values are walked on from there while they hold
-    samples.  A convex primitive wider than a sample holds samples at the
-    middle value and in a run of values, so the work does not grow with the
-    hull."""
-    d, i = grid.d, len(head)
-    first, last = math.floor(hull[0][i]), math.floor(hull[1][i])
 
-    def row(k, taken):
-        key = head + (k,)
-        if i < d - 1:
-            return _first_outside(prim, hull, center, grid, key, taken)
-        if taken is not None and key in taken:
-            return None
-        pts = _candidate_cells(hull, grid, np.array(key, dtype=float))[1]
-        return key if np.any(prim.contains(pts)) else None
-
-    if last - first <= 64:
-        return next(filter(None, (row(k, taken) for k in range(first, last + 1))), None)
-    # coordinate i of the point nearest the center on the plane through
-    # the middle of the head's offsets
-    B = grid.lattice.basis
-    M, w = B[:, :i], B[:, i]
-    x = center @ w + (np.array(head) + 0.5 - center @ M) @ np.linalg.solve(M.T @ M, M.T @ w)
-    middle = min(max(math.floor(x), first), last)
-    if taken is None or row(middle, None) is None:
-        return row(middle, taken)
-    a, b = first - 1, middle
-    while b - a > 1:
-        m = (a + b) // 2
-        a, b = (m, b) if row(m, None) is None else (a, m)
-    for k in range(b, last + 1):
-        key = row(k, taken)
-        if key is not None or row(k, None) is None:
-            return key
-    return None
+def _c_order(ranges):
+    """The tuples of the product of the ranges, in C order, one at a time
+    (itertools.product would hold every range as a tuple)."""
+    if not ranges:
+        yield ()
+        return
+    for k in ranges[0]:
+        for rest in _c_order(ranges[1:]):
+            yield (k,) + rest
 
 
 def _validate_band(primitives, lattice, grid):
     """Error if a primitive has grid samples at offsets missing from K: the
-    first such offset of its hull in C order (_first_outside), or, for a
-    hull reaching offsets of 2^62 or more, which no int64 offset set
-    covers, none.  The sample points decide, so half-open boundaries
-    aligned with the band edge stay legal."""
+    first such offset of its hull in C order.  The hull's offsets are
+    walked, not listed, and the sample points decide, so half-open
+    boundaries aligned with the band edge stay legal.  A hull that reaches
+    offsets of 2^53/r or more, where sample points j/r + k are no longer
+    exact, or that spans more than _BAND_HULL_CAP offsets is refused."""
     for prim in primitives:
         hull = _offset_hull(prim, lattice)
-        if not np.all(np.abs(hull) < 2.0 ** 62):
-            raise ValueError("band too small: %r reaches offsets of 2^62 or more" % (prim,))
-        center = prim.center if isinstance(prim, Ball) else (prim.lo + prim.hi) / 2
-        key = _first_outside(prim, hull, center, grid, taken=grid._offset_lookup)
-        if key is not None:
-            raise ValueError(
-                "band too small: %r needs offset %s outside the grid" % (prim, key))
+        if not np.all(np.abs(hull) * grid.r < 2.0 ** 53):
+            raise ValueError("cannot check the band of %r: it reaches offsets of 2^53/r "
+                             "or more" % (prim,))
+        ranges = [range(math.floor(lo), math.floor(hi) + 1) for lo, hi in zip(*hull)]
+        if math.prod(map(len, ranges)) > _BAND_HULL_CAP:
+            raise ValueError("cannot check the band of %r: its hull spans more than 2^26 "
+                             "offsets" % (prim,))
+        for key in _c_order(ranges):
+            if key in grid._offset_lookup:
+                continue
+            if np.any(prim.contains(_candidate_cells(hull, grid, np.array(key))[1])):
+                raise ValueError(
+                    "band too small: %r needs offset %s outside the grid" % (prim, key))
 
 
 # samples whose squared imaginary parts _abs2 adds at once

@@ -602,26 +602,43 @@ _BAD_INPUTS = {
     "scene-center": ({"center.txt": "# a ball\nchannel 0 coeff 1 0 ball nan 0 0.5\n"},
                      _SYNTH_2D + ["--scene", "center.txt", "--resolution", "4"],
                      "center.txt line 2: non-finite scene entry 'nan'"),
-    # a huge primitive: its hull offsets are searched, not listed, and a
-    # hull past the int64 offsets names none
+    # a huge primitive: a hull of more than 2^26 offsets is refused, and so
+    # is one past 2^53/r, where sample points are not exact; a far hull
+    # just inside that bound is walked
     "band-huge-interval": ({"wide.txt": "channel 0 coeff 1 0 interval -1e15 1e15\n",
                             "offs0.txt": "0\n"},
                            ["synth", "--scene", "wide.txt", "--lattice", "lat.txt",
                             "--offsets", "offs0.txt", "--resolution", "4", "--out", "x.txt"],
-                           "band too small: interval [-1e+15, 1e+15) needs offset "
-                           "(-1000000000000000,) outside the grid"),
+                           "cannot check the band of interval [-1e+15, 1e+15): its hull spans "
+                           "more than 2^26 offsets"),
     "band-huge-ball": ({"wide2.txt": "channel 0 coeff 1 0 ball 0 0 1e15\n",
                         "offs00.txt": "0 0\n"},
                        ["synth", "--scene", "wide2.txt", "--lattice", "lat2.txt",
                         "--offsets", "offs00.txt", "--resolution", "4", "--out", "x.txt"],
-                       "band too small: ball(center=[0.0, 0.0], radius=1e+15) needs offset "
-                       "(-1000000000000000, -38441431) outside the grid"),
+                       "cannot check the band of ball(center=[0.0, 0.0], radius=1e+15): its "
+                       "hull spans more than 2^26 offsets"),
     "band-past-int64": ({"wider.txt": "channel 0 coeff 1 0 interval -1e19 1e19\n",
                          "offs0.txt": "0\n"},
                         ["synth", "--scene", "wider.txt", "--lattice", "lat.txt",
                          "--offsets", "offs0.txt", "--resolution", "4", "--out", "x.txt"],
-                        "band too small: interval [-1e+19, 1e+19) reaches offsets of 2^62 "
-                        "or more"),
+                        "cannot check the band of interval [-1e+19, 1e+19): it reaches "
+                        "offsets of 2^53/r or more"),
+    # 2^53/4 = 2251799813685248
+    "band-past-exact-samples": ({"far.txt": "channel 0 coeff 1 0 interval "
+                                            "2251799813685247 2251799813685248\n",
+                                 "offs0.txt": "0\n"},
+                                ["synth", "--scene", "far.txt", "--lattice", "lat.txt",
+                                 "--offsets", "offs0.txt", "--resolution", "4", "--out",
+                                 "x.txt"],
+                                "cannot check the band of interval [2.2518e+15, 2.2518e+15): "
+                                "it reaches offsets of 2^53/r or more"),
+    "band-far-interval": ({"near.txt": "channel 0 coeff 1 0 interval "
+                                       "2251799813685246 2251799813685247\n",
+                           "offs0.txt": "0\n"},
+                          ["synth", "--scene", "near.txt", "--lattice", "lat.txt",
+                           "--offsets", "offs0.txt", "--resolution", "4", "--out", "x.txt"],
+                          "band too small: interval [2.2518e+15, 2.2518e+15) needs offset "
+                          "(2251799813685246,) outside the grid"),
     "scene-bound": ({"bound.txt": "channel 0 coeff 1 0 interval 0 inf\n"},
                     ["synth", "--scene", "bound.txt", "--lattice", "lat.txt",
                      "--offsets", "offs.txt", "--resolution", "2", "--out", "x.txt"],

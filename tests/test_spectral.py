@@ -336,6 +336,62 @@ def test_band_too_small_names_rotated_offender():
     assert str(exc.value) == expected
 
 
+def _held_offsets(prim, lat, r):
+    """Every offset of prim's hull, in C order, where a sample point lands
+    inside prim."""
+    from pwsis.spectral import _offset_hull
+
+    grid = make_grid(lat, r, [[0] * lat.d])
+    ranges = [np.arange(np.floor(a), np.floor(b) + 1) for a, b in zip(*_offset_hull(prim, lat))]
+    mesh = np.meshgrid(*ranges, indexing="ij")
+    keys = np.stack([m.ravel() for m in mesh], axis=1).astype(np.int64)
+    return keys[[bool(np.any(prim.contains(_full_grid_points(grid, k)))) for k in keys]]
+
+
+_ROTATION = [[0.6, -0.8], [0.8, 0.6]]
+
+
+@pytest.mark.parametrize("basis, r, prim", [
+    # off the lattice axes: x0 in [0, 120], x1 in [-160, 0.6]
+    (_ROTATION, 6, Box([0.0, 0.0], [200.0, 1.0])),
+    ([[1.0]], 4, interval(0.3, 150.2)),
+    ([[1.0, 0.4], [0.0, 1.1]], 3, Ball([5.0, -3.0], 40.0)),
+    ([[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]], 2,
+     Box([0.0, 0.0, 0.0], [100.0, 0.7, 0.7])),
+])
+def test_band_check_of_a_long_hull_matches_the_full_grid_check(basis, r, prim):
+    # hulls of more than 65 values in a coordinate; K is 0 and every offset
+    # where prim has a sample, all of them but the last or the first in C
+    # order, or the 3^d offsets around the one of prim's center
+    lat = make_lattice(basis)
+
+    def grid_of(offsets):
+        return make_grid(lat, r, np.unique(np.vstack([offsets, np.zeros((1, lat.d))]), axis=0))
+
+    held = _held_offsets(prim, lat, r)
+    assert np.ptp(held, axis=0).max() > 65
+    center = prim.center if isinstance(prim, Ball) else (prim.lo + prim.hi) / 2
+    mesh = np.meshgrid(*([np.arange(-1, 2)] * lat.d), indexing="ij")
+    around = np.floor(center @ lat.basis).astype(np.int64) + np.stack(
+        [m.ravel() for m in mesh], axis=1)
+    for offsets in (held, held[:-1], held[1:], around):
+        grid = grid_of(offsets)
+        expected = _reference_band_error([prim], lat, grid)
+        scene = Scene(lat.d).add(0, 1.0, prim)
+        if expected is None:
+            assert np.array_equal(synthesize(scene, lat, grid).values,
+                                  _reference_synthesize(scene, grid))
+            assert np.array_equal(pw_mask([prim], lat, grid).bits,
+                                  _reference_mask_bits([prim], grid))
+            continue
+        for check in (lambda: synthesize(scene, lat, grid), lambda: pw_mask([prim], lat, grid)):
+            with pytest.raises(ValueError) as exc:
+                check()
+            assert str(exc.value) == expected
+    assert _reference_band_error([prim], lat, grid_of(held)) is None
+    assert _reference_band_error([prim], lat, grid_of(around)) is not None
+
+
 def test_band_check_of_a_huge_primitive_lists_no_hull():
     # interval(-1e6, 1e6) on K = {0}: its first hull offset is the offender,
     # found without a list of the 2,000,001 hull offsets (61 MiB traced)
