@@ -9,11 +9,12 @@ are skipped everywhere (synthesized zeros are exact zeros, so this loses
 nothing).
 """
 
+import math
 import os
 
 import numpy as np
 
-from .lattice import dilate_lattice, _cell_permutations, offset_permutations
+from .lattice import _det, dilate_lattice, _cell_permutations, offset_permutations
 from .spectral import (FrequencyGrid, SpectralDataset, _VALUE_CAP, _abs2, _grid_product,
                        _unique)
 
@@ -173,14 +174,14 @@ def _fiber_blocks(grid, m, cells, gather, fiber_side=False):
 def _dataset_blocks(F, layout=None):
     """_fiber_blocks of F's fibers over F's support, off which every cell is
     zero and so inactive, or over its whole grid; or, with layout =
-    _regrid_layout(F, lat), of F regridded onto lat, read through the
-    regrid map instead of from a regridded dataset."""
+    _regrid_layout(F, lat), of F regridded onto lat, read through
+    _regrid_positions instead of from a regridded dataset."""
     if layout is None:
         cells = np.arange(F.grid.n_cells) if F.support is None else F.support
         return _fiber_blocks(F.grid, F.m, cells, F._fibers)
-    src = _regrid_map(F, layout)
+    positions = _regrid_positions(F, layout)
     return _fiber_blocks(layout[0], F.m, np.arange(layout[0].n_cells),
-                         lambda c: F._take(src[:, c]))
+                         lambda c: F._take(positions(c)))
 
 
 def gramian_field(F):
@@ -270,10 +271,10 @@ def dilation_transport(F, A):
 
 
 def _regrid_layout(F, lat):
-    """The grid of F's samples re-indexed over lat and the integer sample
-    map C (see regrid_to_lattice), or None when lat is F's own lattice.
-    Every check of the regrid runs here, the size cap included, before
-    anything of the regridded size is allocated.
+    """The grid of F's samples re-indexed over lat and the inverse D = C^-1
+    of the integer sample map C (see regrid_to_lattice), or None when lat is
+    F's own lattice.  Every check of the regrid runs here, the size cap
+    included, before anything of the regridded size is allocated.
 
     The target offsets are found one source offset at a time: the offsets
     of its samples are keyed in 1-D over the bounding box of all of them,
@@ -308,14 +309,31 @@ def _regrid_layout(F, lat):
             "(max deviation %.3g)" % float(np.max(np.abs(M - C))))
     # |C (j + r k)| bounded in Python ints: below 2^62, no int64 sum,
     # product or difference of sample coordinates below can wrap
+    rows = [[int(x) for x in row] for row in C]
     kmax = max(int(grid.offsets.max()), -int(grid.offsets.min()))
-    reach = max(sum(abs(int(x)) for x in row) for row in C) * (grid.r - 1 + grid.r * kmax)
+    reach = max(sum(map(abs, row)) for row in rows) * (grid.r - 1 + grid.r * kmax)
     if reach >= 2 ** 62:
         raise ValueError("regrid out of range: sample coordinates reach %d, "
                          "2^62 or more" % reach)
-    C = C.astype(np.int64)
-    if abs(int(round(np.linalg.det(C)))) != 1:
+    det = _det(rows)
+    if abs(det) != 1:
         raise ValueError("incommensurable lattices: the sample map is not unimodular")
+    # a target sample j2 + r2 k2 is the source sample D (j2 + r2 k2), taken
+    # as D j2, below qreach, plus r2 D k2 = x - D j2 for a source sample x
+    # at k2, below reach + qreach: with qreach below 2^61 each part and
+    # their sum stay below 2^63
+    D = [[det * (-1) ** (i + j) * _det([row[:i] + row[i + 1:]
+                                        for t, row in enumerate(rows) if t != j])
+          for j in range(d)] for i in range(d)]
+    qreach = max(sum(map(abs, row)) for row in D) * max(r2 - 1, 1)
+    if qreach >= 2 ** 61:
+        raise ValueError("regrid out of range: inverse sample coordinates reach %d, "
+                         "2^61 or more" % qreach)
+    if math.prod(_offset_box(grid, D, r2)[3]) >= 2 ** 63:
+        raise ValueError("regrid out of range: the source offsets of the target "
+                         "samples span a box of 2^63 or more offsets")
+    D = np.array(D, dtype=np.int64)
+    C = C.astype(np.int64)
 
     corners = _grid_product([[0, grid.r - 1]] * d)
     ext = ((corners[None] + grid.r * grid.offsets[:, None]) @ C.T) // r2
@@ -332,7 +350,7 @@ def _regrid_layout(F, lat):
     grid2 = FrequencyGrid(lat, r2, K2)
     if not np.array_equal(grid2.offsets, K2):
         raise RuntimeError("regridded offsets lost their sorted order")
-    return grid2, C
+    return grid2, D
 
 
 def _sample_coords(grid, C):
@@ -344,24 +362,85 @@ def _sample_coords(grid, C):
         yield base + grid.r * (C @ k)
 
 
-def _regrid_map(F, layout):
-    """For each sample of the regridded grid of layout = _regrid_layout(F,
-    lat), the flat position k * n_cells + cell of the source sample there:
-    an int32 table of shape (|K'|, r'^d) holding -1 where no sample lands.
-    With a channel, the size cap keeps every position below 2^24."""
-    grid2, C = layout
-    K2 = grid2.offsets
-    lo = K2.min(axis=0)
-    box = tuple(K2.max(axis=0) - lo + 1)
-    keys = np.ravel_multi_index((K2 - lo).T, box)
-    n = F.grid.n_cells
-    src = np.full((grid2.n_offsets, grid2.n_cells), -1, dtype=np.int32)
-    pos = np.arange(n, dtype=np.int32)
-    for ki, y in enumerate(_sample_coords(F.grid, C)):
-        k2, j2 = np.divmod(y, grid2.r)
-        rows = np.searchsorted(keys, np.ravel_multi_index((k2 - lo).T, box))
-        src[rows, np.ravel_multi_index(j2.T, (grid2.r,) * grid2.d)] = pos + ki * n
-    return src
+def _offset_box(grid, D, r2):
+    """(qlo, qhi, lo, box) of the inverse sample map D, lists of Python ints,
+    of a regrid to resolution r2: qlo..qhi bounds D j2 // r over the target
+    cells j2 per coordinate, and lo, box the corner and shape of the box the
+    source offsets of _regrid_positions are keyed over, K's bounding box
+    widened by what the cell part and its carry add to an offset part
+    clipped to lie just outside it.  Python ints, so _regrid_layout bounds
+    the box before an int64 holds it."""
+    klo, khi = grid.offsets.min(axis=0).tolist(), grid.offsets.max(axis=0).tolist()
+    qlo = [sum(min(x, 0) for x in row) * (r2 - 1) // grid.r for row in D]
+    qhi = [sum(max(x, 0) for x in row) * (r2 - 1) // grid.r for row in D]
+    lo = [a - h - 2 + l for a, h, l in zip(klo, qhi, qlo)]
+    box = [b - a + 2 * (h - l) + 5 for a, b, h, l in zip(klo, khi, qhi, qlo)]
+    return qlo, qhi, lo, box
+
+
+# entries of _offset_lookup's table (1 MiB of int64); a larger box is
+# searched instead
+_OFFSET_TABLE_CAP = 1 << 17
+
+
+def _offset_lookup(grid, lo, box):
+    """lookup(keys): k * n_cells for the row-major keys over box, from its
+    corner lo, of the offsets k in K, and -n_cells for every other key.  A
+    table over the box, or a search in K's sorted keys where the table
+    would hold more than _OFFSET_TABLE_CAP entries."""
+    n = grid.n_cells
+    keys = np.ravel_multi_index((grid.offsets - lo).T, box)
+    base = np.arange(grid.n_offsets) * n
+    size = math.prod(box.tolist())
+    if size <= _OFFSET_TABLE_CAP:
+        table = np.full(size, -n)
+        table[keys] = base
+        return table.take
+
+    def lookup(key):
+        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        return np.where(keys[pos] == key, base[pos], -n)
+
+    return lookup
+
+
+def _regrid_positions(F, layout):
+    """positions(c): the flat source positions k * n_cells + cell of the
+    samples at the target cells c of layout = _regrid_layout(F, lat), a
+    (|K'|, len(c)) array holding -1 where no source sample lands.
+
+    C is unimodular, so target sample (k2, j2) is the source sample x =
+    D (j2 + r2 k2) with (k, j) = divmod(x, r), none where k is not in K.
+    The per-offset part r2 D k2 and the per-cell part D j2 are each divided
+    by r once and keyed; a sample then costs adds, a carry per coordinate
+    and one offset lookup."""
+    grid2, D = layout
+    r, d = F.grid.r, F.grid.d
+    qlo, qhi, lo, box = map(np.array, _offset_box(F.grid, D.tolist(), grid2.r))
+    lookup = _offset_lookup(F.grid, lo, box)
+    # r2 D k2 is below 2^63 (see _regrid_layout), so its int64 product is
+    # exact even where a partial product wraps; an offset part beyond K's
+    # box by more than a cell part reaches holds no sample, and is moved to
+    # just beyond it
+    pk, pj = np.divmod((grid2.r * grid2.offsets) @ D.T, r)
+    np.clip(pk, lo - qlo, lo + box - qhi - 2, out=pk)
+    kstride = np.cumprod(np.append(1, box[:0:-1]))[::-1]
+    cstride = r ** np.arange(d - 1, -1, -1)
+    pkey, pcell = (pk - lo) @ kstride, pj @ cstride
+    shape2 = (grid2.r,) * d
+
+    def positions(c):
+        qk, qj = np.divmod(np.stack(np.unravel_index(c, shape2), axis=1) @ D.T, r)
+        key = pkey[:, None] + qk @ kstride
+        cell = pcell[:, None] + qj @ cstride
+        for i in range(d):
+            carry = pj[:, i, None] >= r - qj[:, i]
+            np.add(key, kstride[i], out=key, where=carry)
+            np.subtract(cell, r * cstride[i], out=cell, where=carry)
+        cell += lookup(key)
+        return np.maximum(cell, -1, out=cell)
+
+    return positions
 
 
 def regrid_to_lattice(F, lat):
@@ -373,13 +452,19 @@ def regrid_to_lattice(F, lat):
     and the map C = (r'/r) A'^T Ahat to be an integer matrix; C then has
     determinant +-1 automatically, so samples land on distinct grid boxes of
     equal measure.  Raises ValueError for incommensurable targets.  The
-    target is read through the regrid map.
+    target is filled a block of cells at a time through _regrid_positions.
     """
     layout = _regrid_layout(F, lat)
     if layout is None:
         return F
-    return SpectralDataset(lat, layout[0], F._take(_regrid_map(F, layout)),
-                           check_finite=False)
+    grid2 = layout[0]
+    positions = _regrid_positions(F, layout)
+    values = np.empty((F.m, grid2.n_offsets, grid2.n_cells), dtype=np.complex128)
+    step = _block_cells(F.m, grid2.n_offsets)
+    for s in range(0, grid2.n_cells, step):
+        c = np.arange(s, min(s + step, grid2.n_cells))
+        F._take(positions(c), out=values[:, :, s:s + step])
+    return SpectralDataset(lat, grid2, values, check_finite=False)
 
 
 def gramian_covariance_check(F, A):

@@ -261,8 +261,14 @@ class OrbitPartition:
         low = np.full((off_perms.shape[1], n), np.iinfo(np.int64).max)
         for op, cp in zip(off_perms, cell_perms):
             np.minimum(low, op[:, None] * n + cp, out=low)
-        self.representatives, self.orbit_index, self.sizes = np.unique(
-            low.ravel(), return_inverse=True, return_counts=True)
+        # the orbit minima are the indices that are their own minimum, in
+        # ascending order, and an orbit's id is its minimum's rank among them
+        is_rep = low.ravel() == np.arange(low.size)
+        self.representatives = np.flatnonzero(is_rep)
+        rank = np.cumsum(is_rep)
+        rank -= 1
+        self.orbit_index = rank[low.ravel()]
+        self.sizes = np.bincount(self.orbit_index, minlength=len(self.representatives))
         if not _invariant(self.orbit_index.reshape(low.shape), off_perms, cell_perms):
             raise RuntimeError("orbit enumeration produced overlapping orbits")
 

@@ -185,9 +185,6 @@ class Box:
     def contains(self, pts):
         return np.all((pts >= self.lo) & (pts < self.hi), axis=1)
 
-    def bbox(self):
-        return self.lo, self.hi
-
     def __repr__(self):
         if self.d == 1:
             return "interval [%g, %g)" % (self.lo[0], self.hi[0])
@@ -207,9 +204,6 @@ class Ball:
     def contains(self, pts):
         diff = pts - self.center
         return np.einsum("nd,nd->n", diff, diff) < self.radius ** 2
-
-    def bbox(self):
-        return self.center - self.radius, self.center + self.radius
 
     def __repr__(self):
         return "ball(center=%s, radius=%g)" % (self.center.tolist(), self.radius)
@@ -250,14 +244,18 @@ class Scene:
 
 
 def _offset_hull(primitive, lattice):
-    """Conservative hull of a primitive in lattice coordinates x = A^T xi.
-
-    The physical bounding box is mapped corner-wise, so rotated lattices get
-    a conservative hull; actual membership is decided later on the real
-    samples.  Returns the per-dimension bounds (xlo, xhi) as floats; the
-    integer offsets a primitive can touch are floor(xlo) .. floor(xhi).
+    """Hull of a primitive in lattice coordinates x = A^T xi: the extremes
+    of each coordinate x_i = <a_i, xi> over the primitive, a_i the columns
+    of A.  A ball's are c . a_i -+ R |a_i|; a box's are taken at its
+    corners.  Membership is decided later on the real samples.  Returns the
+    per-dimension bounds (xlo, xhi) as floats; the integer offsets a
+    primitive can touch are floor(xlo) .. floor(xhi).
     """
-    lo, hi = primitive.bbox()
+    if isinstance(primitive, Ball):
+        mid = primitive.center @ lattice.basis
+        half = primitive.radius * np.linalg.norm(lattice.basis, axis=0)
+        return mid - half, mid + half
+    lo, hi = primitive.lo, primitive.hi
     d = lattice.d
     corners = np.array(np.meshgrid(*[(lo[i], hi[i]) for i in range(d)], indexing="ij"))
     corners = corners.reshape(d, -1).T @ lattice.basis  # rows: A^T @ corner

@@ -347,6 +347,31 @@ def test_omega_opt_output(workdir):
     assert "not grid-representable" in res.stderr
 
 
+def test_omega_opt_group_builds_the_density_once(workdir, monkeypatch, capsys):
+    from pwsis import cli, omega
+
+    data = _group_inputs(workdir)
+    want = _run(["omega-opt"] + data + ["--measure", "1.0", "--out", "gband1.txt"], workdir)
+    built = []
+    density = omega.energy_density
+    monkeypatch.setattr(omega, "energy_density", lambda F: built.append(F) or density(F))
+    monkeypatch.chdir(workdir)
+    assert cli.main(["omega-opt"] + data + ["--measure", "1.0", "--out", "gband2.txt"]) == 0
+    assert len(built) == 1 and capsys.readouterr().out == want.stdout
+    assert (workdir / "gband2.txt").read_bytes() == (workdir / "gband1.txt").read_bytes()
+
+
+@pytest.mark.parametrize("module, loaded", [("pwsis", []), ("pwsis.cli", ["pwsis.cli"])])
+def test_imports_defer_numpy_and_the_submodules(module, loaded):
+    # the thread caps must be in the environment before numpy loads
+    code = ("import sys, %s; print(sorted(m for m in sys.modules "
+            "if m == 'numpy' or m.startswith('pwsis.')))" % module)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "%r\n" % loaded
+
+
 def test_compare_lattices(workdir):
     (workdir / "lats.txt").write_text("1.0\n0.5\n2.0\n")
     res = _run(["compare-lattices", "--data", "data.txt",

@@ -221,6 +221,21 @@ def test_orbit_partition_matches_loop_labelling(name, basis, gens, seeds):
                 assert np.array_equal(a, b) and a.dtype == b.dtype
 
 
+def test_orbit_labels_match_the_sorted_labelling():
+    # the group workload's layout, D4 on 3 x 3 offsets at r = 64: the labels
+    # are those np.unique gives the per-index orbit minima
+    group = make_group([C4, MIRROR])
+    grid = make_grid(make_lattice(np.eye(2)), 64,
+                     [[a, b] for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    for part in (orbit_partition(grid, group), orbit_partition(grid, group, cells_only=True)):
+        n = part.cell_perms.shape[1]
+        low = np.min([(op[:, None] * n + cp).ravel()
+                      for op, cp in zip(part.off_perms, part.cell_perms)], axis=0)
+        want = np.unique(low, return_inverse=True, return_counts=True)
+        for got, ref in zip((part.representatives, part.orbit_index, part.sizes), want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 def test_orbit_partition_rejects_a_table_that_is_not_a_group():
     # an order-3 cycle without its square: images of 2 reach 0's orbit
     perms = np.array([[0, 1, 2], [1, 2, 0]], dtype=np.int64)

@@ -1114,6 +1114,54 @@ def test_regrid_map_matches_the_index_table_route():
     assert regridded == 302
 
 
+def _reference_regrid_map(F, grid2):
+    """The regrid map before the inverse sample map: for each sample of the
+    regridded grid2, the flat source position k * n_cells + cell of the
+    sample that lands there, scattered one source offset at a time into a
+    table of shape (|K'|, r'^d) holding -1 where none lands."""
+    C = np.rint((grid2.lattice.basis.T @ F.lattice.dual_basis)
+                * (float(grid2.r) / F.grid.r)).astype(np.int64)
+    K2 = grid2.offsets
+    lo = K2.min(axis=0)
+    box = tuple(K2.max(axis=0) - lo + 1)
+    keys = np.ravel_multi_index((K2 - lo).T, box)
+    n = F.grid.n_cells
+    src = np.full((grid2.n_offsets, grid2.n_cells), -1, dtype=np.int64)
+    base = F.grid.cell_vectors() @ C.T
+    for ki, k in enumerate(F.grid.offsets):
+        k2, j2 = np.divmod(base + F.grid.r * (C @ k), grid2.r)
+        rows = np.searchsorted(keys, np.ravel_multi_index((k2 - lo).T, box))
+        src[rows, np.ravel_multi_index(j2.T, (grid2.r,) * grid2.d)] = np.arange(n) + ki * n
+    return src
+
+
+@pytest.mark.parametrize("table_cap", [None, 0], ids=["table", "search"])
+def test_regrid_positions_match_the_forward_scatter(monkeypatch, table_cap):
+    dead = _files_layout(69, dead=True)
+    cases = _regrid_cases() + [(dead, make_lattice(b)) for b in _FILES_LATTICES]
+    if table_cap is not None:  # every offset lookup searches K's keys
+        monkeypatch.setattr(fibers, "_OFFSET_TABLE_CAP", table_cap)
+        cases = cases[::7]
+    for F, target in cases:
+        layout = fibers._regrid_layout(F, target)
+        if layout is None:
+            continue
+        want = _reference_regrid_map(F, layout[0])
+        positions = fibers._regrid_positions(F, layout)
+        cells = np.arange(layout[0].n_cells)
+        assert np.array_equal(positions(cells), want)
+        assert np.array_equal(positions(cells[1::3]), want[:, 1::3])
+
+
+def test_half_step_cut_of_the_files_layout_holds_no_index_table():
+    # the half-step lattice of the files layout: 9 target offsets at r' = 128;
+    # a whole-grid table of source positions raised the traced peak to
+    # 2.31 MiB, the route without one traces 1.74 MiB
+    F = _files_layout(73)
+    _, peak = traced_peak(lambda: solver._lattice_cut(F, make_lattice(_FILES_LATTICES[2]))(1))
+    assert peak < 1.9 * 2 ** 20
+
+
 def _assert_lattice_field(F, lat):
     """The Gramians compare-lattices cuts, read through the regrid map by
     the route's block function, equal the field of the regridded dataset,

@@ -392,6 +392,27 @@ def test_band_check_of_a_long_hull_matches_the_full_grid_check(basis, r, prim):
     assert _reference_band_error([prim], lat, grid_of(around)) is not None
 
 
+def test_rotated_ball_hull_is_exact_and_its_band_check_walks_one_row(monkeypatch):
+    from pwsis import spectral
+
+    lat = make_lattice(_ROTATION)
+    ball = Ball([0.0, 0.0], 300.0)
+    lo, hi = spectral._offset_hull(ball, lat)
+    assert np.allclose(lo, [-300.0, -300.0]) and np.allclose(hi, [300.0, 300.0])
+    # on K = {0} the first offender is in the hull's first row, reached
+    # after 280 offsets; the hull of the ball's bounding box began 120 rows
+    # (about 100,000 offsets) further out
+    calls = []
+    candidates = spectral._candidate_cells
+    monkeypatch.setattr(spectral, "_candidate_cells",
+                        lambda *a: calls.append(a) or candidates(*a))
+    with pytest.raises(ValueError) as exc:
+        pw_mask([ball], lat, make_grid(lat, 4, [[0, 0]]))
+    assert str(exc.value) == ("band too small: ball(center=[0.0, 0.0], radius=300) needs "
+                              "offset (-300, -21) outside the grid")
+    assert len(calls) <= 601
+
+
 def test_band_check_of_a_huge_primitive_lists_no_hull():
     # interval(-1e6, 1e6) on K = {0}: its first hull offset is the offender,
     # found without a list of the 2,000,001 hull offsets (61 MiB traced)
