@@ -340,7 +340,11 @@ def _regrid_layout(F, lat):
     lo = np.minimum(ext.min(axis=(0, 1)), 0)
     box = tuple(np.maximum(ext.max(axis=(0, 1)), 0) - lo + 1)
     keys = [np.ravel_multi_index(-lo[:, None], box)]  # 0, which every grid holds
-    for y in _sample_coords(grid, C):
+    # the sample Ahat (j + r k) / r is Ahat' (j2 + r2 k2) / r2 with (k2, j2) =
+    # divmod(C (j + r k), r2); one source offset k at a time
+    base = grid.cell_vectors() @ C.T
+    for k in grid.offsets:
+        y = base + grid.r * (C @ k)
         keys.append(_unique(np.ravel_multi_index((y // r2 - lo).T, box)))
     K2 = np.stack(np.unravel_index(_unique(np.concatenate(keys)), box), axis=1) + lo
     if F.m * K2.shape[0] * r2 ** d > _VALUE_CAP:
@@ -351,15 +355,6 @@ def _regrid_layout(F, lat):
     if not np.array_equal(grid2.offsets, K2):
         raise RuntimeError("regridded offsets lost their sorted order")
     return grid2, D
-
-
-def _sample_coords(grid, C):
-    """For each source offset k in order, C (j + r k) over the source cells
-    j in order: the sample Ahat (j + r k) / r is Ahat' (j2 + r2 k2) / r2 with
-    (k2, j2) = divmod(C (j + r k), r2)."""
-    base = grid.cell_vectors() @ C.T
-    for k in grid.offsets:
-        yield base + grid.r * (C @ k)
 
 
 def _offset_box(grid, D, r2):
