@@ -126,16 +126,14 @@ def _cmd_project(args):
 
 
 def _cmd_omega_opt(args):
-    from . import lattice, omega, textio
+    from . import omega, textio
 
     F = textio.read_dataset(args.data)
     density = omega.energy_density(F)
     total = density.total()  # finite, so is every sum of boxes below
     if args.group:
         group = textio.read_group_file(args.group, F.grid.d)
-        # best_omega_invariant on the density already built
-        mask, captured = omega._invariant_mask(F, lattice.orbit_partition(F.grid, group),
-                                               density.phi.ravel(), args.measure)
+        mask, captured = omega.best_omega_invariant(density, group, args.measure)
     else:
         mask, captured = omega.best_omega(density, args.measure)
     textio.write_mask(mask, args.out)

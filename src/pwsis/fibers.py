@@ -271,10 +271,12 @@ def dilation_transport(F, A):
 
 
 def _regrid_layout(F, lat):
-    """The grid of F's samples re-indexed over lat and the inverse D = C^-1
-    of the integer sample map C (see regrid_to_lattice), or None when lat is
-    F's own lattice.  Every check of the regrid runs here, the size cap
-    included, before anything of the regridded size is allocated.
+    """(grid2, D, bounds): the grid of F's samples re-indexed over lat, the
+    inverse D = C^-1 of the integer sample map C (see regrid_to_lattice) and
+    the rows qlo, qhi, klo2, kbox _regrid_positions keys offsets with; or
+    None when lat is F's own lattice.  Every check of the regrid runs here,
+    the size cap included, before anything of the regridded size is
+    allocated.
 
     The target offsets are found one source offset at a time: the offsets
     of its samples are keyed in 1-D over the bounding box of all of them,
@@ -329,7 +331,16 @@ def _regrid_layout(F, lat):
     if qreach >= 2 ** 61:
         raise ValueError("regrid out of range: inverse sample coordinates reach %d, "
                          "2^61 or more" % qreach)
-    if math.prod(_offset_box(grid, D, r2)[3]) >= 2 ** 63:
+    # qlo..qhi bounds D j2 // r over the target cells j2 per coordinate; the
+    # source offsets of _regrid_positions are keyed over the box from klo2
+    # of shape kbox: K's bounding box widened by what the cell part and its
+    # carry add to an offset part clipped to lie just outside it
+    klo, khi = grid.offsets.min(axis=0).tolist(), grid.offsets.max(axis=0).tolist()
+    qlo = [sum(min(x, 0) for x in row) * (r2 - 1) // grid.r for row in D]
+    qhi = [sum(max(x, 0) for x in row) * (r2 - 1) // grid.r for row in D]
+    klo2 = [a - h - 2 + l for a, h, l in zip(klo, qhi, qlo)]
+    kbox = [b - a + 2 * (h - l) + 5 for a, b, h, l in zip(klo, khi, qhi, qlo)]
+    if math.prod(kbox) >= 2 ** 63:
         raise ValueError("regrid out of range: the source offsets of the target "
                          "samples span a box of 2^63 or more offsets")
     D = np.array(D, dtype=np.int64)
@@ -354,49 +365,7 @@ def _regrid_layout(F, lat):
     grid2 = FrequencyGrid(lat, r2, K2)
     if not np.array_equal(grid2.offsets, K2):
         raise RuntimeError("regridded offsets lost their sorted order")
-    return grid2, D
-
-
-def _offset_box(grid, D, r2):
-    """(qlo, qhi, lo, box) of the inverse sample map D, lists of Python ints,
-    of a regrid to resolution r2: qlo..qhi bounds D j2 // r over the target
-    cells j2 per coordinate, and lo, box the corner and shape of the box the
-    source offsets of _regrid_positions are keyed over, K's bounding box
-    widened by what the cell part and its carry add to an offset part
-    clipped to lie just outside it.  Python ints, so _regrid_layout bounds
-    the box before an int64 holds it."""
-    klo, khi = grid.offsets.min(axis=0).tolist(), grid.offsets.max(axis=0).tolist()
-    qlo = [sum(min(x, 0) for x in row) * (r2 - 1) // grid.r for row in D]
-    qhi = [sum(max(x, 0) for x in row) * (r2 - 1) // grid.r for row in D]
-    lo = [a - h - 2 + l for a, h, l in zip(klo, qhi, qlo)]
-    box = [b - a + 2 * (h - l) + 5 for a, b, h, l in zip(klo, khi, qhi, qlo)]
-    return qlo, qhi, lo, box
-
-
-# entries of _offset_lookup's table (1 MiB of int64); a larger box is
-# searched instead
-_OFFSET_TABLE_CAP = 1 << 17
-
-
-def _offset_lookup(grid, lo, box):
-    """lookup(keys): k * n_cells for the row-major keys over box, from its
-    corner lo, of the offsets k in K, and -n_cells for every other key.  A
-    table over the box, or a search in K's sorted keys where the table
-    would hold more than _OFFSET_TABLE_CAP entries."""
-    n = grid.n_cells
-    keys = np.ravel_multi_index((grid.offsets - lo).T, box)
-    base = np.arange(grid.n_offsets) * n
-    size = math.prod(box.tolist())
-    if size <= _OFFSET_TABLE_CAP:
-        table = np.full(size, -n)
-        table[keys] = base
-        return table.take
-
-    def lookup(key):
-        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        return np.where(keys[pos] == key, base[pos], -n)
-
-    return lookup
+    return grid2, D, np.array([qlo, qhi, klo2, kbox])
 
 
 def _regrid_positions(F, layout):
@@ -408,11 +377,9 @@ def _regrid_positions(F, layout):
     D (j2 + r2 k2) with (k, j) = divmod(x, r), none where k is not in K.
     The per-offset part r2 D k2 and the per-cell part D j2 are each divided
     by r once and keyed; a sample then costs adds, a carry per coordinate
-    and one offset lookup."""
-    grid2, D = layout
+    and one search in K's sorted keys."""
+    grid2, D, (qlo, qhi, lo, box) = layout
     r, d = F.grid.r, F.grid.d
-    qlo, qhi, lo, box = map(np.array, _offset_box(F.grid, D.tolist(), grid2.r))
-    lookup = _offset_lookup(F.grid, lo, box)
     # r2 D k2 is below 2^63 (see _regrid_layout), so its int64 product is
     # exact even where a partial product wraps; an offset part beyond K's
     # box by more than a cell part reaches holds no sample, and is moved to
@@ -423,6 +390,10 @@ def _regrid_positions(F, layout):
     cstride = r ** np.arange(d - 1, -1, -1)
     pkey, pcell = (pk - lo) @ kstride, pj @ cstride
     shape2 = (grid2.r,) * d
+    # row-major keys sort as K's rows do; a key not in K finds the last
+    # base, -n_cells, which leaves its position negative
+    keys = (F.grid.offsets - lo) @ kstride
+    base = np.append(np.arange(F.grid.n_offsets) * F.grid.n_cells, -F.grid.n_cells)
 
     def positions(c):
         qk, qj = np.divmod(np.stack(np.unravel_index(c, shape2), axis=1) @ D.T, r)
@@ -432,7 +403,9 @@ def _regrid_positions(F, layout):
             carry = pj[:, i, None] >= r - qj[:, i]
             np.add(key, kstride[i], out=key, where=carry)
             np.subtract(cell, r * cstride[i], out=cell, where=carry)
-        cell += lookup(key)
+        pos = np.searchsorted(keys, key)
+        np.putmask(pos, keys.take(pos, mode="clip") != key, len(keys))
+        cell += base.take(pos)
         return np.maximum(cell, -1, out=cell)
 
     return positions

@@ -160,18 +160,19 @@ def _reachable_units(sizes, total):
     return reach
 
 
-def best_omega_invariant(F, group, measure):
+def best_omega_invariant(density, group, measure):
     """Best group-invariant mask of the given measure: selects whole orbits
-    of (offset, cell) boxes maximizing captured energy with the measure met
-    exactly; unreachable measures raise with the nearest reachable ones."""
-    return _invariant_mask(F, orbit_partition(F.grid, group),
-                           energy_density(F).phi.ravel(), measure)
+    of (offset, cell) boxes of the density's grid maximizing captured energy
+    with the measure met exactly; unreachable measures raise with the
+    nearest reachable ones."""
+    return _invariant_mask(density, orbit_partition(density.grid, group), measure)
 
 
-def _invariant_mask(F, part, phi, measure):
-    """best_omega_invariant on the box orbit partition part of F's grid and
-    the flat energy density phi."""
-    grid = F.grid
+def _invariant_mask(density, part, measure):
+    """best_omega_invariant on the box orbit partition part of the
+    density's grid."""
+    grid = density.grid
+    phi = density.phi.ravel()
     n = _box_count(grid, measure)
     orb_val = np.bincount(part.orbit_index, weights=phi, minlength=len(part))
     best, sel = _exact_fill_knapsack(orb_val, part.sizes, n)
@@ -188,7 +189,7 @@ def _invariant_mask(F, part, phi, measure):
     bits = chosen[part.orbit_index]
     idx = np.flatnonzero(bits)
     attained = float(phi[idx].sum() * grid.cell_weight)
-    return PWMask(F.lattice, grid, bits.reshape((grid.n_offsets, grid.n_cells))), attained
+    return PWMask(density.lattice, grid, bits.reshape((grid.n_offsets, grid.n_cells))), attained
 
 
 def omega_duality_check(F, group, measure):
@@ -198,8 +199,9 @@ def omega_duality_check(F, group, measure):
     Returns (direct, sectioned); the two agree to rounding."""
     grid = F.grid
     part = orbit_partition(grid, group)
-    phi = energy_density(F).phi.ravel()
-    mask, _ = _invariant_mask(F, part, phi, measure)
+    density = energy_density(F)
+    phi = density.phi.ravel()
+    mask, _ = _invariant_mask(density, part, measure)
     left = float(phi[np.flatnonzero(mask.bits.ravel())].sum() * grid.cell_weight)
 
     n = _box_count(grid, measure)

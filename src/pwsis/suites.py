@@ -552,10 +552,11 @@ def _suite_omega(rng, k, res):
     pick = [oi for oi in range(len(part.orbits)) if rng.random() < 0.5]
     n_inv = int(sum(part.sizes[oi] for oi in pick))
     wg = FG.grid.cell_weight
-    gmask, gattained = best_omega_invariant(FG, group, n_inv * wg)
+    density_g = energy_density(FG)
+    gmask, gattained = best_omega_invariant(density_g, group, n_inv * wg)
     _check(_invariant(gmask.bits, part.off_perms, part.cell_perms),
            "invariant mask is not group-fixed", FG)
-    phi_g = energy_density(FG).phi.ravel()
+    phi_g = density_g.phi.ravel()
     if len(part.orbits) <= 12:
         osum = [math.fsum(phi_g[o]) for o in part.orbits]
         cand = [0.0]
@@ -568,7 +569,7 @@ def _suite_omega(rng, k, res):
         _check(abs(got - best_inv) <= 1e-12 * (1.0 + abs(best_inv)),
                "orbit selection not optimal", FG)
     if FG.m:
-        plain_attained = best_omega(energy_density(FG), n_inv * wg)[1]
+        plain_attained = best_omega(density_g, n_inv * wg)[1]
         _check(gattained <= plain_attained + 1e-12 * (1.0 + abs(plain_attained)),
                "invariant selection beat the unconstrained one", FG)
     left_d, right_d = omega_duality_check(FG, group, n_inv * wg)
@@ -582,7 +583,7 @@ def _suite_omega(rng, k, res):
         c4 = make_group([np.array([[0, -1], [1, 0]])])
         zero = SpectralDataset(lat, g3, np.zeros((1, 1, 9), complex))
         try:
-            best_omega_invariant(zero, c4, 2 * g3.cell_weight)
+            best_omega_invariant(energy_density(zero), c4, 2 * g3.cell_weight)
             _check(False, "unreachable orbit measure accepted")
         except ValueError as e:
             _check("nearest reachable" in str(e), "wrong unreachable error: %s" % e)

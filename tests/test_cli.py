@@ -695,6 +695,23 @@ _BAD_INPUTS = {
                      "wrap_lats.txt", "--ell", "0"],
                     "wrap_lats.txt line 2: regrid out of range: sample coordinates reach "
                     "18446744073709551619, 2^62 or more"),
+    # the inverse sample map of lattice [[1, 0], [2^61, 1]] at r' = 1
+    "regrid-inverse-wrap": ({"one.dataset": "pwsis-dataset v1\ndim 2\nlattice 1 0 0 1\n"
+                                            "resolution 1\noffsets 1\n0 0\nchannels 1\n0.5 0.0\n",
+                             "inv_lats.txt": "1 0 0 1\n1 2305843009213693952 0 1\n"},
+                            ["compare-lattices", "--data", "one.dataset", "--lattices",
+                             "inv_lats.txt", "--ell", "0"],
+                            "inv_lats.txt line 2: regrid out of range: inverse sample "
+                            "coordinates reach 2305843009213693953, 2^61 or more"),
+    # offsets 2^32 apart: their inverse-map key box holds more than 2^64 offsets
+    "regrid-offset-box": ({"far.dataset": "pwsis-dataset v1\ndim 2\nlattice 1 0 0 1\n"
+                                          "resolution 1\noffsets 3\n0 0\n0 4294967296\n"
+                                          "4294967296 0\nchannels 1\n" + "0.5 0.0\n" * 3,
+                           "far_lats.txt": "1 0 0 1\n1 1 0 1\n"},
+                          ["compare-lattices", "--data", "far.dataset", "--lattices",
+                           "far_lats.txt", "--ell", "0"],
+                          "far_lats.txt line 2: regrid out of range: the source offsets "
+                          "of the target samples span a box of 2^63 or more offsets"),
     "header-cap": ({"cap.txt": "pwsis-dataset v1\n" + _CAP_HEADER % "3000000" + "channels 0\n"},
                    ["solve", "--data", "cap.txt", "--ell", "1"],
                    "cap.txt " + _CAP_LINE % "9000000000000 value lines per channel"),

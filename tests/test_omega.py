@@ -123,7 +123,7 @@ def _c4_dataset(rng, r=3):
 def test_invariant_mask_is_group_fixed():
     rng = np.random.default_rng(23)
     F, grid = _c4_dataset(rng)
-    mask, attained = best_omega_invariant(F, C4, 5 * grid.cell_weight)
+    mask, attained = best_omega_invariant(energy_density(F), C4, 5 * grid.cell_weight)
     part = orbit_partition(grid, C4)
     flat = mask.bits.ravel()
     for orbit in part.orbits:
@@ -138,7 +138,7 @@ def test_invariant_unreachable_measure_lists_neighbors():
     F, grid = _c4_dataset(rng)
     # orbit sizes on the 3x3 torus under C4 are {1, 4, 4}
     with pytest.raises(ValueError, match="union of whole orbits") as exc:
-        best_omega_invariant(F, C4, 2 * grid.cell_weight)
+        best_omega_invariant(energy_density(F), C4, 2 * grid.cell_weight)
     msg = str(exc.value)
     assert "%.12g" % (1 * grid.cell_weight) in msg
     assert "%.12g" % (4 * grid.cell_weight) in msg
@@ -294,10 +294,10 @@ def test_invariant_mask_matches_per_orbit_loop():
             want_bits, want = _loop_invariant_mask(F, group, measure)
             if want_bits is None:
                 with pytest.raises(ValueError, match="union of whole orbits"):
-                    best_omega_invariant(F, group, measure)
+                    best_omega_invariant(energy_density(F), group, measure)
                 unreachable += 1
                 continue
-            mask, attained = best_omega_invariant(F, group, measure)
+            mask, attained = best_omega_invariant(energy_density(F), group, measure)
             assert np.array_equal(mask.bits, want_bits)
             assert attained == want
             built += 1

@@ -1135,14 +1135,9 @@ def _reference_regrid_map(F, grid2):
     return src
 
 
-@pytest.mark.parametrize("table_cap", [None, 0], ids=["table", "search"])
-def test_regrid_positions_match_the_forward_scatter(monkeypatch, table_cap):
+def test_regrid_positions_match_the_forward_scatter():
     dead = _files_layout(69, dead=True)
-    cases = _regrid_cases() + [(dead, make_lattice(b)) for b in _FILES_LATTICES]
-    if table_cap is not None:  # every offset lookup searches K's keys
-        monkeypatch.setattr(fibers, "_OFFSET_TABLE_CAP", table_cap)
-        cases = cases[::7]
-    for F, target in cases:
+    for F, target in _regrid_cases() + [(dead, make_lattice(b)) for b in _FILES_LATTICES]:
         layout = fibers._regrid_layout(F, target)
         if layout is None:
             continue
@@ -1160,6 +1155,34 @@ def test_half_step_cut_of_the_files_layout_holds_no_index_table():
     F = _files_layout(73)
     _, peak = traced_peak(lambda: solver._lattice_cut(F, make_lattice(_FILES_LATTICES[2]))(1))
     assert peak < 1.9 * 2 ** 20
+
+
+@pytest.mark.parametrize("offsets, basis, inside, message", [
+    # D = C^-1 holds 2^61 (inside: the next float below), so the inverse
+    # sample coordinates D j' reach 2^61 or more at r' = 1
+    ([[0, 0], [0, 1], [1, 0]], [[1.0, 0.0], [2.0 ** 61, 1.0]],
+     ([[0, 0], [0, 1], [1, 0]], [[1.0, 0.0], [2.0 ** 61 - 512, 1.0]]),
+     "inverse sample coordinates reach 2305843009213693953, 2^61 or more"),
+    # far-apart offsets: the box the source offsets are keyed over holds
+    # (3037000495 + 5)^2 offsets, 2^63 or more (inside: one offset nearer)
+    ([[0, 0], [0, 3037000495], [3037000495, 0]], [[1.0, 1.0], [0.0, 1.0]],
+     ([[0, 0], [0, 3037000494], [3037000494, 0]], [[1.0, 1.0], [0.0, 1.0]]),
+     "the source offsets of the target samples span a box of 2^63 or more offsets"),
+])
+def test_regrid_refuses_an_inverse_map_past_int64_and_is_exact_inside(offsets, basis, inside,
+                                                                    message):
+    src = make_lattice(np.eye(2))
+    values = np.arange(1.0, 4.0).reshape(1, 3, 1)
+    F = SpectralDataset(src, make_grid(src, 1, offsets), values)
+    with pytest.raises(ValueError) as exc:
+        regrid_to_lattice(F, make_lattice(basis))
+    assert str(exc.value) == "regrid out of range: " + message
+    # one step inside the bound every key and coordinate stays in int64
+    F = SpectralDataset(src, make_grid(src, 1, inside[0]), values)
+    lat = make_lattice(inside[1])
+    got, want = regrid_to_lattice(F, lat), _reference_regrid(F, lat)
+    assert np.array_equal(got.grid.offsets, want.grid.offsets)
+    assert np.array_equal(got.values, want.values)
 
 
 def _assert_lattice_field(F, lat):
