@@ -132,8 +132,11 @@ def _random_models(rng, F, ell, count=1, mask=None):
         if not d:
             continue
         cells = np.flatnonzero((avail == a) & (dims == d))
-        Mx = draws[:, starts[cells, None] + np.arange(2 * a * d)].reshape(count, -1, 2, a, d)
-        Q = np.linalg.qr(Mx[:, :, 0] + 1j * Mx[:, :, 1])[0]
+        at = (starts[cells, None] + np.arange(2 * a * d)).reshape(-1, 2, a, d)
+        M = np.empty((count, len(cells), a, d), dtype=np.complex128)
+        M.real, M.imag = draws[:, at[:, 0]], draws[:, at[:, 1]]
+        Q = np.linalg.qr(M)[0]
+        del M
         offs = np.nonzero(bits[:, cells].T)[1].reshape(-1, 1, a)
         basis[:, cells[:, None, None], np.arange(d)[:, None], offs] = Q.swapaxes(2, 3)
     return basis, dims
@@ -142,7 +145,9 @@ def _random_models(rng, F, ell, count=1, mask=None):
 def _model_errors(F, basis):
     """The total error of F against each of a stack of models' bases, by
     the formula of error_against: energy minus captured amplitudes."""
-    amp = np.einsum("ncjk,ikc->ncij", basis.conj(), F.values)
+    # the conjugate of <basis, values>, which has the same |.|^2, so that
+    # no conjugate copy of the models is made
+    amp = np.einsum("ncjk,ikc->ncij", basis, F.values.conj())
     return (F.energy() - _abs2(amp).sum(axis=(1, 3)) * F.grid.cell_weight).sum(axis=1)
 
 
