@@ -22,7 +22,6 @@ from .solver import (_TIE_GAP, SubspaceModel, best_gamma, best_sis, eigen_field,
                      error_against, project_then_solve,
                      refinement_inequality_check)
 from .omega import best_omega, best_omega_invariant, energy_density, omega_duality_check
-from . import textio
 
 __all__ = ["SuiteResult", "run_property_suites", "SUITE_NAMES"]
 
@@ -214,6 +213,10 @@ def _suite_lattice(rng, k, res):
 
 
 def _suite_roundtrip(rng, k, res):
+    # textio is imported where it is used: a check job that neither round-trips
+    # nor writes a failure then does not compile its 27 KB
+    from . import textio
+
     F = _random_dataset(rng, vacuous=(k == 0))
     back = textio.parse_dataset(textio.format_dataset(F))
     _check(np.array_equal(back.values, F.values), "dataset values not byte-stable", F)
@@ -668,6 +671,8 @@ def run_property_suites(seed=0, sizes=None, suites=None, failure_dir="."):
                 artifact = None
                 if e.dataset is not None:
                     artifact = os.path.join(failure_dir, "pwsis-failure-%s-%d.dataset" % (name, k))
+                    from . import textio
+
                     textio.write_dataset(e.dataset, artifact)
                 result.failures.append((k, str(e), artifact))
         results.append(result)
